@@ -1,8 +1,9 @@
 """Solvers and benchmarks for ratio-of-functions minimization.
 
 Minimizes F(x) = (f(x) + h(x)) / g(x) by proximal-gradient steps on the
-numerator corrected by a subgradient of the denominator, with fixed steps
-(``run_pgsa``) or monotone / nonmonotone line search (``run_pgsa_ls``).
+numerator corrected by a subgradient of the denominator.  One driver runs
+that step with one of two step rules: a fixed step (``run_pgsa``) or a
+monotone / nonmonotone backtracking line search (``run_pgsa_ls``).
 Ships two full problem families, sparse generalized eigenvalue problems and
 box-constrained l1/l2 sparse recovery, plus independent verification tools
 that re-audit recorded runs.

@@ -6,11 +6,12 @@ are aggregated in index order whatever the thread count, and the per-run
 records contain no timing fields, so identical inputs give byte-identical
 records.  Wall-clock times appear only in the aggregate table and cover the
 solver call alone (problem construction, including the Lipschitz-constant
-estimation, and the sparse-recovery initializer run outside the clock).
+computation, and the sparse-recovery initializer run outside the clock).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -235,40 +236,52 @@ def _l1l2_problem(
     return problem, penalty_start_point(problem), truth
 
 
+def _build_trial(
+    cfg: ExperimentConfig,
+    trial: int,
+    shared_problem: tuple[SgepProblem, np.ndarray] | None,
+) -> tuple[FractionalProblem, np.ndarray, np.ndarray | None]:
+    """This trial's problem instance, start point and, for l1l2, ground truth."""
+    if cfg.experiment == "sfda":
+        return (*_sfda_problem(cfg, trial), None)
+    if cfg.experiment == "l1l2":
+        return _l1l2_problem(cfg, trial)
+    assert shared_problem is not None, "custom_sgep requires a preloaded problem"
+    return (*shared_problem, None)
+
+
+def _solve_trial(
+    cfg: ExperimentConfig,
+    trial: int,
+    solver: str,
+    instance: tuple[FractionalProblem, np.ndarray, np.ndarray | None],
+) -> TrialResult:
+    problem, x0, truth = instance
+    run_cfg = solver_run_config(cfg, solver)
+    start = time.perf_counter()
+    trace = solve_with(problem, x0, solver, run_cfg)
+    elapsed = time.perf_counter() - start
+    report = None
+    if truth is not None:
+        report = recovery_report(trace.final_x, truth, trace.iterations, elapsed)
+    return TrialResult(
+        experiment=cfg.experiment,
+        solver=solver,
+        trial=trial,
+        trace=trace,
+        wall_time_s=elapsed,
+        report=report,
+    )
+
+
 def run_trial(
     cfg: ExperimentConfig,
     trial: int,
     shared_problem: tuple[SgepProblem, np.ndarray] | None = None,
 ) -> list[TrialResult]:
     """Run every configured solver on this trial's problem instance."""
-    truth = None
-    if cfg.experiment == "sfda":
-        problem, x0 = _sfda_problem(cfg, trial)
-    elif cfg.experiment == "l1l2":
-        problem, x0, truth = _l1l2_problem(cfg, trial)
-    else:
-        assert shared_problem is not None, "custom_sgep requires a preloaded problem"
-        problem, x0 = shared_problem
-    results = []
-    for solver in cfg.solver_names():
-        run_cfg = solver_run_config(cfg, solver)
-        start = time.perf_counter()
-        trace = solve_with(problem, x0, solver, run_cfg)
-        elapsed = time.perf_counter() - start
-        report = None
-        if truth is not None:
-            report = recovery_report(trace.final_x, truth, trace.iterations, elapsed)
-        results.append(
-            TrialResult(
-                experiment=cfg.experiment,
-                solver=solver,
-                trial=trial,
-                trace=trace,
-                wall_time_s=elapsed,
-                report=report,
-            )
-        )
-    return results
+    instance = _build_trial(cfg, trial, shared_problem)
+    return [_solve_trial(cfg, trial, solver, instance) for solver in cfg.solver_names()]
 
 
 @dataclass
@@ -284,9 +297,11 @@ class ExperimentOutcome:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
     """Run all trials, in parallel when asked, and aggregate deterministically.
 
-    A trial that raises a package error is recorded in ``failures`` and left
-    out of the aggregates; anything else propagates, since it means a bug
-    rather than a degenerate instance.
+    A package error is recorded in ``failures`` against its (trial, solver)
+    pair, with the master seed, and left out of the aggregates: a solver
+    error costs only that solver's run, while an instance that cannot be
+    built costs every solver of its trial.  Anything else propagates, since
+    it means a bug rather than a degenerate instance.
     """
     shared = None
     if cfg.experiment == "custom_sgep":
@@ -295,26 +310,41 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
         problem = SgepProblem(matrix_a=a, matrix_b=b, sparsity=cfg.r)
         shared = (problem, sgep_default_init(problem.dim, cfg.r))
 
-    def one_trial(index: int) -> list[TrialResult] | dict[str, Any]:
-        try:
-            return run_trial(cfg, index, shared)
-        except FracoptError as exc:
-            return {"trial": index, "error": type(exc).__name__, "message": str(exc)}
+    def failure(index: int, solver: str, exc: FracoptError) -> dict[str, Any]:
+        return {
+            "trial": index,
+            "solver": solver,
+            "master_seed": cfg.master_seed,
+            "error": type(exc).__name__,
+            "message": str(exc),
+        }
 
-    outcomes: list[list[TrialResult] | dict[str, Any]]
+    def one_trial(index: int) -> list[TrialResult | dict[str, Any]]:
+        try:
+            instance = _build_trial(cfg, index, shared)
+        except FracoptError as exc:
+            return [failure(index, solver, exc) for solver in cfg.solver_names()]
+        outcomes: list[TrialResult | dict[str, Any]] = []
+        for solver in cfg.solver_names():
+            try:
+                outcomes.append(_solve_trial(cfg, index, solver, instance))
+            except FracoptError as exc:
+                outcomes.append(failure(index, solver, exc))
+        return outcomes
+
     if cfg.threads > 1 and cfg.trials > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            outcomes = list(pool.map(one_trial, range(cfg.trials)))
+            trials = list(pool.map(one_trial, range(cfg.trials)))
     else:
-        outcomes = [one_trial(i) for i in range(cfg.trials)]
+        trials = [one_trial(i) for i in range(cfg.trials)]
 
     results: list[TrialResult] = []
     failures: list[dict[str, Any]] = []
-    for outcome in outcomes:
+    for outcome in itertools.chain.from_iterable(trials):
         if isinstance(outcome, dict):
             failures.append(outcome)
         else:
-            results.extend(outcome)
+            results.append(outcome)
 
     if cfg.trials == 0:
         rows = []
@@ -336,7 +366,7 @@ def aggregate_row(
         "experiment": cfg.experiment,
         "solver": solver,
         "trials": len(mine),
-        "failed": len(failures),
+        "failed": sum(1 for fail in failures if fail["solver"] == solver),
         "mean_objective": "",
         "mean_time_s": "",
         "success_rate": "",

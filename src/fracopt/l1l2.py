@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DegenerateInputError, DomainError, InvalidProblemError
-from .linalg import power_iteration_norm
 from .problem import DOMAIN_EPS_BASE, FractionalProblem
 from .rand import as_generator
 
@@ -51,6 +50,13 @@ def prox_l1_box(
     return np.clip(shrunk, lower, upper)
 
 
+def _sensing_lipschitz(a: np.ndarray) -> float:
+    """||A||_2^2, the top eigenvalue of the smaller Gram matrix A A.T or A.T A."""
+    m, n = a.shape
+    gram = a @ a.T if m <= n else a.T @ a
+    return float(np.linalg.eigvalsh(gram)[-1])
+
+
 def l2_subgradient(x: np.ndarray) -> np.ndarray:
     """x / ||x||_2 away from the origin, 0 at the origin.
 
@@ -70,8 +76,7 @@ class L1L2PenaltyProblem(FractionalProblem):
 
     Construction requires a nonempty box containing the origin (otherwise the
     shrink-then-clip prox would be inexact) and a positive penalty weight.
-    L = ||A||_2^2 is estimated by power iteration on v -> A.T (A v), never
-    forming the normal matrix.
+    L = ||A||_2^2 comes from the spectrum of the smaller Gram matrix.
     """
 
     sensing: np.ndarray
@@ -103,7 +108,7 @@ class L1L2PenaltyProblem(FractionalProblem):
         object.__setattr__(self, "observation", b)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
-        lipschitz = power_iteration_norm(lambda v: a.T @ (a @ v), n)
+        lipschitz = _sensing_lipschitz(a)
         if lipschitz <= 0:
             raise InvalidProblemError("sensing matrix is zero")
         object.__setattr__(self, "_lipschitz", lipschitz)
@@ -251,7 +256,7 @@ def l1_box_initializer(
     upper = np.broadcast_to(np.asarray(upper, dtype=float), (n,))
     correlation = a.T @ b
     mu = INITIALIZER_PENALTY_SCALE * float(np.max(np.abs(correlation)))
-    lipschitz = power_iteration_norm(lambda v: a.T @ (a @ v), n)
+    lipschitz = _sensing_lipschitz(a)
     if lipschitz <= 0:
         raise DegenerateInputError("sensing matrix is zero")
     step = 1.0 / lipschitz

@@ -1,4 +1,4 @@
-"""Backtracked variant of the ratio solver with a spectral initial step.
+"""Backtracking step rule for the ratio solver, with a spectral initial step.
 
 Each iteration seeds a trial step from consecutive iterate and gradient
 differences (a Barzilai-Borwein quotient clamped to configured bounds), then
@@ -12,19 +12,28 @@ N = 0 forces monotone decrease; N > 0 allows occasional increases while the
 windowed maxima still decrease.  Accepted steps never fall below
 eta / (a * M + L), where M bounds the denominator on the initial level set,
 so backtracking always terminates for correctly specified problems.
+
+``run_pgsa_ls`` runs this rule in the same driver as ``run_pgsa``.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError, InvalidConfigError, LineSearchError, NumericsError
-from .pgsa import SolverTrace, _stop_metric
-from .problem import Certificate, ExtendedObjective, FractionalProblem, eval_objective
+from .exceptions import InvalidConfigError, LineSearchError
+from .pgsa import (
+    SolverTrace,
+    _decrease_excess,
+    _default_step,
+    _descent_direction,
+    _solve,
+    _start_point,
+    _trial_point,
+)
+from .problem import ExtendedObjective, FractionalProblem
 
 # A trial step is never shrunk more than this many times; with the default
 # eta = 0.5 this covers a dynamic range of 2^60 between the seed step and the
@@ -55,12 +64,10 @@ class LineSearchConfig:
     alpha_lower: float | None = None
     alpha_upper: float = 1e8
     alpha0: float | None = None
-    max_backtracks: int = MAX_BACKTRACKS
     max_iter: int | None = None
     step_tol: float | None = None
     relative_tol: bool = False
     record_trace: bool = False
-    strict_checks: bool = False
 
 
 class ObjectiveWindow:
@@ -104,46 +111,37 @@ def bb_initial_step(
 def _backtrack(
     problem: FractionalProblem,
     x: np.ndarray,
-    scale: float,
-    grad: np.ndarray,
-    subgrad: np.ndarray,
+    direction: np.ndarray,
     window_max: float,
     alpha0: float,
-    a: float,
-    eta: float,
-    max_backtracks: int,
-) -> tuple[np.ndarray, ExtendedObjective, float, int]:
+    cfg: LineSearchConfig,
+) -> tuple[np.ndarray, ExtendedObjective, float, float, int]:
     """Shrink alpha0 geometrically until the acceptance test passes.
 
-    Below the guaranteed threshold 1/(aM + L) a candidate matching the window
-    to within ACCEPT_REL_SLACK is accepted as well; without that escape a
-    near-critical iterate can be rejected forever on rounding noise alone.
+    Returns the accepted point, F there, its step size and step norm, and
+    the number of backtracks.  Below the guaranteed threshold 1/(aM + L) a
+    candidate matching the window to within ACCEPT_REL_SLACK is accepted as
+    well; without that escape a near-critical iterate can be rejected
+    forever on rounding noise alone.
     """
-    direction = scale * subgrad - grad
     bound = problem.g_sup_bound
-    guaranteed = None if bound is None else 1.0 / (a * bound + problem.lipschitz_grad_h)
+    guaranteed = None if bound is None else 1.0 / (cfg.a * bound + problem.lipschitz_grad_h)
     alpha = alpha0
-    for m in range(max_backtracks + 1):
-        anchor = x + alpha * direction
-        if np.isnan(anchor).any():
-            raise NumericsError("NaN in step anchor (gradient or subgradient callback)")
-        x_trial = np.asarray(problem.prox_f(alpha, anchor), dtype=float)
-        if np.isnan(x_trial).any():
-            raise NumericsError("NaN from prox callback")
-        ext = eval_objective(problem, x_trial)
+    for m in range(MAX_BACKTRACKS + 1):
+        x_trial, ext = _trial_point(problem, x, direction, alpha)
         if ext.in_domain:
-            diff = float(np.linalg.norm(x_trial - x))
-            if ext.value <= window_max - 0.5 * a * diff * diff:
-                return x_trial, ext, alpha, m
+            step = float(np.linalg.norm(x_trial - x))
+            if not _decrease_excess(ext.value, window_max, coef=0.5 * cfg.a, step=step):
+                return x_trial, ext, alpha, step, m
             if (
                 guaranteed is not None
                 and alpha <= guaranteed
-                and ext.value <= window_max + ACCEPT_REL_SLACK * (1.0 + abs(window_max))
+                and not _decrease_excess(ext.value, window_max, ACCEPT_REL_SLACK)
             ):
-                return x_trial, ext, alpha, m
-        alpha *= eta
+                return x_trial, ext, alpha, step, m
+        alpha *= cfg.eta
     raise LineSearchError(
-        f"no acceptable step after {max_backtracks} backtracks from alpha0 = {alpha0:.6e}"
+        f"no acceptable step after {MAX_BACKTRACKS} backtracks from alpha0 = {alpha0:.6e}"
     )
 
 
@@ -157,28 +155,16 @@ def line_search_step(
     """One backtracked step; returns the accepted point and step size.
 
     ``window`` must already contain F(x) (and up to N earlier accepted
-    values).  Standalone entry point; run_pgsa_ls uses the same core but
+    values).  Standalone entry point; run_pgsa_ls takes the same step but
     reuses cached evaluations across iterations.
     """
     cfg = config or LineSearchConfig()
     if alpha0 <= 0:
         raise InvalidConfigError("alpha0 must be positive")
     x = np.asarray(x, dtype=float)
-    ext = eval_objective(problem, x)
-    if not ext.in_domain:
-        raise DomainError("line_search_step started outside dom(F)")
-    x_new, _, alpha, _ = _backtrack(
-        problem,
-        x,
-        ext.value,
-        problem.grad_h(x),
-        problem.subgrad_g(x),
-        window.maximum,
-        alpha0,
-        cfg.a,
-        cfg.eta,
-        cfg.max_backtracks,
-    )
+    ext = _start_point(problem, x)
+    _, direction = _descent_direction(problem, x, ext.value)
+    x_new, _, alpha, _, _ = _backtrack(problem, x, direction, window.maximum, alpha0, cfg)
     return x_new, alpha
 
 
@@ -195,109 +181,37 @@ def run_pgsa_ls(
     which the acceptance test itself prevents for sound problems.
     """
     cfg = config or LineSearchConfig()
-    x = np.asarray(x0, dtype=float).copy()
-    n = x.shape[0]
-    if n != problem.dim:
-        raise InvalidConfigError(f"x0 has length {n}, problem dimension is {problem.dim}")
     if cfg.a <= 0:
         raise InvalidConfigError("decrease coefficient a must be positive")
     if not (0.0 < cfg.eta < 1.0):
         raise InvalidConfigError("backtracking factor eta must lie in (0, 1)")
-    if cfg.N < 0:
-        raise InvalidConfigError("window memory N must be nonnegative")
-
-    cap = (2.0 if problem.f_is_convex else 1.0) - 0.01
-    lo = cfg.alpha_lower if cfg.alpha_lower is not None else cap / problem.lipschitz_grad_h
+    window = ObjectiveWindow(cfg.N)
+    lo = cfg.alpha_lower if cfg.alpha_lower is not None else _default_step(problem)
     hi = float(cfg.alpha_upper)
     if not (0.0 < lo <= hi):
         raise InvalidConfigError(f"need 0 < alpha_lower <= alpha_upper, got [{lo}, {hi}]")
     alpha_seed = cfg.alpha0 if cfg.alpha0 is not None else lo
     if not (lo <= alpha_seed <= hi):
         raise InvalidConfigError("alpha0 must lie within [alpha_lower, alpha_upper]")
-    max_iter = cfg.max_iter if cfg.max_iter is not None else (10 * n if cfg.relative_tol else 2 * n)
-    step_tol = cfg.step_tol if cfg.step_tol is not None else (1e-8 if cfg.relative_tol else 1e-6)
+    seed, last = alpha_seed, (None, None)
 
-    ext = eval_objective(problem, x)
-    if not ext.in_domain:
-        raise DomainError("run_pgsa_ls started outside dom(F)")
+    def backtracking_step(k, x, ext, grad, direction):
+        # From the second step on, the trial step is the BB quotient of the
+        # last accepted step and the gradient change along it.
+        nonlocal seed, last
+        if k > 0:
+            seed = bb_initial_step(x - last[0], grad - last[1], lo, hi)
+        last = (x, grad)
+        window.push(ext.value)
+        return _backtrack(problem, x, direction, window.maximum, seed, cfg)
 
-    window = ObjectiveWindow(cfg.N)
-    window.push(ext.value)
-    grad = problem.grad_h(x)
-
-    objective = [ext.value]
-    g_value = [ext.denominator]
-    alphas: list[float] = []
-    steps: list[float] = []
-    backtracks: list[int] = []
-    iterates = [x.copy()] if cfg.record_trace else None
-    reason = "max_iter"
-    alpha_trial = alpha_seed
-
-    for _ in range(max_iter):
-        x_new, new_ext, alpha, m = _backtrack(
-            problem,
-            x,
-            ext.value,
-            grad,
-            problem.subgrad_g(x),
-            window.maximum,
-            alpha_trial,
-            cfg.a,
-            cfg.eta,
-            cfg.max_backtracks,
-        )
-        if not new_ext.in_domain:  # unreachable for sound problems; keep the trace honest
-            reason = "domain_error"
-            break
-        dx = x_new - x
-        step = float(np.linalg.norm(dx))
-        grad_new = problem.grad_h(x_new)
-        alphas.append(alpha)
-        steps.append(step)
-        backtracks.append(m)
-        objective.append(new_ext.value)
-        g_value.append(new_ext.denominator)
-        if iterates is not None:
-            iterates.append(x_new.copy())
-        window.push(new_ext.value)
-        alpha_trial = bb_initial_step(dx, grad_new - grad, lo, hi)
-        x, ext, grad = x_new, new_ext, grad_new
-        if _stop_metric(step, x_new, cfg.relative_tol) <= step_tol:
-            reason = "step_tol"
-            break
-
-    try:
-        residual = problem.critical_residual(x)
-    except NotImplementedError:
-        residual = None
-    cert = Certificate(
-        objective=ext.value,
-        criticality_residual=residual,
-        iterations=len(alphas),
-        converged_reason=reason,
-    )
-    return SolverTrace(
-        objective=np.asarray(objective),
-        g_value=np.asarray(g_value),
-        alpha=np.asarray(alphas),
-        step_norm=np.asarray(steps),
-        final_x=x,
-        certificate=cert,
-        params={
-            "mode": "pgsa_ml" if cfg.N == 0 else "pgsa_nl",
-            "a": cfg.a,
-            "eta": cfg.eta,
-            "N": cfg.N,
-            "alpha_lower": lo,
-            "alpha_upper": hi,
-            "alpha0": alpha_seed,
-            "step_tol": step_tol,
-            "relative_tol": cfg.relative_tol,
-            "lipschitz": problem.lipschitz_grad_h,
-            "f_is_convex": problem.f_is_convex,
-            "g_sup_bound": problem.g_sup_bound,
-        },
-        backtracks=np.asarray(backtracks, dtype=int),
-        iterates=np.asarray(iterates) if iterates is not None else None,
-    )
+    params = {
+        "mode": "pgsa_ml" if cfg.N == 0 else "pgsa_nl",
+        "a": cfg.a,
+        "eta": cfg.eta,
+        "N": cfg.N,
+        "alpha_lower": lo,
+        "alpha_upper": hi,
+        "alpha0": alpha_seed,
+    }
+    return _solve(problem, x0, cfg, backtracking_step, params, backtracking=True)

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exceptions import InsufficientDataError
-from .pgsa import SolverTrace
+from .pgsa import SolverTrace, _decrease_excess, _fixed_step_coef
 from .problem import FractionalProblem, eval_objective
 
 AUDIT_REL_TOL = 1e-10
@@ -154,27 +154,27 @@ def audit_trace(
         if lipschitz is not None:
             for k in range(iterations):
                 report.checks_run += 1
-                if convex_f:
-                    coef = (1.0 / alpha[k] - lipschitz / 2.0) / g_value[k + 1]
-                else:
-                    coef = (1.0 / alpha[k] - lipschitz) / (2.0 * g_value[k + 1])
-                lhs = objective[k + 1] + coef * step_norm[k] ** 2
-                if lhs > objective[k] + slack(objective[k]):
+                coef = _fixed_step_coef(alpha[k], lipschitz, convex_f, g_value[k + 1])
+                excess = _decrease_excess(
+                    objective[k + 1], objective[k], rel_tol, coef, step_norm[k]
+                )
+                if excess:
                     _audit_add(
                         report,
                         k + 1,
                         "sufficient_decrease",
-                        lhs - objective[k],
+                        excess,
                         f"decrease inequality fails from iterate {k} to {k + 1}",
                     )
         for k in range(iterations):
             report.checks_run += 1
-            if objective[k + 1] > objective[k] + slack(objective[k]):
+            excess = _decrease_excess(objective[k + 1], objective[k], rel_tol)
+            if excess:
                 _audit_add(
                     report,
                     k + 1,
                     "monotonicity",
-                    objective[k + 1] - objective[k],
+                    excess,
                     f"objective increased from iterate {k} to {k + 1}",
                 )
     else:
@@ -190,24 +190,27 @@ def audit_trace(
 
         for k in range(iterations):
             report.checks_run += 1
-            lhs = objective[k + 1] + 0.5 * a * step_norm[k] ** 2
-            if lhs > window_max[k] + slack(window_max[k]):
+            excess = _decrease_excess(
+                objective[k + 1], window_max[k], rel_tol, 0.5 * a, step_norm[k]
+            )
+            if excess:
                 _audit_add(
                     report,
                     k + 1,
                     "acceptance",
-                    lhs - window_max[k],
+                    excess,
                     f"acceptance inequality fails at iterate {k + 1}",
                 )
             if hi is not None and alpha[k] > hi + slack(hi):
                 _audit_add(report, k, "step_bounds", alpha[k] - hi, "step above alpha_upper")
             report.checks_run += 1
-            if objective[k + 1] > objective[0] + slack(objective[0]):
+            excess = _decrease_excess(objective[k + 1], objective[0], rel_tol)
+            if excess:
                 _audit_add(
                     report,
                     k + 1,
                     "level_set",
-                    objective[k + 1] - objective[0],
+                    excess,
                     "objective left the initial level set",
                 )
 
@@ -215,12 +218,13 @@ def audit_trace(
         for k in range(iterations):
             report.checks_run += 1
             next_max = objective[max(0, k + 1 - memory) : k + 2].max()
-            if next_max > window_max[k] + slack(window_max[k]):
+            excess = _decrease_excess(next_max, window_max[k], rel_tol)
+            if excess:
                 _audit_add(
                     report,
                     k + 1,
                     "window_monotonicity",
-                    next_max - window_max[k],
+                    excess,
                     "windowed objective maximum increased",
                 )
 

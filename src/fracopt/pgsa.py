@@ -1,4 +1,4 @@
-"""Fixed-step proximity-gradient-subgradient solver for ratio objectives.
+"""The proximity-gradient-subgradient iteration and its fixed step rule.
 
 One iteration linearizes the denominator through a subgradient, takes a
 gradient step on the smooth part scaled by the current objective value, and
@@ -6,10 +6,13 @@ applies the prox of the nonsmooth part:
 
     y      in  subgrad g(x_k)
     c_k    =   F(x_k)
-    x_{k+1} in prox_{alpha f}( x_k - alpha * grad_h(x_k) + alpha * c_k * y )
+    x_{k+1} in prox_{alpha_k f}( x_k + alpha_k * (c_k * y - grad_h(x_k)) )
 
-With step sizes bounded away from 0 and 1/L (2/L when f is convex) the
+All three solvers run this iteration in one driver and differ only in the
+step rule that picks alpha_k.  ``run_pgsa`` uses the fixed rule defined here:
+with a constant step bounded away from 0 and 1/L (2/L when f is convex) the
 objective decreases monotonically and the iterates stay inside dom(F).
+``run_pgsa_ls`` in ``linesearch`` uses the backtracking rule.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -36,24 +39,16 @@ class PgsaConfig:
     """Configuration for run_pgsa.
 
     ``alpha`` is the constant step size; None picks 0.99/L, or 1.99/L when
-    the problem declares f convex.  ``alpha_lower``/``alpha_upper`` default to
-    ``alpha`` (a constant schedule) and exist so the validation logic covers
-    schedules bounded away from the endpoints.  ``max_iter`` defaults to 2n,
-    or 10n when ``relative_tol`` is set; ``step_tol`` defaults to 1e-6
-    absolute, or 1e-8 when interpreted relative to the iterate norm.
-
-    ``strict_checks`` promotes the per-iteration sufficient-decrease
-    instrumentation from a logged warning to a hard NumericsError.
+    the problem declares f convex.  ``max_iter`` defaults to 2n, or 10n when
+    ``relative_tol`` is set; ``step_tol`` defaults to 1e-6 absolute, or 1e-8
+    when interpreted relative to the iterate norm.
     """
 
     alpha: float | None = None
-    alpha_lower: float | None = None
-    alpha_upper: float | None = None
     max_iter: int | None = None
     step_tol: float | None = None
     relative_tol: bool = False
     record_trace: bool = False
-    strict_checks: bool = False
 
 
 @dataclass
@@ -90,23 +85,33 @@ class SolverTrace:
         return np.linalg.norm(self.iterates - self.iterates[-1], axis=1)
 
 
-def _resolve_alpha(problem: FractionalProblem, alpha: float | None) -> float:
-    cap = 2.0 if problem.f_is_convex else 1.0
-    if alpha is None:
-        return (cap - 0.01) / problem.lipschitz_grad_h
-    return float(alpha)
+def _decrease_excess(
+    value: float, reference: float, rel_slack: float = 0.0, coef: float = 0.0, step: float = 0.0
+) -> float:
+    """0.0 while value + coef * step**2 <= reference + rel_slack * (1 + |reference|),
+    else how far the left side exceeds reference.
+
+    The one decrease test of the package: the fixed-step check, the
+    line-search acceptance and every audit check that a value did not rise.
+    """
+    lhs = value + coef * step**2
+    if lhs > reference + rel_slack * (1.0 + abs(reference)):
+        return lhs - reference
+    return 0.0
 
 
-def _validate_steps(problem: FractionalProblem, lo: float, hi: float) -> None:
-    lipschitz = problem.lipschitz_grad_h
-    cap = (2.0 if problem.f_is_convex else 1.0) / lipschitz
-    if not (0.0 < lo <= hi):
-        raise InvalidConfigError(f"need 0 < alpha_lower <= alpha_upper, got [{lo}, {hi}]")
-    if not hi < cap:
-        kind = "2/L (convex f)" if problem.f_is_convex else "1/L"
-        raise InvalidConfigError(
-            f"alpha_upper = {hi:.6e} must stay strictly below {kind} = {cap:.6e}"
-        )
+def _fixed_step_coef(
+    alpha: float, lipschitz: float, f_is_convex: bool, denominator: float
+) -> float:
+    """Fixed-step decrease coefficient: (1/alpha - L)/2, or 1/alpha - L/2 for convex f, over g."""
+    if f_is_convex:
+        return (1.0 / alpha - lipschitz / 2.0) / denominator
+    return (1.0 / alpha - lipschitz) / (2.0 * denominator)
+
+
+def _default_step(problem: FractionalProblem) -> float:
+    """0.99/L, or 1.99/L when f is convex: just inside the admissible range."""
+    return ((2.0 if problem.f_is_convex else 1.0) - 0.01) / problem.lipschitz_grad_h
 
 
 def _stop_metric(step: float, x_new: np.ndarray, relative: bool) -> float:
@@ -116,20 +121,115 @@ def _stop_metric(step: float, x_new: np.ndarray, relative: bool) -> float:
     return step / norm if norm > 0 else math.inf
 
 
-def _prox_step(
-    problem: FractionalProblem,
-    x: np.ndarray,
-    alpha: float,
-    scale: float,
+def _start_point(problem: FractionalProblem, x: np.ndarray) -> ExtendedObjective:
+    ext = eval_objective(problem, x)
+    if not ext.in_domain:
+        raise DomainError("starting point lies outside dom(F)")
+    return ext
+
+
+def _descent_direction(
+    problem: FractionalProblem, x: np.ndarray, value: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """grad_h(x) and the step direction value * subgrad_g(x) - grad_h(x)."""
+    grad = problem.grad_h(x)
+    return grad, value * problem.subgrad_g(x) - grad
+
+
+def _trial_point(
+    problem: FractionalProblem, x: np.ndarray, direction: np.ndarray, alpha: float
 ) -> tuple[np.ndarray, ExtendedObjective]:
-    """One prox-gradient-subgradient step with the ratio value ``scale``."""
-    anchor = x - alpha * problem.grad_h(x) + (alpha * scale) * problem.subgrad_g(x)
+    """prox_{alpha f}(x + alpha * direction) and F there."""
+    anchor = x + alpha * direction
     if np.isnan(anchor).any():
         raise NumericsError("NaN in step anchor (gradient or subgradient callback)")
     x_new = np.asarray(problem.prox_f(alpha, anchor), dtype=float)
     if np.isnan(x_new).any():
         raise NumericsError("NaN from prox callback")
     return x_new, eval_objective(problem, x_new)
+
+
+def _solve(
+    problem: FractionalProblem,
+    x0: np.ndarray,
+    cfg: Any,
+    step_rule: Callable[..., tuple],
+    params: dict[str, Any],
+    backtracking: bool,
+) -> SolverTrace:
+    """The iteration loop of every solver.
+
+    ``cfg`` is a PgsaConfig or LineSearchConfig, of which only the stopping
+    and trace fields are read here.  ``step_rule(k, x, F(x), grad_h(x),
+    direction)`` returns x_new, F(x_new), the step size, ||x_new - x|| and
+    the number of backtracks; ``params`` describes the rule for the trace.
+    The run stops with reason "step_tol" when the (relative, if configured)
+    step norm drops to the tolerance, "max_iter" at the iteration cap, and
+    "domain_error" if an iterate ever leaves dom(F), which the theory rules
+    out for correctly specified problems but corrupted callbacks can produce.
+    """
+    x = np.asarray(x0, dtype=float).copy()
+    n = x.shape[0]
+    if n != problem.dim:
+        raise InvalidConfigError(f"x0 has length {n}, problem dimension is {problem.dim}")
+    max_iter = cfg.max_iter if cfg.max_iter is not None else (10 * n if cfg.relative_tol else 2 * n)
+    step_tol = cfg.step_tol if cfg.step_tol is not None else (1e-8 if cfg.relative_tol else 1e-6)
+    ext = _start_point(problem, x)
+
+    objective = [ext.value]
+    g_value = [ext.denominator]
+    alphas: list[float] = []
+    steps: list[float] = []
+    backtracks: list[int] = []
+    iterates = [x.copy()] if cfg.record_trace else None
+    reason = "max_iter"
+
+    for k in range(max_iter):
+        grad, direction = _descent_direction(problem, x, ext.value)
+        x_new, new_ext, alpha, step, m = step_rule(k, x, ext, grad, direction)
+        if not new_ext.in_domain:
+            reason = "domain_error"
+            break
+        alphas.append(alpha)
+        steps.append(step)
+        backtracks.append(m)
+        objective.append(new_ext.value)
+        g_value.append(new_ext.denominator)
+        if iterates is not None:
+            iterates.append(x_new.copy())
+        x, ext = x_new, new_ext
+        if _stop_metric(step, x_new, cfg.relative_tol) <= step_tol:
+            reason = "step_tol"
+            break
+
+    try:
+        residual = problem.critical_residual(x)
+    except NotImplementedError:
+        residual = None
+    cert = Certificate(
+        objective=ext.value,
+        criticality_residual=residual,
+        iterations=len(alphas),
+        converged_reason=reason,
+    )
+    return SolverTrace(
+        objective=np.asarray(objective),
+        g_value=np.asarray(g_value),
+        alpha=np.asarray(alphas),
+        step_norm=np.asarray(steps),
+        final_x=x,
+        certificate=cert,
+        params={
+            **params,
+            "step_tol": step_tol,
+            "relative_tol": cfg.relative_tol,
+            "lipschitz": problem.lipschitz_grad_h,
+            "f_is_convex": problem.f_is_convex,
+            "g_sup_bound": problem.g_sup_bound,
+        },
+        backtracks=np.asarray(backtracks, dtype=int) if backtracking else None,
+        iterates=np.asarray(iterates) if iterates is not None else None,
+    )
 
 
 def pgsa_step(problem: FractionalProblem, x: np.ndarray, alpha: float) -> np.ndarray:
@@ -142,38 +242,10 @@ def pgsa_step(problem: FractionalProblem, x: np.ndarray, alpha: float) -> np.nda
     if alpha <= 0:
         raise InvalidConfigError("step size must be positive")
     x = np.asarray(x, dtype=float)
-    ext = eval_objective(problem, x)
-    if not ext.in_domain:
-        raise DomainError("pgsa_step started outside dom(F)")
-    x_new, _ = _prox_step(problem, x, alpha, ext.value)
+    ext = _start_point(problem, x)
+    _, direction = _descent_direction(problem, x, ext.value)
+    x_new, _ = _trial_point(problem, x, direction, alpha)
     return x_new
-
-
-def _decrease_check(
-    problem: FractionalProblem,
-    prev_value: float,
-    new_ext: ExtendedObjective,
-    alpha: float,
-    step: float,
-    iteration: int,
-    strict: bool,
-) -> None:
-    # Instrumentation for the guaranteed per-step decrease; coefficient is
-    # (1/alpha - L)/2 in general and the larger 1/alpha - L/2 for convex f.
-    lipschitz = problem.lipschitz_grad_h
-    if problem.f_is_convex:
-        coef = (1.0 / alpha - lipschitz / 2.0) / new_ext.denominator
-    else:
-        coef = (1.0 / alpha - lipschitz) / (2.0 * new_ext.denominator)
-    slack = DECREASE_SLACK * (1.0 + abs(prev_value))
-    if new_ext.value + coef * step * step > prev_value + slack:
-        msg = (
-            f"sufficient decrease violated at iteration {iteration}: "
-            f"{new_ext.value:.17g} + {coef:.3e} * {step:.3e}^2 > {prev_value:.17g}"
-        )
-        if strict:
-            raise NumericsError(msg)
-        logger.warning(msg)
 
 
 def run_pgsa(
@@ -202,76 +274,28 @@ def run_pgsa(
         specified problems but corrupted callbacks can produce.
     """
     cfg = config or PgsaConfig()
-    x = np.asarray(x0, dtype=float).copy()
-    n = x.shape[0]
-    if n != problem.dim:
-        raise InvalidConfigError(f"x0 has length {n}, problem dimension is {problem.dim}")
+    lipschitz, convex = problem.lipschitz_grad_h, problem.f_is_convex
+    alpha = _default_step(problem) if cfg.alpha is None else float(cfg.alpha)
+    cap = (2.0 if convex else 1.0) / lipschitz
+    if not alpha > 0.0:
+        raise InvalidConfigError(f"step size alpha must be positive, got {alpha}")
+    if not alpha < cap:
+        kind = "2/L (convex f)" if convex else "1/L"
+        raise InvalidConfigError(f"alpha = {alpha:.6e} must stay strictly below {kind} = {cap:.6e}")
 
-    alpha = _resolve_alpha(problem, cfg.alpha)
-    lo = alpha if cfg.alpha_lower is None else float(cfg.alpha_lower)
-    hi = alpha if cfg.alpha_upper is None else float(cfg.alpha_upper)
-    _validate_steps(problem, lo, hi)
-    if not (lo <= alpha <= hi):
-        raise InvalidConfigError("alpha must lie within [alpha_lower, alpha_upper]")
-    max_iter = cfg.max_iter if cfg.max_iter is not None else (10 * n if cfg.relative_tol else 2 * n)
-    step_tol = cfg.step_tol if cfg.step_tol is not None else (1e-8 if cfg.relative_tol else 1e-6)
-
-    ext = eval_objective(problem, x)
-    if not ext.in_domain:
-        raise DomainError("run_pgsa started outside dom(F)")
-
-    objective = [ext.value]
-    g_value = [ext.denominator]
-    alphas: list[float] = []
-    steps: list[float] = []
-    iterates = [x.copy()] if cfg.record_trace else None
-    reason = "max_iter"
-
-    for k in range(max_iter):
-        x_new, new_ext = _prox_step(problem, x, alpha, ext.value)
-        if not new_ext.in_domain:
-            reason = "domain_error"
-            break
+    def fixed_step(k, x, ext, grad, direction):
+        # The guaranteed decrease can fail only on corrupted callbacks or on
+        # rounding at a critical point, so a failure is logged, not raised.
+        x_new, new_ext = _trial_point(problem, x, direction, alpha)
         step = float(np.linalg.norm(x_new - x))
-        _decrease_check(problem, ext.value, new_ext, alpha, step, k, cfg.strict_checks)
-        alphas.append(alpha)
-        steps.append(step)
-        objective.append(new_ext.value)
-        g_value.append(new_ext.denominator)
-        if iterates is not None:
-            iterates.append(x_new.copy())
-        x, ext = x_new, new_ext
-        if _stop_metric(step, x_new, cfg.relative_tol) <= step_tol:
-            reason = "step_tol"
-            break
+        if new_ext.in_domain:
+            coef = _fixed_step_coef(alpha, lipschitz, convex, new_ext.denominator)
+            if _decrease_excess(new_ext.value, ext.value, DECREASE_SLACK, coef, step):
+                logger.warning(
+                    "sufficient decrease violated at iteration %d: %.17g + %.3e * %.3e^2 > %.17g",
+                    k, new_ext.value, coef, step, ext.value,
+                )
+        return x_new, new_ext, alpha, step, 0
 
-    try:
-        residual = problem.critical_residual(x)
-    except NotImplementedError:
-        residual = None
-    cert = Certificate(
-        objective=ext.value,
-        criticality_residual=residual,
-        iterations=len(alphas),
-        converged_reason=reason,
-    )
-    return SolverTrace(
-        objective=np.asarray(objective),
-        g_value=np.asarray(g_value),
-        alpha=np.asarray(alphas),
-        step_norm=np.asarray(steps),
-        final_x=x,
-        certificate=cert,
-        params={
-            "mode": "pgsa",
-            "alpha": alpha,
-            "alpha_lower": lo,
-            "alpha_upper": hi,
-            "step_tol": step_tol,
-            "relative_tol": cfg.relative_tol,
-            "lipschitz": problem.lipschitz_grad_h,
-            "f_is_convex": problem.f_is_convex,
-            "g_sup_bound": problem.g_sup_bound,
-        },
-        iterates=np.asarray(iterates) if iterates is not None else None,
-    )
+    params = {"mode": "pgsa", "alpha": alpha, "alpha_lower": alpha, "alpha_upper": alpha}
+    return _solve(problem, x0, cfg, fixed_step, params, backtracking=False)

@@ -27,7 +27,6 @@ from .exceptions import (
     InvalidProblemError,
     SizeGuardError,
 )
-from .linalg import check_symmetric, power_iteration_norm
 from .problem import DOMAIN_EPS_BASE, FractionalProblem
 from .rand import as_generator, philox_generator
 
@@ -44,16 +43,15 @@ SUBMATRIX_CHECK_SAMPLES = 50
 UNIT_NORM_TOL = 1e-9
 
 
-def matrix_two_norm(matrix: np.ndarray) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix.
-
-    Power iteration from a deterministic start vector; raises
-    ConvergenceError past the iteration cap instead of returning a stale
-    estimate.
-    """
+def check_symmetric(matrix: np.ndarray, name: str, tol: float = 1e-12) -> None:
+    """Raise ValueError unless matrix equals its transpose within tol (scaled)."""
     m = np.asarray(matrix, dtype=float)
-    check_symmetric(m, "matrix")
-    return power_iteration_norm(lambda v: m @ v, m.shape[0])
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {m.shape}")
+    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
+    gap = float(np.max(np.abs(m - m.T))) if m.size else 0.0
+    if gap > tol * scale:
+        raise ValueError(f"{name} is not symmetric: max |M - M.T| = {gap:.3e}")
 
 
 def project_sparse_sphere(x: np.ndarray, r: int) -> np.ndarray:
@@ -89,7 +87,7 @@ class SgepProblem(FractionalProblem):
     the largest) and positive definiteness of B on min(50, C(n, r)) supports
     of size r, exhaustively when that enumeration is small enough.  The
     gradient Lipschitz constant L = lambda_max(B) and the denominator bound
-    M = lambda_max(A) / 2 are estimated once here and cached.
+    M = lambda_max(A) / 2 are read off the spectra of that PSD check.
     """
 
     matrix_a: np.ndarray
@@ -111,6 +109,7 @@ class SgepProblem(FractionalProblem):
         n = a.shape[0]
         if not 1 <= self.sparsity <= n:
             raise InvalidProblemError(f"need 1 <= r <= {n}, got r = {self.sparsity}")
+        lambda_max = {}
         for name, m in (("A", a), ("B", b)):
             eigs = np.linalg.eigvalsh(m)
             floor = PSD_EIG_FLOOR * max(1.0, float(eigs[-1]))
@@ -118,11 +117,12 @@ class SgepProblem(FractionalProblem):
                 raise InvalidProblemError(
                     f"{name} is not PSD: smallest eigenvalue {eigs[0]:.3e}"
                 )
+            lambda_max[name] = float(eigs[-1])
         self._check_submatrices(b, n)
         object.__setattr__(self, "matrix_a", a)
         object.__setattr__(self, "matrix_b", b)
-        object.__setattr__(self, "_lipschitz", matrix_two_norm(b))
-        object.__setattr__(self, "_g_bound", 0.5 * matrix_two_norm(a))
+        object.__setattr__(self, "_lipschitz", lambda_max["B"])
+        object.__setattr__(self, "_g_bound", 0.5 * lambda_max["A"])
 
     def _check_submatrices(self, b: np.ndarray, n: int) -> None:
         r = self.sparsity

@@ -7,6 +7,7 @@ import pytest
 
 from fracopt import (
     ExperimentConfig,
+    SgepProblem,
     LineSearchConfig,
     PgsaConfig,
     apply_env_overrides,
@@ -16,7 +17,8 @@ from fracopt import (
     solve_with,
     solver_run_config,
 )
-from fracopt.exceptions import InvalidConfigError
+from fracopt import experiments
+from fracopt.exceptions import DegenerateInputError, InvalidConfigError
 
 
 def small_sfda_config(**extra) -> ExperimentConfig:
@@ -165,3 +167,50 @@ def test_problem_instances_differ_per_trial_but_not_per_call():
     other = run_trial(cfg, 1)[0]
     assert first.trace.certificate.objective == again.trace.certificate.objective
     assert first.trace.certificate.objective != other.trace.certificate.objective
+
+
+class NanProx(SgepProblem):
+    def prox_f(self, alpha, z):
+        return np.full_like(z, np.nan)
+
+
+def test_failures_are_recorded_per_trial_and_solver(monkeypatch):
+    real_solve_with = experiments.solve_with
+
+    def solve_with(problem, x0, solver, config):
+        if solver == "pgsa_ml":
+            problem = NanProx(
+                matrix_a=problem.matrix_a, matrix_b=problem.matrix_b, sparsity=problem.sparsity
+            )
+        return real_solve_with(problem, x0, solver, config)
+
+    real_sfda_problem = experiments._sfda_problem
+
+    def sfda_problem(cfg, trial):
+        if trial == 2:
+            raise DegenerateInputError("instance cannot be built")
+        return real_sfda_problem(cfg, trial)
+
+    monkeypatch.setattr(experiments, "solve_with", solve_with)
+    monkeypatch.setattr(experiments, "_sfda_problem", sfda_problem)
+    cfg = small_sfda_config(solver="all", trials=3, master_seed=4)
+    outcome = run_experiment(cfg)
+
+    # The NaN prox costs only the pgsa_ml runs; the broken build costs trial 2.
+    assert [(r.trial, r.solver) for r in outcome.results] == [
+        (0, "pgsa"), (0, "pgsa_nl"), (1, "pgsa"), (1, "pgsa_nl"),
+    ]
+    assert [(f["trial"], f["solver"], f["error"]) for f in outcome.failures] == [
+        (0, "pgsa_ml", "NumericsError"),
+        (1, "pgsa_ml", "NumericsError"),
+        (2, "pgsa", "DegenerateInputError"),
+        (2, "pgsa_ml", "DegenerateInputError"),
+        (2, "pgsa_nl", "DegenerateInputError"),
+    ]
+    assert all(f["master_seed"] == 4 for f in outcome.failures)
+    assert {row["solver"]: (row["trials"], row["failed"]) for row in outcome.rows} == {
+        "pgsa": (2, 1), "pgsa_ml": (0, 3), "pgsa_nl": (2, 1),
+    }
+    # run_trial itself still raises when its instance cannot be built.
+    with pytest.raises(DegenerateInputError):
+        run_trial(cfg, 2)

@@ -286,16 +286,34 @@ def test_problem_validation():
 
 def test_lipschitz_matches_dense_eigensolver():
     rng = philox_generator(251)
-    sensing = rng.standard_normal((15, 40))
+    # Wide and tall sensing matrices take the two different Gram matrices.
+    for m, n in ((15, 40), (40, 15)):
+        sensing = rng.standard_normal((m, n))
+        problem = L1L2PenaltyProblem(
+            sensing=sensing,
+            observation=rng.standard_normal(m),
+            lam=0.1,
+            lower=np.full(n, -1.0),
+            upper=np.full(n, 1.0),
+        )
+        expected = float(np.linalg.eigvalsh(sensing.T @ sensing)[-1])
+        assert abs(problem.lipschitz_grad_h - expected) <= 1e-8 * (1.0 + expected)
+
+
+@pytest.mark.parametrize("key", [(31, 3), (205, 2)])
+def test_paper_size_draws_with_close_top_eigenvalues_build(key):
+    # Draws of the l1l2 benchmark whose two largest eigenvalues of A A.T are
+    # so close (16.1227 and 16.1184 for (31, 3)) that the power iteration
+    # once used for L gave up on them.
+    rng = philox_generator(*key)
+    sensing = gen_dct_matrix(64, 1024, 1.0, rng)
+    truth = gen_ground_truth(1024, 12, rng)
     problem = L1L2PenaltyProblem(
-        sensing=sensing,
-        observation=rng.standard_normal(15),
-        lam=0.1,
-        lower=np.full(40, -1.0),
-        upper=np.full(40, 1.0),
+        sensing=sensing, observation=sensing @ truth, lam=8e-5, lower=-1.0, upper=1.0
     )
-    expected = float(np.linalg.eigvalsh(sensing.T @ sensing)[-1])
-    assert abs(problem.lipschitz_grad_h - expected) <= 1e-8 * (1.0 + expected)
+    expected = np.linalg.norm(sensing, 2) ** 2
+    assert abs(problem.lipschitz_grad_h - expected) <= 1e-12 * expected
+    assert np.all(np.abs(penalty_start_point(problem)) <= 1.0)
 
 
 def test_recovery_report_examples():

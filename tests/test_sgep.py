@@ -30,7 +30,6 @@ from fracopt.exceptions import (
     SizeGuardError,
 )
 from fracopt.rand import philox_generator
-from fracopt.sgep import matrix_two_norm
 
 
 def diag_pair_problem(r: int = 2) -> SgepProblem:
@@ -165,18 +164,27 @@ def test_residual_borderline_support_takes_worse_reading():
     assert abs(with_border - max(full, float(np.linalg.norm(sub)))) <= 1e-15
 
 
-def test_matrix_two_norm_examples():
-    assert abs(matrix_two_norm(np.diag([1.0, 3.0, 2.0])) - 3.0) <= 1e-8
+def test_lipschitz_and_g_bound_match_dense_eigensolver():
+    # L = lambda_max(B) and M = lambda_max(A) / 2 on the examples that once
+    # checked the power iteration.
+    diag = np.diag([1.0, 3.0, 2.0])
     v = np.array([0.0, 2.0, 0.0, 0.0])
-    assert abs(matrix_two_norm(np.outer(v, v)) - 4.0) <= 1e-8
-    rng = philox_generator(107)
-    m = wishart(rng, 30, 12)
-    assert abs(matrix_two_norm(m) - np.linalg.eigvalsh(m)[-1]) <= 1e-8
+    m = wishart(philox_generator(107), 30, 12)
+    for a, b in ((diag, diag), (np.outer(v, v), np.eye(4)), (m, m)):
+        problem = SgepProblem(matrix_a=a, matrix_b=b, sparsity=1)
+        assert problem.lipschitz_grad_h == np.linalg.eigvalsh(b)[-1]
+        assert problem.g_sup_bound == 0.5 * np.linalg.eigvalsh(a)[-1]
+    assert abs(np.linalg.eigvalsh(diag)[-1] - 3.0) <= 1e-14
+    assert abs(np.linalg.eigvalsh(np.outer(v, v))[-1] - 4.0) <= 1e-14
 
 
-def test_matrix_two_norm_rejects_asymmetric_input():
-    with pytest.raises(ValueError):
-        matrix_two_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+def test_paper_size_draw_with_close_top_eigenvalues_builds():
+    # The power iteration that used to estimate L and M gave up on this
+    # draw of the sfda benchmark (master seed 105, trial 2).
+    recipe = SfdaRecipe(n=1000, p1=500, p2=500, r=50, seed=philox_generator(105, 2))
+    problem = gen_sfda(recipe)
+    assert problem.lipschitz_grad_h == np.linalg.eigvalsh(problem.matrix_b)[-1]
+    assert problem.g_sup_bound == 0.5 * np.linalg.eigvalsh(problem.matrix_a)[-1]
 
 
 def test_scatter_matrices_match_direct_formula():
