@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--config", help="JSON experiment configuration")
     bench.add_argument("--seed", type=int, help="override master_seed")
     bench.add_argument("--trials", type=int, help="override trial count")
-    bench.add_argument("--threads", type=int, help="worker threads")
+    bench.add_argument("--threads", type=int, help="worker processes, one BLAS thread each")
     bench.add_argument("--out-dir", default=".", help="where to write results")
     bench.add_argument("--trace", action="store_true", help="record and write per-run traces")
 
@@ -241,7 +241,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 "criticality_residual": cert.criticality_residual,
                 "iterations": cert.iterations,
                 "converged_reason": cert.converged_reason,
-                "residual_norm": cert.residual_norm,
                 "wall_time_s": elapsed,
             },
             sort_keys=True,

@@ -2,22 +2,25 @@
 
 A benchmark is a pure function of (configuration, master seed): every trial
 draws from its own Philox stream keyed by (master_seed, trial_index), trials
-are aggregated in index order whatever the thread count, and the per-run
+are aggregated in index order whatever the worker count, and the per-run
 records contain no timing fields, so identical inputs give byte-identical
-records.  Wall-clock times appear only in the aggregate table and cover the
-solver call alone (problem construction, including the Lipschitz-constant
+records.  Every trial runs in a worker process whose BLAS is pinned to one
+thread, so a trial's arithmetic does not depend on how many workers run.
+Wall-clock times appear only in the aggregate table and cover the solver
+call alone, timed inside its worker with no other trial sharing that
+process (problem construction, including the Lipschitz-constant
 computation, and the sparse-recovery initializer run outside the clock).
 """
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import json
-import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields as dataclass_fields
+from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -58,7 +61,9 @@ class ExperimentConfig:
     solver: str = "all"
     trials: int = 20
     master_seed: int = 0
-    threads: int = 1
+    # CPU budget: the number of worker processes, each with single-threaded
+    # BLAS; None means every usable CPU
+    threads: int | None = None
     write_traces: bool = False
     # dimensions; n defaults to 1000 (sfda) or 1024 (l1l2)
     n: int | None = None
@@ -97,7 +102,7 @@ class ExperimentConfig:
             )
         if self.trials < 0:
             raise InvalidConfigError("trials must be nonnegative")
-        if self.threads < 1:
+        if self.threads is not None and self.threads < 1:
             raise InvalidConfigError("threads must be at least 1")
         if self.experiment == "custom_sgep" and (not self.matrix_a or not self.matrix_b):
             raise InvalidConfigError("custom_sgep needs matrix_a and matrix_b paths")
@@ -294,8 +299,66 @@ class ExperimentOutcome:
     failures: list[dict[str, Any]]
 
 
+def _pin_blas_to_one_thread() -> None:
+    """Limit numpy's bundled OpenBLAS to one thread; a no-op when it is not found."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in libs.glob("*openblas*"):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
+            setter = getattr(handle, symbol, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                return
+
+
+# The config and shared problem of the running experiment, bound in each
+# worker process by _init_worker.
+_worker_args: tuple[ExperimentConfig, tuple[SgepProblem, np.ndarray] | None]
+
+
+def _init_worker(cfg: ExperimentConfig, shared: tuple[SgepProblem, np.ndarray] | None) -> None:
+    global _worker_args
+    _pin_blas_to_one_thread()
+    _worker_args = (cfg, shared)
+
+
+def _failure(cfg: ExperimentConfig, index: int, solver: str, exc: FracoptError) -> dict[str, Any]:
+    return {
+        "trial": index,
+        "solver": solver,
+        "master_seed": cfg.master_seed,
+        "error": type(exc).__name__,
+        "message": str(exc),
+    }
+
+
+def _one_trial(index: int) -> list[TrialResult | dict[str, Any]]:
+    """Trial ``index`` in a worker: each solver's result, or its failure record."""
+    cfg, shared = _worker_args
+    try:
+        instance = _build_trial(cfg, index, shared)
+    except FracoptError as exc:
+        return [_failure(cfg, index, solver, exc) for solver in cfg.solver_names()]
+    outcomes: list[TrialResult | dict[str, Any]] = []
+    for solver in cfg.solver_names():
+        try:
+            outcomes.append(_solve_trial(cfg, index, solver, instance))
+        except FracoptError as exc:
+            outcomes.append(_failure(cfg, index, solver, exc))
+    return outcomes
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
-    """Run all trials, in parallel when asked, and aggregate deterministically.
+    """Run all trials in worker processes and aggregate deterministically.
+
+    The pool has ``min(threads, trials, usable CPUs)`` workers, each running
+    trials one at a time with BLAS pinned to one thread.  Workers are forked
+    where the platform allows it, so a caller needs no ``__main__`` guard.
 
     A package error is recorded in ``failures`` against its (trial, solver)
     pair, with the master seed, and left out of the aggregates: a solver
@@ -303,6 +366,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
     built costs every solver of its trial.  Anything else propagates, since
     it means a bug rather than a degenerate instance.
     """
+    # Imported here so that importing fracopt stays cheap.
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
     shared = None
     if cfg.experiment == "custom_sgep":
         a = load_matrix_csv(cfg.matrix_a, symmetrize=True)
@@ -310,33 +377,19 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
         problem = SgepProblem(matrix_a=a, matrix_b=b, sparsity=cfg.r)
         shared = (problem, sgep_default_init(problem.dim, cfg.r))
 
-    def failure(index: int, solver: str, exc: FracoptError) -> dict[str, Any]:
-        return {
-            "trial": index,
-            "solver": solver,
-            "master_seed": cfg.master_seed,
-            "error": type(exc).__name__,
-            "message": str(exc),
-        }
-
-    def one_trial(index: int) -> list[TrialResult | dict[str, Any]]:
-        try:
-            instance = _build_trial(cfg, index, shared)
-        except FracoptError as exc:
-            return [failure(index, solver, exc) for solver in cfg.solver_names()]
-        outcomes: list[TrialResult | dict[str, Any]] = []
-        for solver in cfg.solver_names():
-            try:
-                outcomes.append(_solve_trial(cfg, index, solver, instance))
-            except FracoptError as exc:
-                outcomes.append(failure(index, solver, exc))
-        return outcomes
-
-    if cfg.threads > 1 and cfg.trials > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            trials = list(pool.map(one_trial, range(cfg.trials)))
+    if hasattr(os, "sched_getaffinity"):
+        usable = len(os.sched_getaffinity(0))
     else:
-        trials = [one_trial(i) for i in range(cfg.trials)]
+        usable = os.cpu_count() or 1
+    workers = max(1, min(cfg.threads or usable, cfg.trials, usable))
+    fork = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    with ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context(fork),
+        initializer=_init_worker,
+        initargs=(cfg, shared),
+    ) as pool:
+        trials = list(pool.map(_one_trial, range(cfg.trials)))
 
     results: list[TrialResult] = []
     failures: list[dict[str, Any]] = []
@@ -360,7 +413,7 @@ def aggregate_row(
     results: list[TrialResult],
     failures: list[dict[str, Any]],
 ) -> dict[str, Any]:
-    """One table row per solver; aggregates cover completed trials only."""
+    """One row per solver over its completed trials; an aggregate without samples is empty."""
     mine = [res for res in results if res.solver == solver]
     row: dict[str, Any] = {
         "experiment": cfg.experiment,
@@ -379,10 +432,10 @@ def aggregate_row(
     if cfg.experiment == "l1l2":
         reports = [res.report for res in mine if res.report is not None]
         successes = [rep for rep in reports if rep.success]
-        row["success_rate"] = len(successes) / len(reports) if reports else math.nan
-        row["mean_objective"] = (
-            float(np.mean([rep.objective for rep in successes])) if successes else math.nan
-        )
+        if reports:
+            row["success_rate"] = len(successes) / len(reports)
+        if successes:
+            row["mean_objective"] = float(np.mean([rep.objective for rep in successes]))
     else:
         row["mean_objective"] = float(
             np.mean([res.trace.certificate.objective for res in mine])

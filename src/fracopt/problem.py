@@ -57,7 +57,6 @@ class Certificate:
     criticality_residual: float | None
     iterations: int
     converged_reason: str  # "step_tol" | "max_iter" | "domain_error"
-    residual_norm: str = "l2"
 
     def __post_init__(self) -> None:
         if self.criticality_residual is not None and self.criticality_residual < 0:

@@ -70,7 +70,6 @@ def sfda_outcome():
         master_seed=0,
         n=1000,
         r=50,
-        threads=4,
     )
     return cfg, run_experiment(cfg)
 
@@ -82,7 +81,6 @@ def l1l2_outcome():
         solver="pgsa_ml",
         trials=50,
         master_seed=0,
-        threads=4,
     )
     return cfg, run_experiment(cfg)
 

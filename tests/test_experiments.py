@@ -1,4 +1,4 @@
-"""Experiment driver: config parsing, env overrides, aggregation, threading."""
+"""Experiment driver: config parsing, env overrides, aggregation, worker processes."""
 
 from __future__ import annotations
 
@@ -158,6 +158,24 @@ def test_thread_count_does_not_change_records():
     serial = run_experiment(small_sfda_config(trials=3, threads=1))
     threaded = run_experiment(small_sfda_config(trials=3, threads=3))
     assert serial.records == threaded.records
+    # At paper size OpenBLAS would thread eigvalsh(B) and the dense products,
+    # and its results depend on its thread count.
+    paper = dict(experiment="sfda", solver="all", trials=2, n=1000, r=50)
+    one = run_experiment(ExperimentConfig(threads=1, **paper))
+    two = run_experiment(ExperimentConfig(threads=2, **paper))
+    assert len(one.records) == 6
+    assert one.records == two.records
+
+
+def test_aggregate_without_samples_is_empty():
+    # Five iterations recover nothing, so there is no success to average.
+    cfg = ExperimentConfig(
+        experiment="l1l2", solver="pgsa_ml", trials=1, master_seed=0, n=60, m=20, k=3,
+        max_iter=5,
+    )
+    row = run_experiment(cfg).rows[0]
+    assert row["success_rate"] == 0.0
+    assert row["mean_objective"] == ""
 
 
 def test_problem_instances_differ_per_trial_but_not_per_call():
@@ -174,7 +192,10 @@ class NanProx(SgepProblem):
         return np.full_like(z, np.nan)
 
 
-def test_failures_are_recorded_per_trial_and_solver(monkeypatch):
+@pytest.mark.parametrize("threads", [1, 3])
+def test_failures_are_recorded_per_trial_and_solver(monkeypatch, threads):
+    # Forked workers inherit these patches; the failure records cross the
+    # process boundary back to run_experiment.
     real_solve_with = experiments.solve_with
 
     def solve_with(problem, x0, solver, config):
@@ -193,7 +214,7 @@ def test_failures_are_recorded_per_trial_and_solver(monkeypatch):
 
     monkeypatch.setattr(experiments, "solve_with", solve_with)
     monkeypatch.setattr(experiments, "_sfda_problem", sfda_problem)
-    cfg = small_sfda_config(solver="all", trials=3, master_seed=4)
+    cfg = small_sfda_config(solver="all", trials=3, master_seed=4, threads=threads)
     outcome = run_experiment(cfg)
 
     # The NaN prox costs only the pgsa_ml runs; the broken build costs trial 2.

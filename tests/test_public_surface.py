@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import fracopt
 
-BENCHMARK = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = ROOT / "perfbench"
 
 
 def test_every_name_in_all_imports():
@@ -28,3 +32,17 @@ def test_every_name_the_benchmark_takes_from_fracopt_imports():
     assert imports
     for source, module, name in imports:
         assert hasattr(importlib.import_module(module), name), f"{source}: {module}.{name}"
+
+
+def test_import_leaves_the_worker_pool_modules_unloaded():
+    # run_experiment imports them itself, so `import fracopt` stays cheap.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = (
+        "import sys, fracopt; "
+        "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
