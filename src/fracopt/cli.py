@@ -12,6 +12,7 @@ configuration; 3 I/O or parse failure; 4 dimension mismatch between inputs;
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -21,7 +22,6 @@ from typing import Any
 import numpy as np
 
 from .exceptions import (
-    ConvergenceError,
     DegenerateInputError,
     DimensionMismatchError,
     DomainError,
@@ -122,27 +122,24 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--k", type=int, default=12)
     gen.add_argument("--dct-f", type=float, default=1.0)
 
-    verify = sub.add_parser("verify", help="re-audit a recorded trace")
-    verify.add_argument("--trace", required=True)
-    verify.add_argument("--problem", choices=["sgep", "l1l2"], required=True)
-    verify.add_argument("--matrix-a", required=True)
+    verify = sub.add_parser("verify", help="re-audit a trace with the parameters it carries")
+    verify.add_argument("--trace", required=True, help="trace CSV from solve or bench --trace")
+    verify.add_argument(
+        "--problem", choices=["sgep", "l1l2"], help="recompute L, M and f's convexity from files"
+    )
+    verify.add_argument("--matrix-a")
     verify.add_argument("--matrix-b")
     verify.add_argument("--vector-b")
     verify.add_argument("-r", "--sparsity", type=int)
     verify.add_argument("--lam", type=float, default=8e-5)
     verify.add_argument("--box-lower", type=float, default=-1.0)
     verify.add_argument("--box-upper", type=float, default=1.0)
-    verify.add_argument("--mode", choices=["pgsa", "pgsa_ml", "pgsa_nl"], default="pgsa")
-    verify.add_argument("--a", type=float, default=1e-3)
-    verify.add_argument("--eta", type=float, default=0.5)
-    verify.add_argument("--window", type=int, default=4)
-    verify.add_argument("--alpha-lower", type=float)
-    verify.add_argument("--alpha-upper", type=float)
     verify.add_argument("--rate-fit", action="store_true", help="also fit the convergence rate")
     return parser
 
 
-def _load_solver_overrides(path: str | None) -> dict[str, Any]:
+def _load_json_object(path: str | None) -> dict[str, Any]:
+    """The JSON object in a config file; {} without a path."""
     if not path:
         return {}
     with open(path, "r") as handle:
@@ -152,10 +149,21 @@ def _load_solver_overrides(path: str | None) -> dict[str, Any]:
             raise ParseError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise ParseError(f"{path}: expected a JSON object")
+    return data
+
+
+def _load_solver_overrides(path: str | None) -> dict[str, Any]:
+    data = _load_json_object(path)
     unknown = sorted(set(data) - SOLVER_CONFIG_KEYS)
     if unknown:
         raise InvalidConfigError(f"unknown solver config keys: {', '.join(unknown)}")
     return data
+
+
+def _build_problem(args: argparse.Namespace) -> SgepProblem | L1L2PenaltyProblem:
+    if not args.matrix_a:
+        raise InvalidConfigError(f"{args.problem} needs --matrix-a")
+    return _build_sgep(args) if args.problem == "sgep" else _build_l1l2(args)
 
 
 def _build_sgep(args: argparse.Namespace) -> SgepProblem:
@@ -207,7 +215,7 @@ def _start_point(
 
 def cmd_solve(args: argparse.Namespace) -> int:
     overrides = _load_solver_overrides(args.config)
-    problem = _build_sgep(args) if args.problem == "sgep" else _build_l1l2(args)
+    problem = _build_problem(args)
     x0 = _start_point(args, problem)
 
     cfg_fields: dict[str, Any] = dict(overrides)
@@ -233,33 +241,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - start
     if args.trace:
         write_trace_csv(args.trace, trace)
-    cert = trace.certificate
-    print(
-        json.dumps(
-            {
-                "objective": cert.objective,
-                "criticality_residual": cert.criticality_residual,
-                "iterations": cert.iterations,
-                "converged_reason": cert.converged_reason,
-                "wall_time_s": elapsed,
-            },
-            sort_keys=True,
-        )
-    )
+    print(json.dumps({**dataclasses.asdict(trace.certificate), "wall_time_s": elapsed}, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    data: dict[str, Any] = {}
-    if args.config:
-        with open(args.config, "r") as handle:
-            try:
-                data = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{args.config}: {exc}") from None
-        if not isinstance(data, dict):
-            raise ParseError(f"{args.config}: expected a JSON object")
-    data = apply_env_overrides(data)
+    data = apply_env_overrides(_load_json_object(args.config))
     if args.seed is not None:
         data["master_seed"] = args.seed
     if args.trials is not None:
@@ -336,19 +323,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     trace, errors = load_trace_csv(args.trace)
-    problem = _build_sgep(args) if args.problem == "sgep" else _build_l1l2(args)
-    trace.params = {
-        "mode": args.mode,
-        "a": args.a,
-        "eta": args.eta,
-        "N": 0 if args.mode == "pgsa_ml" else args.window,
-        "alpha_lower": args.alpha_lower,
-        "alpha_upper": args.alpha_upper,
-        "lipschitz": problem.lipschitz_grad_h,
-        "f_is_convex": problem.f_is_convex,
-        "g_sup_bound": problem.g_sup_bound,
-    }
-    report = audit_trace(trace, problem, mode=args.mode)
+    problem = _build_problem(args) if args.problem else None
+    try:
+        report = audit_trace(trace, problem)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{args.trace}: line 1: unusable params: {exc!r}") from None
     for violation in report.violations:
         print(
             f"violation at iteration {violation.iteration}: {violation.kind} "
@@ -397,7 +376,6 @@ def main(argv: list[str] | None = None) -> int:
     except (
         DomainError,
         LineSearchError,
-        ConvergenceError,
         NumericsError,
         DegenerateInputError,
         SizeGuardError,

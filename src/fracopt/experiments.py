@@ -17,6 +17,7 @@ from __future__ import annotations
 import ctypes
 import itertools
 import json
+import numbers
 import os
 import time
 from dataclasses import dataclass, fields as dataclass_fields
@@ -44,6 +45,8 @@ from .sgep import SfdaRecipe, SgepProblem, gen_sfda, sgep_default_init
 EXPERIMENTS = ("sfda", "l1l2", "custom_sgep")
 SOLVERS = ("pgsa", "pgsa_ml", "pgsa_nl")
 ENV_PREFIX = "FRACOPT_"
+# The values each ExperimentConfig field annotation admits; a bool is no number.
+FIELD_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real, "bool": bool}
 
 
 @dataclass
@@ -92,6 +95,14 @@ class ExperimentConfig:
     matrix_b: str | None = None
 
     def __post_init__(self) -> None:
+        for spec in dataclass_fields(self):
+            value = getattr(self, spec.name)
+            kind, _, optional = spec.type.partition(" | ")
+            if value is None and optional:
+                continue
+            is_bool = isinstance(value, bool)
+            if is_bool != (kind == "bool") or not isinstance(value, FIELD_TYPES[kind]):
+                raise InvalidConfigError(f"{spec.name} must be {spec.type}, got {value!r}")
         if self.experiment not in EXPERIMENTS:
             raise InvalidConfigError(
                 f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}"

@@ -4,15 +4,17 @@ Matrices are plain CSV, one row per line, comma-separated floats, no header.
 Square matrices loaded for eigenvalue problems are symmetrized by averaging
 with the transpose, so tiny asymmetries from text round-tripping never
 surface as validation failures.  Result tables and traces are headered CSV;
-per-run records are JSON lines with sorted keys and no timing fields, so a
-repeated run with the same configuration and seed is byte-identical.
+a trace's header follows a ``# {json}`` line with its solver parameters and
+certificate, so the file alone can be re-audited.  Per-run records are JSON
+lines with sorted keys and no timing fields, so a repeated run with the same
+configuration and seed is byte-identical.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
-import math
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -112,10 +114,13 @@ def write_jsonl(path: str | Path, records: Iterable[dict[str, Any]]) -> None:
 
 
 def write_trace_csv(path: str | Path, trace: SolverTrace) -> None:
-    """Per-iteration trace table; err_to_final is empty without iterates."""
+    """Per-iteration trace table after a ``# {json}`` line with the run's
+    ``params`` and certificate; err_to_final is empty without iterates."""
     errors = trace.errors_to_final() if trace.iterates is not None else None
     iterations = trace.iterations
+    meta = {"params": trace.params, "certificate": dataclasses.asdict(trace.certificate)}
     with open(path, "w", newline="") as handle:
+        handle.write("# " + json.dumps(meta, sort_keys=True) + "\n")
         writer = csv.writer(handle, quoting=csv.QUOTE_MINIMAL)
         writer.writerow(TRACE_COLUMNS)
         for k in range(iterations + 1):
@@ -137,8 +142,9 @@ def load_trace_csv(path: str | Path) -> tuple[SolverTrace, np.ndarray | None]:
     """Rebuild a trace from its CSV form.
 
     Returns the trace plus the err_to_final column (None when it was empty).
-    The reconstructed trace has no iterates and a placeholder certificate;
-    it carries exactly what the audit needs.
+    The trace gets back its ``params`` and certificate from the first line,
+    so ``audit_trace`` needs nothing else; it has no iterates.  A file
+    without that line is a ParseError naming line 1.
     """
     objective: list[float] = []
     g_value: list[float] = []
@@ -147,11 +153,19 @@ def load_trace_csv(path: str | Path) -> tuple[SolverTrace, np.ndarray | None]:
     backtracks: list[int] = []
     errors: list[float] = []
     with open(path, "r", newline="") as handle:
+        line = handle.readline()
+        try:
+            if not line.startswith("# "):
+                raise ValueError("expected a '# {json}' line with params and certificate")
+            meta = json.loads(line[2:])
+            params, cert = dict(meta["params"]), Certificate(**meta["certificate"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ParseError(f"{path}: line 1: {exc}") from None
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != TRACE_COLUMNS:
-            raise ParseError(f"{path}: line 1: expected trace header {TRACE_COLUMNS}")
-        for lineno, row in enumerate(reader, start=2):
+            raise ParseError(f"{path}: line 2: expected trace header {TRACE_COLUMNS}")
+        for lineno, row in enumerate(reader, start=3):
             if not row:
                 continue
             if len(row) != len(TRACE_COLUMNS):
@@ -173,13 +187,6 @@ def load_trace_csv(path: str | Path) -> tuple[SolverTrace, np.ndarray | None]:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from None
     if not objective:
         raise ParseError(f"{path}: trace has no data rows")
-    final_objective = objective[-1]
-    cert = Certificate(
-        objective=final_objective if math.isfinite(final_objective) else math.inf,
-        criticality_residual=None,
-        iterations=len(alpha),
-        converged_reason="max_iter",
-    )
     trace = SolverTrace(
         objective=np.asarray(objective),
         g_value=np.asarray(g_value),
@@ -187,6 +194,7 @@ def load_trace_csv(path: str | Path) -> tuple[SolverTrace, np.ndarray | None]:
         step_norm=np.asarray(step_norm),
         final_x=np.empty(0),
         certificate=cert,
+        params=params,
         backtracks=np.asarray(backtracks, dtype=int) if backtracks else None,
     )
     return trace, (np.asarray(errors) if errors else None)

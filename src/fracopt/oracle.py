@@ -101,15 +101,19 @@ def audit_trace(
     "pgsa_nl" checks acceptance against the running window maximum, that the
     windowed maxima never increase, and that no objective exceeds the starting
     value.  All modes check finite objectives, step bounds, and, when the
-    problem exposes a denominator bound M, the guaranteed backtracking floor
+    denominator bound M is known, the guaranteed backtracking floor
     eta/(a*M + L) - 1e-12 and the matching cap on backtrack counts.
+
+    The mode (unless ``mode`` overrides it), a, eta, N and the step bounds
+    come from ``trace.params``.  L, the convexity of f and M are recomputed
+    from ``problem`` when one is given, else read from ``trace.params`` too;
+    only a problem lets recorded iterates be re-evaluated.
 
     Inequalities get slack rel_tol * (1 + |reference|); violations are
     collected, never raised, so a caller can report all of them at once.
     """
-    params = dict(trace.params or {})
-    if mode is None:
-        mode = params.get("mode", "pgsa")
+    params = trace.params
+    mode = params["mode"] if mode is None else mode
     if mode not in ("pgsa", "pgsa_ml", "pgsa_nl"):
         raise ValueError(f"unknown audit mode {mode!r}")
     report = AuditReport(mode=mode)
@@ -120,15 +124,13 @@ def audit_trace(
     step_norm = np.asarray(trace.step_norm, dtype=float)
     iterations = alpha.shape[0]
 
-    lipschitz = params.get("lipschitz")
-    if lipschitz is None and problem is not None:
-        lipschitz = problem.lipschitz_grad_h
-    convex_f = params.get("f_is_convex")
-    if convex_f is None:
-        convex_f = problem.f_is_convex if problem is not None else False
-    g_bound = params.get("g_sup_bound")
-    if g_bound is None and problem is not None:
+    if problem is not None:
+        lipschitz, convex_f = problem.lipschitz_grad_h, problem.f_is_convex
         g_bound = problem.g_sup_bound
+    else:
+        lipschitz, convex_f = params["lipschitz"], params["f_is_convex"]
+        g_bound = params["g_sup_bound"]
+    hi = params["alpha_upper"]
 
     def slack(reference: float) -> float:
         return rel_tol * (1.0 + abs(reference))
@@ -139,33 +141,28 @@ def audit_trace(
             _audit_add(report, k, "domain", math.inf, f"objective at iterate {k} is not finite")
 
     if mode == "pgsa":
-        lo = params.get("alpha_lower")
-        hi = params.get("alpha_upper")
+        lo = params["alpha_lower"]
+        cap = (2.0 if convex_f else 1.0) / lipschitz
         for k in range(iterations):
             report.checks_run += 1
-            if lo is not None and alpha[k] < lo - slack(lo):
+            if alpha[k] < lo - slack(lo):
                 _audit_add(report, k, "step_bounds", lo - alpha[k], "step below alpha_lower")
-            if hi is not None and alpha[k] > hi + slack(hi):
+            if alpha[k] > hi + slack(hi):
                 _audit_add(report, k, "step_bounds", alpha[k] - hi, "step above alpha_upper")
-            if lipschitz is not None:
-                cap = (2.0 if convex_f else 1.0) / lipschitz
-                if alpha[k] >= cap:
-                    _audit_add(report, k, "step_bounds", alpha[k] - cap, "step at or above 1/L cap")
-        if lipschitz is not None:
-            for k in range(iterations):
-                report.checks_run += 1
-                coef = _fixed_step_coef(alpha[k], lipschitz, convex_f, g_value[k + 1])
-                excess = _decrease_excess(
-                    objective[k + 1], objective[k], rel_tol, coef, step_norm[k]
+            if alpha[k] >= cap:
+                _audit_add(report, k, "step_bounds", alpha[k] - cap, "step at or above 1/L cap")
+        for k in range(iterations):
+            report.checks_run += 1
+            coef = _fixed_step_coef(alpha[k], lipschitz, convex_f, g_value[k + 1])
+            excess = _decrease_excess(objective[k + 1], objective[k], rel_tol, coef, step_norm[k])
+            if excess:
+                _audit_add(
+                    report,
+                    k + 1,
+                    "sufficient_decrease",
+                    excess,
+                    f"decrease inequality fails from iterate {k} to {k + 1}",
                 )
-                if excess:
-                    _audit_add(
-                        report,
-                        k + 1,
-                        "sufficient_decrease",
-                        excess,
-                        f"decrease inequality fails from iterate {k} to {k + 1}",
-                    )
         for k in range(iterations):
             report.checks_run += 1
             excess = _decrease_excess(objective[k + 1], objective[k], rel_tol)
@@ -178,10 +175,7 @@ def audit_trace(
                     f"objective increased from iterate {k} to {k + 1}",
                 )
     else:
-        a = params.get("a", 1e-3)
-        eta = params.get("eta", 0.5)
-        memory = params.get("N", 0 if mode == "pgsa_ml" else 4)
-        hi = params.get("alpha_upper")
+        a, eta, memory = params["a"], params["eta"], params["N"]
         backtracks = trace.backtracks
 
         window_max = np.empty(iterations)
@@ -201,7 +195,7 @@ def audit_trace(
                     excess,
                     f"acceptance inequality fails at iterate {k + 1}",
                 )
-            if hi is not None and alpha[k] > hi + slack(hi):
+            if alpha[k] > hi + slack(hi):
                 _audit_add(report, k, "step_bounds", alpha[k] - hi, "step above alpha_upper")
             report.checks_run += 1
             excess = _decrease_excess(objective[k + 1], objective[0], rel_tol)
@@ -228,7 +222,7 @@ def audit_trace(
                     "windowed objective maximum increased",
                 )
 
-        if g_bound is not None and lipschitz is not None:
+        if g_bound is not None:
             floor = eta / (a * g_bound + lipschitz) - 1e-12
             for k in range(iterations):
                 report.checks_run += 1
@@ -240,7 +234,7 @@ def audit_trace(
                         floor - alpha[k],
                         "accepted step below the guaranteed floor",
                     )
-            if backtracks is not None and hi is not None:
+            if backtracks is not None:
                 cap = math.ceil(-math.log(hi * (a * g_bound + lipschitz)) / math.log(eta) + 1.0)
                 cap = max(cap, 0)
                 for k in range(iterations):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -61,7 +61,10 @@ class SolverTrace:
     by construction (each c_k is the objective value reused from the previous
     evaluation).  ``iterates`` is only populated when the run was configured
     with record_trace; everything else is always present.  ``params`` holds
-    the resolved solver parameters so an audit does not have to guess them.
+    the resolved step rule ("mode", the step bounds and, for the line search,
+    "a", "eta" and "N") together with the problem's "lipschitz",
+    "f_is_convex" and "g_sup_bound"; the trace file carries it, so an audit
+    reads every parameter from here and never guesses one.
     """
 
     objective: np.ndarray
@@ -70,7 +73,7 @@ class SolverTrace:
     step_norm: np.ndarray
     final_x: np.ndarray
     certificate: Certificate
-    params: dict[str, Any] = field(default_factory=dict)
+    params: dict[str, Any]
     backtracks: np.ndarray | None = None
     iterates: np.ndarray | None = None
 

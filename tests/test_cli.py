@@ -51,8 +51,7 @@ def test_solve_then_verify_round_trip(sgep_files, tmp_path, capsys):
     capsys.readouterr()
     code = run_cli(
         "verify", "--trace", trace_path, "--problem", "sgep",
-        "--matrix-a", a_path, "--matrix-b", b_path, "-r", "2",
-        "--mode", "pgsa", "--rate-fit",
+        "--matrix-a", a_path, "--matrix-b", b_path, "-r", "2", "--rate-fit",
     )
     out = capsys.readouterr().out
     assert code == 0
@@ -76,20 +75,73 @@ def test_verify_flags_corrupted_trace(sgep_files, tmp_path, capsys):
     )
     capsys.readouterr()
     lines = trace_path.read_text().splitlines()
-    # Push the k=1 objective (third line) above the starting value, which no
-    # monotone run can produce.
-    cells = lines[2].split(",")
+    # Push the k=1 objective (fourth line, after the params line and the
+    # header) above the starting value, which no monotone run can produce.
+    cells = lines[3].split(",")
     cells[1] = repr(float(cells[1]) + 10.0)
-    lines[2] = ",".join(cells)
+    lines[3] = ",".join(cells)
     trace_path.write_text("\n".join(lines) + "\n")
     code = run_cli(
         "verify", "--trace", trace_path, "--problem", "sgep",
-        "--matrix-a", a_path, "--matrix-b", b_path, "-r", "2", "--mode", "pgsa",
+        "--matrix-a", a_path, "--matrix-b", b_path, "-r", "2",
     )
     out = capsys.readouterr().out
     assert code == 1
     assert "violation at iteration 1" in out
     assert "audit failed" in out
+
+
+def test_default_solve_then_default_verify_is_clean(tmp_path, capsys):
+    # verify reads the solver (pgsa_ml by default) and its parameters from
+    # the trace, not from flags that would have to repeat them.
+    data = tmp_path / "data"
+    run_cli(
+        "gen", "sfda", "--n", "50", "--p1", "100", "--p2", "100", "--r", "5",
+        "--seed", "0", "--out-dir", data,
+    )
+    trace_path = tmp_path / "trace.csv"
+    problem_flags = (
+        "--matrix-a", data / "A.csv", "--matrix-b", data / "B.csv", "-r", "5",
+    )
+    assert run_cli("solve", "sgep", *problem_flags, "--trace", trace_path) == 0
+    capsys.readouterr()
+    code = run_cli("verify", "--trace", trace_path, "--problem", "sgep", *problem_flags)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "zero violations" in out
+
+
+def test_bench_trace_verifies_without_problem_files(tmp_path, capsys):
+    cfg = _bench_config(tmp_path, trials=1)
+    out_dir = tmp_path / "out"
+    assert run_cli("bench", "--config", cfg, "--out-dir", out_dir, "--trace") == 0
+    capsys.readouterr()
+    code = run_cli("verify", "--trace", out_dir / "traces" / "trace_pgsa_ml_0.csv")
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "zero violations" in out
+
+
+@pytest.mark.parametrize("edit", ["drop_line", "drop_keys"])
+def test_verify_trace_without_usable_params_line_is_io_error(edit, sgep_files, tmp_path, capsys):
+    a_path, b_path = sgep_files
+    trace_path = tmp_path / "trace.csv"
+    run_cli(
+        "solve", "sgep", "--matrix-a", a_path, "--matrix-b", b_path, "-r", "1",
+        "--trace", trace_path,
+    )
+    capsys.readouterr()
+    lines = trace_path.read_text().splitlines()
+    if edit == "drop_line":
+        del lines[0]
+    else:
+        # A pgsa_ml audit needs a, eta, N and more than the mode.
+        certificate = json.loads(lines[0][2:])["certificate"]
+        lines[0] = "# " + json.dumps({"certificate": certificate, "params": {"mode": "pgsa_ml"}})
+    trace_path.write_text("\n".join(lines) + "\n")
+    code = run_cli("verify", "--trace", trace_path)
+    assert code == 3
+    assert "line 1" in capsys.readouterr().err
 
 
 def test_verify_missing_trace_file_is_io_error(sgep_files, tmp_path, capsys):
@@ -308,6 +360,36 @@ def test_bench_env_override_changes_trials(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     records = (out_dir / "runs.jsonl").read_text().splitlines()
     assert len(records) == 3
+
+
+@pytest.mark.parametrize(
+    "command, config, env",
+    [
+        ("bench", {}, {"FRACOPT_TRIALS": "abc"}),
+        ("bench", {}, {"FRACOPT_N": "abc"}),
+        ("bench", {"trials": "3"}, {}),
+        ("bench", {"threads": "2"}, {}),
+        ("bench", {"trials": True}, {}),
+        ("solve", {"max_iter": "5"}, {}),
+    ],
+    ids=["env-trials", "env-n", "trials-str", "threads-str", "trials-bool", "solve-max-iter-str"],
+)
+def test_wrong_typed_config_value_is_validation_error(
+    command, config, env, sgep_files, tmp_path, capsys, monkeypatch
+):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    if command == "bench":
+        argv = ["bench", "--config", _bench_config(tmp_path, **config)]
+        argv += ["--out-dir", tmp_path / "out"]
+    else:
+        a_path, b_path = sgep_files
+        path = tmp_path / "solver.json"
+        path.write_text(json.dumps(config))
+        argv = ["solve", "sgep", "--matrix-a", a_path, "--matrix-b", b_path, "-r", "1"]
+        argv += ["--config", path]
+    assert run_cli(*argv) == 2
+    assert "must be" in capsys.readouterr().err
 
 
 def test_gen_sfda_round_trips_through_solve(tmp_path, capsys):

@@ -2,12 +2,25 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from fracopt import PgsaConfig, SgepProblem, audit_trace, run_pgsa
+from fracopt import (
+    L1L2PenaltyProblem,
+    LineSearchConfig,
+    PgsaConfig,
+    SgepProblem,
+    audit_trace,
+    gen_dct_matrix,
+    gen_ground_truth,
+    penalty_start_point,
+    run_pgsa,
+    run_pgsa_ls,
+    sgep_default_init,
+)
 from fracopt.exceptions import ParseError
 from fracopt.io import (
     RESULT_COLUMNS,
@@ -99,28 +112,94 @@ def test_trace_round_trip_preserves_audited_columns(tmp_path):
     assert np.array_equal(loaded.step_norm, trace.step_norm)
     assert errors is not None
     assert np.array_equal(errors, trace.errors_to_final())
-    # A reloaded trace still audits cleanly when told the mode and problem.
-    report = audit_trace(loaded, problem, mode="pgsa")
+    # A reloaded trace still audits cleanly with its problem.
+    report = audit_trace(loaded, problem)
     assert report.ok
+
+
+def _tiny_sgep():
+    rng = philox_generator(405)
+    half = rng.standard_normal((30, 8))
+    other = rng.standard_normal((30, 8))
+    return SgepProblem(matrix_a=half.T @ half, matrix_b=other.T @ other, sparsity=3)
+
+
+def _tiny_l1l2():
+    rng = philox_generator(407)
+    sensing = gen_dct_matrix(m=20, n=60, coherence=1.0, seed=rng)
+    truth = gen_ground_truth(n=60, k=3, seed=rng)
+    return L1L2PenaltyProblem(
+        sensing=sensing, observation=sensing @ truth, lam=8e-5, lower=-1.0, upper=1.0
+    )
+
+
+def _tiny_run(family: str, solver: str):
+    problem = _tiny_sgep() if family == "sgep" else _tiny_l1l2()
+    x0 = sgep_default_init(8, 3) if family == "sgep" else penalty_start_point(problem)
+    if solver == "pgsa":
+        return problem, run_pgsa(problem, x0, PgsaConfig(max_iter=300))
+    window = 0 if solver == "pgsa_ml" else 4
+    return problem, run_pgsa_ls(problem, x0, LineSearchConfig(N=window, max_iter=300))
+
+
+@pytest.mark.parametrize("tamper", [False, True])
+@pytest.mark.parametrize("family", ["sgep", "l1l2"])
+@pytest.mark.parametrize("solver", ["pgsa", "pgsa_ml", "pgsa_nl"])
+def test_reloaded_trace_keeps_params_certificate_and_audit(tmp_path, family, solver, tamper):
+    # With no iterates recorded, the file alone gives the audit everything the
+    # live trace and its problem give it: the same checks and violations.
+    problem, trace = _tiny_run(family, solver)
+    if tamper:
+        objective = trace.objective.copy()
+        objective[trace.iterations // 2] = objective[0] + 1.0
+        trace = dataclasses.replace(trace, objective=objective)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(path, trace)
+    loaded, _ = load_trace_csv(path)
+    assert loaded.params == trace.params
+    assert loaded.certificate == trace.certificate
+    live = audit_trace(trace, problem)
+    reloaded = audit_trace(loaded)
+    assert reloaded.mode == live.mode == solver
+    assert reloaded.checks_run == live.checks_run
+    assert reloaded.violations == live.violations
+    assert live.ok != tamper
+
+
+# A params and certificate line that load_trace_csv accepts.
+META_LINE = (
+    '# {"certificate": {"converged_reason": "step_tol", "criticality_residual": null, '
+    '"iterations": 0, "objective": 1.0}, "params": {"mode": "pgsa"}}'
+)
+
+
+def test_trace_params_line_is_validated(tmp_path):
+    header = ",".join(TRACE_COLUMNS)
+    for first in (header, "# {not json", '# {"params": {}}', META_LINE.replace("step_tol", "x")):
+        path = tmp_path / "trace.csv"
+        path.write_text(f"{first}\n{header}\n0,1.0,,,,1.0,\n")
+        with pytest.raises(ParseError) as err:
+            load_trace_csv(path)
+        assert "line 1" in str(err.value)
 
 
 def test_trace_header_is_validated(tmp_path):
     path = tmp_path / "trace.csv"
-    path.write_text("something,else\n0,1.0\n")
+    path.write_text(f"{META_LINE}\nsomething,else\n0,1.0\n")
     with pytest.raises(ParseError) as err:
         load_trace_csv(path)
-    assert "line 1" in str(err.value)
+    assert "line 2" in str(err.value)
 
 
 def test_trace_rows_are_validated(tmp_path):
     path = tmp_path / "trace.csv"
     header = ",".join(TRACE_COLUMNS)
-    path.write_text(f"{header}\n0,1.0,0.5\n")
+    path.write_text(f"{META_LINE}\n{header}\n0,1.0,0.5\n")
     with pytest.raises(ParseError) as err:
         load_trace_csv(path)
-    assert "line 2" in str(err.value)
+    assert "line 3" in str(err.value)
     only_header = tmp_path / "empty_trace.csv"
-    only_header.write_text(f"{header}\n")
+    only_header.write_text(f"{META_LINE}\n{header}\n")
     with pytest.raises(ParseError):
         load_trace_csv(only_header)
 
