@@ -63,17 +63,13 @@ EXIT_IO = 3
 EXIT_DIMENSIONS = 4
 EXIT_SOLVER = 5
 
+# The solver config keys each solver reads; `solve` rejects any other key.
+_STOPPING_KEYS = {"step_tol", "max_iter", "relative_tol"}
+_LINE_SEARCH_KEYS = _STOPPING_KEYS | {"a", "eta", "alpha_lower", "alpha_upper", "alpha0"}
 SOLVER_CONFIG_KEYS = {
-    "alpha",
-    "a",
-    "eta",
-    "window",
-    "alpha_lower",
-    "alpha_upper",
-    "alpha0",
-    "step_tol",
-    "max_iter",
-    "relative_tol",
+    "pgsa": _STOPPING_KEYS | {"alpha"},
+    "pgsa_ml": _LINE_SEARCH_KEYS,
+    "pgsa_nl": _LINE_SEARCH_KEYS | {"window"},
 }
 
 
@@ -152,14 +148,6 @@ def _load_json_object(path: str | None) -> dict[str, Any]:
     return data
 
 
-def _load_solver_overrides(path: str | None) -> dict[str, Any]:
-    data = _load_json_object(path)
-    unknown = sorted(set(data) - SOLVER_CONFIG_KEYS)
-    if unknown:
-        raise InvalidConfigError(f"unknown solver config keys: {', '.join(unknown)}")
-    return data
-
-
 def _build_problem(args: argparse.Namespace) -> SgepProblem | L1L2PenaltyProblem:
     if not args.matrix_a:
         raise InvalidConfigError(f"{args.problem} needs --matrix-a")
@@ -214,11 +202,7 @@ def _start_point(
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    overrides = _load_solver_overrides(args.config)
-    problem = _build_problem(args)
-    x0 = _start_point(args, problem)
-
-    cfg_fields: dict[str, Any] = dict(overrides)
+    cfg_fields = _load_json_object(args.config)
     for key, value in (
         ("alpha", args.alpha),
         ("step_tol", args.step_tol),
@@ -227,6 +211,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
     ):
         if value is not None:
             cfg_fields[key] = value
+    unknown = sorted(set(cfg_fields) - SOLVER_CONFIG_KEYS[args.solver])
+    if unknown:
+        raise InvalidConfigError(f"solver {args.solver} does not read: {', '.join(unknown)}")
+    problem = _build_problem(args)
+    x0 = _start_point(args, problem)
     exp_cfg = ExperimentConfig(
         experiment="l1l2" if args.problem == "l1l2" else "custom_sgep",
         solver=args.solver,

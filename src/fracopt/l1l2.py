@@ -37,7 +37,8 @@ def prox_l1_box(
     This is the exact prox of threshold * ||.||_1 + indicator of the box
     whenever the box contains the origin componentwise (clipping commutes
     with shrinkage toward an interior zero).  Outside that regime it is still
-    the shrink-then-clip map, just not a prox.
+    the shrink-then-clip map, just not a prox.  This wrapper validates;
+    loops over a box validated once call the kernel _shrink_clip directly.
     """
     z = np.asarray(z, dtype=float)
     lower = np.broadcast_to(np.asarray(lower, dtype=float), z.shape)
@@ -46,8 +47,14 @@ def prox_l1_box(
         raise ValueError("threshold must be nonnegative")
     if np.any(lower > upper):
         raise InvalidProblemError("box is empty: lower > upper somewhere")
-    shrunk = np.sign(z) * np.maximum(np.abs(z) - threshold, 0.0)
-    return np.clip(shrunk, lower, upper)
+    return _shrink_clip(z, threshold, lower, upper)
+
+
+def _shrink_clip(
+    z: np.ndarray, threshold: float, lower: np.ndarray, upper: np.ndarray
+) -> np.ndarray:
+    """Unchecked prox_l1_box; the caller ensures threshold >= 0 and lower <= upper."""
+    return np.clip(np.sign(z) * np.maximum(np.abs(z) - threshold, 0.0), lower, upper)
 
 
 def _sensing_lipschitz(a: np.ndarray) -> float:
@@ -76,7 +83,8 @@ class L1L2PenaltyProblem(FractionalProblem):
 
     Construction requires a nonempty box containing the origin (otherwise the
     shrink-then-clip prox would be inexact) and a positive penalty weight.
-    L = ||A||_2^2 comes from the spectrum of the smaller Gram matrix.
+    L = ||A||_2^2 comes from the spectrum of the smaller Gram matrix.  The
+    box is stored read-only, since its tolerance and M are computed once.
     """
 
     sensing: np.ndarray
@@ -85,6 +93,8 @@ class L1L2PenaltyProblem(FractionalProblem):
     lower: np.ndarray
     upper: np.ndarray
     _lipschitz: float = field(init=False, repr=False)
+    _box_tol: float = field(init=False, repr=False)
+    _g_bound: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         a = np.asarray(self.sensing, dtype=float)
@@ -104,6 +114,7 @@ class L1L2PenaltyProblem(FractionalProblem):
             raise InvalidProblemError("box is empty: lower > upper somewhere")
         if np.any(lower > 0.0) or np.any(upper < 0.0):
             raise InvalidProblemError("box must contain the origin componentwise")
+        lower.flags.writeable = upper.flags.writeable = False
         object.__setattr__(self, "sensing", a)
         object.__setattr__(self, "observation", b)
         object.__setattr__(self, "lower", lower)
@@ -111,15 +122,19 @@ class L1L2PenaltyProblem(FractionalProblem):
         lipschitz = _sensing_lipschitz(a)
         if lipschitz <= 0:
             raise InvalidProblemError("sensing matrix is zero")
-        object.__setattr__(self, "_lipschitz", lipschitz)
+        tol = BOX_TOL * (1.0 + float(np.max(np.abs(upper) + np.abs(lower))))
+        # The denominator over the whole box never exceeds the norm of the
+        # componentwise larger bound magnitude.
+        bound = float(np.linalg.norm(np.maximum(np.abs(lower), np.abs(upper))))
+        for name, value in (("_lipschitz", lipschitz), ("_box_tol", tol), ("_g_bound", bound)):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
         return self.sensing.shape[1]
 
     def eval_f(self, x: np.ndarray) -> float:
-        tol = BOX_TOL * (1.0 + float(np.max(np.abs(self.upper) + np.abs(self.lower))))
-        if np.any(x < self.lower - tol) or np.any(x > self.upper + tol):
+        if np.any(x < self.lower - self._box_tol) or np.any(x > self.upper + self._box_tol):
             return math.inf
         return self.lam * float(np.abs(x).sum())
 
@@ -137,7 +152,7 @@ class L1L2PenaltyProblem(FractionalProblem):
         return l2_subgradient(x)
 
     def prox_f(self, alpha: float, z: np.ndarray) -> np.ndarray:
-        return prox_l1_box(z, alpha * self.lam, self.lower, self.upper)
+        return _shrink_clip(z, alpha * self.lam, self.lower, self.upper)
 
     @property
     def lipschitz_grad_h(self) -> float:
@@ -149,9 +164,7 @@ class L1L2PenaltyProblem(FractionalProblem):
 
     @property
     def g_sup_bound(self) -> float:
-        # The denominator over the whole box never exceeds the norm of the
-        # componentwise larger bound magnitude.
-        return float(np.linalg.norm(np.maximum(np.abs(self.lower), np.abs(self.upper))))
+        return self._g_bound
 
     def critical_residual(self, x: np.ndarray) -> float:
         return l1l2_critical_residual(self, x)
@@ -183,7 +196,7 @@ def l1l2_critical_residual(problem: L1L2PenaltyProblem, x: np.ndarray) -> float:
     u = ratio * (x / norm) - problem.grad_h(x)
 
     lam = problem.lam
-    tol = BOX_TOL * (1.0 + float(np.max(np.abs(problem.upper) + np.abs(problem.lower))))
+    tol = problem._box_tol
     at_lower = x <= problem.lower + tol
     at_upper = x >= problem.upper - tol
     positive = x > tol
@@ -254,6 +267,8 @@ def l1_box_initializer(
     n = a.shape[1]
     lower = np.broadcast_to(np.asarray(lower, dtype=float), (n,))
     upper = np.broadcast_to(np.asarray(upper, dtype=float), (n,))
+    if np.any(lower > upper):
+        raise InvalidProblemError("box is empty: lower > upper somewhere")
     correlation = a.T @ b
     mu = INITIALIZER_PENALTY_SCALE * float(np.max(np.abs(correlation)))
     lipschitz = _sensing_lipschitz(a)
@@ -263,7 +278,7 @@ def l1_box_initializer(
     x = np.zeros(n)
     for _ in range(iterations):
         grad = a.T @ (a @ x - b)
-        x = prox_l1_box(x - step * grad, step * mu, lower, upper)
+        x = _shrink_clip(x - step * grad, step * mu, lower, upper)
     if float(np.linalg.norm(x)) <= ZERO_NORM_EPS:
         raise DegenerateInputError("initializer collapsed to the zero vector")
     return x

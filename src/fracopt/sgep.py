@@ -58,9 +58,9 @@ def project_sparse_sphere(x: np.ndarray, r: int) -> np.ndarray:
     """Euclidean projection onto {||y||_0 <= r, ||y||_2 = 1}.
 
     Keeps the r largest magnitudes (ties broken toward lower indices), zeros
-    the rest and rescales to unit norm.  The projection is undefined at the
-    origin, so a vector with norm at or below 1e-14 raises
-    DegenerateInputError.
+    the rest and rescales to unit norm; a linear-time partition finds the cut.
+    The projection is undefined at the origin, so a vector with norm at or
+    below 1e-14 raises DegenerateInputError.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
@@ -70,9 +70,10 @@ def project_sparse_sphere(x: np.ndarray, r: int) -> np.ndarray:
         raise ValueError(f"need 1 <= r <= {n}, got r = {r}")
     if float(np.linalg.norm(x)) <= DOMAIN_EPS_BASE:
         raise DegenerateInputError("projection onto the sparse sphere is undefined at 0")
-    # Stable sort keeps the original order among equal magnitudes, which is
-    # exactly the lower-index tie-break.
-    keep = np.argsort(-np.abs(x), kind="stable")[:r]
+    neg = -np.abs(x)
+    cut = np.partition(neg, r - 1)[r - 1]
+    # Fewer than r entries lie strictly above the cut; the lowest-index ties fill the rest.
+    keep = np.concatenate((np.flatnonzero(neg < cut), np.flatnonzero(neg == cut)))[:r]
     y = np.zeros_like(x)
     y[keep] = x[keep]
     return y / np.linalg.norm(y)
@@ -87,7 +88,10 @@ class SgepProblem(FractionalProblem):
     the largest) and positive definiteness of B on min(50, C(n, r)) supports
     of size r, exhaustively when that enumeration is small enough.  The
     gradient Lipschitz constant L = lambda_max(B) and the denominator bound
-    M = lambda_max(A) / 2 are read off the spectra of that PSD check.
+    M = lambda_max(A) / 2 are read off the spectra of that PSD check.  A and
+    B are stored as 0.5 * (M + M.T), exactly symmetric, so the callbacks work
+    over the support S of x only (B x is x_S @ B[S]): O(|S| n) rather than
+    O(n^2) per product on r-sparse points.
     """
 
     matrix_a: np.ndarray
@@ -119,8 +123,8 @@ class SgepProblem(FractionalProblem):
                 )
             lambda_max[name] = float(eigs[-1])
         self._check_submatrices(b, n)
-        object.__setattr__(self, "matrix_a", a)
-        object.__setattr__(self, "matrix_b", b)
+        object.__setattr__(self, "matrix_a", 0.5 * (a + a.T))
+        object.__setattr__(self, "matrix_b", 0.5 * (b + b.T))
         object.__setattr__(self, "_lipschitz", lambda_max["B"])
         object.__setattr__(self, "_g_bound", 0.5 * lambda_max["A"])
 
@@ -156,16 +160,20 @@ class SgepProblem(FractionalProblem):
         return 0.0
 
     def eval_h(self, x: np.ndarray) -> float:
-        return 0.5 * float(x @ (self.matrix_b @ x))
+        support = np.flatnonzero(x)
+        return 0.5 * float(x[support] @ self.matrix_b[np.ix_(support, support)] @ x[support])
 
     def grad_h(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix_b @ x
+        support = np.flatnonzero(x)
+        return x[support] @ self.matrix_b[support]
 
     def eval_g(self, x: np.ndarray) -> float:
-        return 0.5 * float(x @ (self.matrix_a @ x))
+        support = np.flatnonzero(x)
+        return 0.5 * float(x[support] @ self.matrix_a[np.ix_(support, support)] @ x[support])
 
     def subgrad_g(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix_a @ x
+        support = np.flatnonzero(x)
+        return x[support] @ self.matrix_a[support]
 
     def prox_f(self, alpha: float, z: np.ndarray) -> np.ndarray:
         # The prox of an indicator is the projection, whatever alpha is.
@@ -181,8 +189,8 @@ class SgepProblem(FractionalProblem):
 
     def ratio_value(self, x: np.ndarray) -> float:
         """x.T B x / x.T A x, without the (cancelling) halving."""
-        den = float(x @ (self.matrix_a @ x))
-        num = float(x @ (self.matrix_b @ x))
+        den = 2.0 * self.eval_g(x)
+        num = 2.0 * self.eval_h(x)
         if den <= DOMAIN_EPS_BASE * (1.0 + abs(num)):
             raise DomainError("denominator energy x.T A x vanishes at this point")
         return num / den

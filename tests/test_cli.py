@@ -220,6 +220,47 @@ def test_solve_config_with_unknown_key_is_validation_error(sgep_files, tmp_path,
     assert "momentum" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "solver, config, flags, rejected",
+    [
+        ("pgsa_ml", {"window": 7, "alpha": 0.5}, [], "alpha, window"),
+        ("pgsa_nl", {"alpha": 0.5}, [], "alpha"),
+        ("pgsa", {"eta": 0.4}, [], "eta"),
+        ("pgsa", {"window": 3}, [], "window"),
+        ("pgsa_ml", {}, ["--alpha", "0.5"], "alpha"),
+    ],
+    ids=["ml-window-alpha", "nl-alpha", "pgsa-eta", "pgsa-window", "ml-alpha-flag"],
+)
+def test_solve_rejects_keys_the_solver_does_not_read(
+    solver, config, flags, rejected, sgep_files, tmp_path, capsys
+):
+    a_path, b_path = sgep_files
+    cfg = tmp_path / "solver.json"
+    cfg.write_text(json.dumps(config))
+    code = run_cli(
+        "solve", "sgep", "--matrix-a", a_path, "--matrix-b", b_path, "-r", "1",
+        "--solver", solver, "--config", cfg, *flags,
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert solver in err and rejected in err
+
+
+def test_solve_passes_window_to_the_nonmonotone_solver(sgep_files, tmp_path, capsys):
+    a_path, b_path = sgep_files
+    cfg = tmp_path / "solver.json"
+    cfg.write_text('{"window": 7, "eta": 0.4}')
+    trace_path = tmp_path / "trace.csv"
+    code = run_cli(
+        "solve", "sgep", "--matrix-a", a_path, "--matrix-b", b_path, "-r", "1",
+        "--solver", "pgsa_nl", "--config", cfg, "--trace", trace_path,
+    )
+    assert code == 0
+    capsys.readouterr()
+    params = json.loads(trace_path.read_text().splitlines()[0][2:])["params"]
+    assert params["N"] == 7 and params["eta"] == 0.4
+
+
 def test_solve_config_with_bad_json_is_io_error(sgep_files, tmp_path, capsys):
     a_path, b_path = sgep_files
     cfg = tmp_path / "solver.json"

@@ -284,6 +284,45 @@ def test_problem_validation():
         )
 
 
+def test_problem_hoisted_constants_match_per_call_formulas():
+    rng = philox_generator(257)
+    n = 12
+    lower = -rng.uniform(0.5, 2.0, size=n)
+    upper = rng.uniform(0.5, 2.0, size=n)
+    problem = L1L2PenaltyProblem(
+        sensing=rng.standard_normal((5, n)), observation=rng.standard_normal(5),
+        lam=0.3, lower=lower, upper=upper,
+    )
+    tol = 1e-12 * (1.0 + float(np.max(np.abs(upper) + np.abs(lower))))
+    for _ in range(20):
+        z = rng.uniform(-3.0, 3.0, size=n)
+        alpha = float(rng.uniform(0.1, 2.0))
+        assert problem.prox_f(alpha, z).tobytes() == prox_l1_box(
+            z, alpha * 0.3, lower, upper
+        ).tobytes()
+        inside = np.all(z >= lower - tol) and np.all(z <= upper + tol)
+        expected = 0.3 * float(np.abs(z).sum()) if inside else math.inf
+        assert problem.eval_f(z) == expected
+    edge = upper + 0.5 * tol
+    assert problem.eval_f(edge) == 0.3 * float(np.abs(edge).sum())
+    assert math.isinf(problem.eval_f(upper + 2.0 * tol))
+    bound = float(np.linalg.norm(np.maximum(np.abs(lower), np.abs(upper))))
+    assert problem.g_sup_bound == bound
+
+
+def test_problem_box_is_read_only():
+    problem = one_d_penalty(0.5)
+    for bound in (problem.lower, problem.upper):
+        with pytest.raises(ValueError):
+            bound[0] = 0.0
+    assert problem.lower[0] == -1.0 and problem.upper[0] == 1.0
+
+
+def test_initializer_rejects_empty_box():
+    with pytest.raises(InvalidProblemError):
+        l1_box_initializer(np.eye(2), np.ones(2), np.array([0.0, 2.0]), np.ones(2))
+
+
 def test_lipschitz_matches_dense_eigensolver():
     rng = philox_generator(251)
     # Wide and tall sensing matrices take the two different Gram matrices.

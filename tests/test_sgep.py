@@ -98,6 +98,67 @@ def test_projection_matches_exhaustive_oracle():
         assert np.allclose(fast, slow, atol=1e-12)
 
 
+def stable_sort_projection(x: np.ndarray, r: int) -> np.ndarray:
+    """Reference rule: a stable sort on -|x| keeps the lower index among ties."""
+    keep = np.argsort(-np.abs(x), kind="stable")[:r]
+    y = np.zeros_like(x)
+    y[keep] = x[keep]
+    return y / np.linalg.norm(y)
+
+
+def test_projection_matches_stable_sort_rule_bitwise():
+    rng = philox_generator(107)
+    for _ in range(300):
+        n = int(rng.integers(1, 31))
+        # Few distinct integer magnitudes, so most cuts fall inside a tie.
+        x = rng.integers(-3, 4, size=n).astype(float)
+        if not x.any():
+            continue
+        for r in range(1, n + 1):
+            assert project_sparse_sphere(x, r).tobytes() == stable_sort_projection(x, r).tobytes()
+    x = rng.standard_normal(1000)
+    assert project_sparse_sphere(x, 50).tobytes() == stable_sort_projection(x, 50).tobytes()
+
+
+def test_support_products_match_dense_formulas():
+    rng = philox_generator(109)
+    n, r = 30, 5
+    a = wishart(rng, 40, n) + 0.1 * np.eye(n)
+    b = wishart(rng, 40, n) + 0.5 * np.eye(n)
+    problem = SgepProblem(matrix_a=a, matrix_b=b, sparsity=r)
+    points = [
+        project_sparse_sphere(rng.standard_normal(n), r),
+        project_sparse_sphere(rng.standard_normal(n), 2),
+        rng.standard_normal(n),
+    ]
+
+    def close(got, want):
+        return np.allclose(got, want, rtol=1e-12, atol=1e-12 * float(np.max(np.abs(want))))
+
+    for x in points:
+        assert close(problem.eval_h(x), 0.5 * x @ b @ x)
+        assert close(problem.eval_g(x), 0.5 * x @ a @ x)
+        assert close(problem.grad_h(x), b @ x)
+        assert close(problem.subgrad_g(x), a @ x)
+        assert close(problem.ratio_value(x), (x @ b @ x) / (x @ a @ x))
+
+
+def test_nearly_symmetric_input_is_stored_exactly_symmetric():
+    rng = philox_generator(113)
+    n = 8
+    b = wishart(rng, 20, n) + 0.5 * np.eye(n)
+    assert np.array_equal(SgepProblem(matrix_a=np.eye(n), matrix_b=b, sparsity=2).matrix_b, b)
+    skewed = b.copy()
+    skewed[0, 3] += 1e-13 * float(np.max(np.abs(b)))
+    problem = SgepProblem(matrix_a=np.eye(n), matrix_b=skewed, sparsity=2)
+    assert np.array_equal(problem.matrix_b, problem.matrix_b.T)
+    # A one-hot x makes both products exact: row 3 against column 3 of B.
+    x = np.zeros(n)
+    x[3] = 1.0
+    assert np.array_equal(problem.grad_h(x), problem.matrix_b @ x)
+    assert not np.array_equal(x @ skewed, skewed @ x)
+
+
 def test_projection_beats_random_feasible_net():
     rng = philox_generator(103)
     x = rng.standard_normal(6)
