@@ -45,7 +45,7 @@ from .l1l2 import (
     prox_l1_box,
     recovery_report,
 )
-from .linesearch import LineSearchConfig, bb_initial_step, line_search_step, run_pgsa_ls
+from .linesearch import LineSearchConfig, bb_initial_step, run_pgsa_ls
 from .oracle import (
     AuditReport,
     AuditViolation,
@@ -55,12 +55,11 @@ from .oracle import (
     fit_linear_rate,
     fit_rate_from_errors,
 )
-from .pgsa import PgsaConfig, SolverTrace, pgsa_step, run_pgsa
+from .pgsa import PgsaConfig, SolverTrace, run_pgsa
 from .problem import (
     Certificate,
     ExtendedObjective,
     FractionalProblem,
-    critical_point_check,
     domain_eps,
     eval_objective,
     quotient_frechet_residual,
@@ -114,7 +113,6 @@ __all__ = [
     "audit_trace",
     "bb_initial_step",
     "config_from_dict",
-    "critical_point_check",
     "domain_eps",
     "eval_objective",
     "fd_gradient_check",
@@ -126,9 +124,7 @@ __all__ = [
     "gen_sfda_dataset",
     "l1_box_initializer",
     "l1l2_critical_residual",
-    "line_search_step",
     "penalty_start_point",
-    "pgsa_step",
     "philox_generator",
     "project_sparse_sphere",
     "prox_l1_box",

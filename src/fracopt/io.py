@@ -15,8 +15,9 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+from itertools import zip_longest
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -115,27 +116,32 @@ def write_jsonl(path: str | Path, records: Iterable[dict[str, Any]]) -> None:
 
 def write_trace_csv(path: str | Path, trace: SolverTrace) -> None:
     """Per-iteration trace table after a ``# {json}`` line with the run's
-    ``params`` and certificate; err_to_final is empty without iterates."""
+    ``params`` and certificate; err_to_final is empty without iterates.
+
+    Each column is formatted in one pass, floats by ``repr`` so that a reload
+    is exact, and the rows are joined with ``\\r\\n`` ends: byte for byte
+    what ``csv.writer`` writes row by row.  The step cells (alpha, step_norm,
+    backtracks) of the last row are empty.
+    """
+
+    def cells(values: Any, dtype: type = float, fmt: Callable[[Any], str] = repr) -> Iterable[str]:
+        return () if values is None else map(fmt, np.asarray(values, dtype=dtype).tolist())
+
     errors = trace.errors_to_final() if trace.iterates is not None else None
-    iterations = trace.iterations
+    columns = (
+        map(str, range(trace.iterations + 1)),
+        cells(trace.objective),
+        cells(trace.alpha),
+        cells(trace.step_norm),
+        cells(errors),
+        cells(trace.g_value),
+        cells(trace.backtracks, int, str),
+    )
     meta = {"params": trace.params, "certificate": dataclasses.asdict(trace.certificate)}
     with open(path, "w", newline="") as handle:
         handle.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-        writer = csv.writer(handle, quoting=csv.QUOTE_MINIMAL)
-        writer.writerow(TRACE_COLUMNS)
-        for k in range(iterations + 1):
-            taking_step = k < iterations
-            writer.writerow(
-                [
-                    k,
-                    repr(float(trace.objective[k])),
-                    repr(float(trace.alpha[k])) if taking_step else "",
-                    repr(float(trace.step_norm[k])) if taking_step else "",
-                    repr(float(errors[k])) if errors is not None else "",
-                    repr(float(trace.g_value[k])),
-                    int(trace.backtracks[k]) if trace.backtracks is not None and taking_step else "",
-                ]
-            )
+        handle.write(",".join(TRACE_COLUMNS) + "\r\n")
+        handle.write("\r\n".join(map(",".join, zip_longest(*columns, fillvalue=""))) + "\r\n")
 
 
 def load_trace_csv(path: str | Path) -> tuple[SolverTrace, np.ndarray | None]:
@@ -145,13 +151,14 @@ def load_trace_csv(path: str | Path) -> tuple[SolverTrace, np.ndarray | None]:
     The trace gets back its ``params`` and certificate from the first line,
     so ``audit_trace`` needs nothing else; it has no iterates.  A file
     without that line is a ParseError naming line 1.
+
+    The rows must line up with the certificate, or the file is a ParseError
+    naming the offending line: there are ``iterations + 1`` of them; every
+    row but the last fills alpha, step_norm and, in a line-search trace,
+    backtracks, and a fixed-step trace leaves backtracks empty; the last row
+    leaves those three empty; err_to_final is filled in every row or in none.
+    The rows are checked and parsed column by column.
     """
-    objective: list[float] = []
-    g_value: list[float] = []
-    alpha: list[float] = []
-    step_norm: list[float] = []
-    backtracks: list[int] = []
-    errors: list[float] = []
     with open(path, "r", newline="") as handle:
         line = handle.readline()
         try:
@@ -165,36 +172,74 @@ def load_trace_csv(path: str | Path) -> tuple[SolverTrace, np.ndarray | None]:
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != TRACE_COLUMNS:
             raise ParseError(f"{path}: line 2: expected trace header {TRACE_COLUMNS}")
-        for lineno, row in enumerate(reader, start=3):
-            if not row:
-                continue
-            if len(row) != len(TRACE_COLUMNS):
-                raise ParseError(
-                    f"{path}: line {lineno}: expected {len(TRACE_COLUMNS)} columns, "
-                    f"found {len(row)}"
-                )
-            try:
-                objective.append(float(row[1]))
-                g_value.append(float(row[5]))
-                if row[2] != "":
-                    alpha.append(float(row[2]))
-                    step_norm.append(float(row[3]))
-                if row[6] != "":
-                    backtracks.append(int(row[6]))
-                if row[4] != "":
-                    errors.append(float(row[4]))
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from None
-    if not objective:
+        lines = list(reader)
+    rows = [row for row in lines if row]
+    if not rows:
         raise ParseError(f"{path}: trace has no data rows")
+
+    def parse_error(index: int, message: str) -> ParseError:
+        lineno = [k for k, row in enumerate(lines, start=3) if row][index]
+        return ParseError(f"{path}: line {lineno}: {message}")
+
+    width = len(TRACE_COLUMNS)
+    if set(map(len, rows)) != {width}:
+        index = next(k for k, row in enumerate(rows) if len(row) != width)
+        raise parse_error(index, f"expected {width} columns, found {len(rows[index])}")
+    columns = dict(zip(TRACE_COLUMNS, zip(*rows)))
+    last = len(rows) - 1
+    line_search = params.get("mode") in ("pgsa_ml", "pgsa_nl")
+    with_errors = rows[0][4] != ""
+
+    def misfit(name: str, steps: bool, end: bool) -> int:
+        """First row that fills column ``name`` against the rule, or len(rows):
+        rows 0..K-1 fill it when ``steps`` is true, row K when ``end`` is."""
+        cells = columns[name]
+        body = cells[:last]
+        if steps and "" in body:
+            return body.index("")
+        if not steps and body.count("") != last:
+            return next(k for k, cell in enumerate(body) if cell)
+        return last if (cells[last] != "") != end else len(rows)
+
+    rule = "and backtracks" if line_search else "and leave backtracks empty"
+    errors_rule = "err_to_final must be filled in every row or in none"
+    found = [(misfit("err_to_final", with_errors, with_errors), errors_rule)]
+    for name, steps in (("alpha", True), ("step_norm", True), ("backtracks", line_search)):
+        index = misfit(name, steps, False)
+        if index == last:
+            found.append((index, "the last row leaves alpha, step_norm and backtracks empty"))
+        else:
+            found.append((index, f"every row but the last must fill alpha, step_norm {rule}"))
+    index, message = min(found)
+    if index < len(rows):
+        raise parse_error(index, message)
+    if len(rows) != cert.iterations + 1:
+        raise parse_error(
+            last,
+            f"trace ends after {len(rows)} rows, but its certificate counts "
+            f"{cert.iterations} iterations",
+        )
+
+    def parse(name: str, count: int = len(rows), kind: type = float) -> np.ndarray:
+        cells = columns[name][:count]
+        try:
+            return np.array(list(map(kind, cells)), dtype=kind)
+        except ValueError:
+            for index, cell in enumerate(cells):
+                try:
+                    kind(cell)
+                except ValueError as exc:
+                    raise parse_error(index, str(exc)) from None
+            raise
+
     trace = SolverTrace(
-        objective=np.asarray(objective),
-        g_value=np.asarray(g_value),
-        alpha=np.asarray(alpha),
-        step_norm=np.asarray(step_norm),
+        objective=parse("objective"),
+        g_value=parse("g_value"),
+        alpha=parse("alpha", last),
+        step_norm=parse("step_norm", last),
         final_x=np.empty(0),
         certificate=cert,
         params=params,
-        backtracks=np.asarray(backtracks, dtype=int) if backtracks else None,
+        backtracks=parse("backtracks", last, int) if line_search else None,
     )
-    return trace, (np.asarray(errors) if errors else None)
+    return trace, (parse("err_to_final") if with_errors else None)

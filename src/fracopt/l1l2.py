@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DegenerateInputError, DomainError, InvalidProblemError
-from .problem import DOMAIN_EPS_BASE, FractionalProblem
+from .problem import DOMAIN_EPS_BASE, FractionalProblem, _norm
 from .rand import as_generator
 
 # ||x||_2 at or below this counts as the origin for the l2 subgradient.
@@ -53,15 +53,14 @@ def prox_l1_box(
 def _shrink_clip(
     z: np.ndarray, threshold: float, lower: np.ndarray, upper: np.ndarray
 ) -> np.ndarray:
-    """Unchecked prox_l1_box; the caller ensures threshold >= 0 and lower <= upper."""
-    return np.clip(np.sign(z) * np.maximum(np.abs(z) - threshold, 0.0), lower, upper)
+    """Unchecked prox_l1_box; the caller ensures threshold >= 0 and lower <= upper.
 
-
-def _sensing_lipschitz(a: np.ndarray) -> float:
-    """||A||_2^2, the top eigenvalue of the smaller Gram matrix A A.T or A.T A."""
-    m, n = a.shape
-    gram = a @ a.T if m <= n else a.T @ a
-    return float(np.linalg.eigvalsh(gram)[-1])
+    The clip is spelled as a maximum then a minimum, which gives the very
+    values of ``np.clip`` (NaN and signed zeros included) at under half the
+    cost of its Python wrapper.
+    """
+    shrunk = np.sign(z) * np.maximum(np.abs(z) - threshold, 0.0)
+    return np.minimum(np.maximum(shrunk, lower), upper)
 
 
 def l2_subgradient(x: np.ndarray) -> np.ndarray:
@@ -71,7 +70,7 @@ def l2_subgradient(x: np.ndarray) -> np.ndarray:
     there is the whole unit ball).
     """
     x = np.asarray(x, dtype=float)
-    norm = float(np.linalg.norm(x))
+    norm = _norm(x)
     if norm <= ZERO_NORM_EPS:
         return np.zeros_like(x)
     return x / norm
@@ -84,7 +83,8 @@ class L1L2PenaltyProblem(FractionalProblem):
     Construction requires a nonempty box containing the origin (otherwise the
     shrink-then-clip prox would be inexact) and a positive penalty weight.
     L = ||A||_2^2 comes from the spectrum of the smaller Gram matrix.  The
-    box is stored read-only, since its tolerance and M are computed once.
+    box is stored read-only, since its tolerance, the tolerance-widened
+    bounds that ``eval_f`` tests against, and M are computed once.
     """
 
     sensing: np.ndarray
@@ -94,6 +94,8 @@ class L1L2PenaltyProblem(FractionalProblem):
     upper: np.ndarray
     _lipschitz: float = field(init=False, repr=False)
     _box_tol: float = field(init=False, repr=False)
+    _lower_tol: np.ndarray = field(init=False, repr=False)
+    _upper_tol: np.ndarray = field(init=False, repr=False)
     _g_bound: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -119,14 +121,24 @@ class L1L2PenaltyProblem(FractionalProblem):
         object.__setattr__(self, "observation", b)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
-        lipschitz = _sensing_lipschitz(a)
+        # L is the top eigenvalue of the smaller Gram matrix, A A.T or A.T A.
+        gram = a @ a.T if a.shape[0] <= n else a.T @ a
+        lipschitz = float(np.linalg.eigvalsh(gram)[-1])
         if lipschitz <= 0:
             raise InvalidProblemError("sensing matrix is zero")
         tol = BOX_TOL * (1.0 + float(np.max(np.abs(upper) + np.abs(lower))))
+        lower_tol, upper_tol = lower - tol, upper + tol
+        lower_tol.flags.writeable = upper_tol.flags.writeable = False
         # The denominator over the whole box never exceeds the norm of the
         # componentwise larger bound magnitude.
         bound = float(np.linalg.norm(np.maximum(np.abs(lower), np.abs(upper))))
-        for name, value in (("_lipschitz", lipschitz), ("_box_tol", tol), ("_g_bound", bound)):
+        for name, value in (
+            ("_lipschitz", lipschitz),
+            ("_box_tol", tol),
+            ("_lower_tol", lower_tol),
+            ("_upper_tol", upper_tol),
+            ("_g_bound", bound),
+        ):
             object.__setattr__(self, name, value)
 
     @property
@@ -134,7 +146,7 @@ class L1L2PenaltyProblem(FractionalProblem):
         return self.sensing.shape[1]
 
     def eval_f(self, x: np.ndarray) -> float:
-        if np.any(x < self.lower - self._box_tol) or np.any(x > self.upper + self._box_tol):
+        if (x < self._lower_tol).any() or (x > self._upper_tol).any():
             return math.inf
         return self.lam * float(np.abs(x).sum())
 
@@ -146,7 +158,7 @@ class L1L2PenaltyProblem(FractionalProblem):
         return self.sensing.T @ (self.sensing @ x - self.observation)
 
     def eval_g(self, x: np.ndarray) -> float:
-        return float(np.linalg.norm(x))
+        return _norm(x)
 
     def subgrad_g(self, x: np.ndarray) -> np.ndarray:
         return l2_subgradient(x)
@@ -245,11 +257,7 @@ def gen_ground_truth(n: int, k: int, seed: int | np.random.Generator) -> np.ndar
 
 
 def l1_box_initializer(
-    a: np.ndarray,
-    b: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    iterations: int = INITIALIZER_ITERATIONS,
+    problem: L1L2PenaltyProblem, iterations: int = INITIALIZER_ITERATIONS
 ) -> np.ndarray:
     """Rough l1-penalized least-squares start point for the ratio solvers.
 
@@ -258,27 +266,18 @@ def l1_box_initializer(
         mu * ||x||_1 + 0.5 * ||A x - b||^2 + ind_box(x),
         mu = 1e-6 * ||A.T b||_inf,
 
-    from the origin with step 1 / ||A||_2^2.  The result is feasible by
-    construction; a zero result raises DegenerateInputError so the caller can
-    fall back to the clipped normalized correlation A.T b / ||A.T b||.
+    from the origin with step 1 / L, over the problem's sensing matrix A,
+    observation b, validated box and L = ||A||_2^2.  The result is feasible
+    by construction; a zero result raises DegenerateInputError so the caller
+    can fall back to the clipped normalized correlation A.T b / ||A.T b||.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n = a.shape[1]
-    lower = np.broadcast_to(np.asarray(lower, dtype=float), (n,))
-    upper = np.broadcast_to(np.asarray(upper, dtype=float), (n,))
-    if np.any(lower > upper):
-        raise InvalidProblemError("box is empty: lower > upper somewhere")
-    correlation = a.T @ b
-    mu = INITIALIZER_PENALTY_SCALE * float(np.max(np.abs(correlation)))
-    lipschitz = _sensing_lipschitz(a)
-    if lipschitz <= 0:
-        raise DegenerateInputError("sensing matrix is zero")
-    step = 1.0 / lipschitz
-    x = np.zeros(n)
+    a, b = problem.sensing, problem.observation
+    mu = INITIALIZER_PENALTY_SCALE * float(np.max(np.abs(a.T @ b)))
+    step = 1.0 / problem.lipschitz_grad_h
+    x = np.zeros(problem.dim)
     for _ in range(iterations):
         grad = a.T @ (a @ x - b)
-        x = _shrink_clip(x - step * grad, step * mu, lower, upper)
+        x = _shrink_clip(x - step * grad, step * mu, problem.lower, problem.upper)
     if float(np.linalg.norm(x)) <= ZERO_NORM_EPS:
         raise DegenerateInputError("initializer collapsed to the zero vector")
     return x
@@ -293,9 +292,7 @@ def penalty_start_point(problem: L1L2PenaltyProblem) -> np.ndarray:
     propagates.
     """
     try:
-        return l1_box_initializer(
-            problem.sensing, problem.observation, problem.lower, problem.upper
-        )
+        return l1_box_initializer(problem)
     except DegenerateInputError:
         correlation = problem.sensing.T @ problem.observation
         norm = float(np.linalg.norm(correlation))

@@ -24,16 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidConfigError, LineSearchError
-from .pgsa import (
-    SolverTrace,
-    _decrease_excess,
-    _default_step,
-    _descent_direction,
-    _solve,
-    _start_point,
-    _trial_point,
-)
-from .problem import ExtendedObjective, FractionalProblem
+from .pgsa import SolverTrace, _decrease_excess, _default_step, _solve, _trial_point
+from .problem import ExtendedObjective, FractionalProblem, _norm
 
 # A trial step is never shrunk more than this many times; with the default
 # eta = 0.5 this covers a dynamic range of 2^60 between the seed step and the
@@ -130,7 +122,7 @@ def _backtrack(
     for m in range(MAX_BACKTRACKS + 1):
         x_trial, ext = _trial_point(problem, x, direction, alpha)
         if ext.in_domain:
-            step = float(np.linalg.norm(x_trial - x))
+            step = _norm(x_trial - x)
             if not _decrease_excess(ext.value, window_max, coef=0.5 * cfg.a, step=step):
                 return x_trial, ext, alpha, step, m
             if (
@@ -143,29 +135,6 @@ def _backtrack(
     raise LineSearchError(
         f"no acceptable step after {MAX_BACKTRACKS} backtracks from alpha0 = {alpha0:.6e}"
     )
-
-
-def line_search_step(
-    problem: FractionalProblem,
-    x: np.ndarray,
-    window: ObjectiveWindow,
-    alpha0: float,
-    config: LineSearchConfig | None = None,
-) -> tuple[np.ndarray, float]:
-    """One backtracked step; returns the accepted point and step size.
-
-    ``window`` must already contain F(x) (and up to N earlier accepted
-    values).  Standalone entry point; run_pgsa_ls takes the same step but
-    reuses cached evaluations across iterations.
-    """
-    cfg = config or LineSearchConfig()
-    if alpha0 <= 0:
-        raise InvalidConfigError("alpha0 must be positive")
-    x = np.asarray(x, dtype=float)
-    ext = _start_point(problem, x)
-    _, direction = _descent_direction(problem, x, ext.value)
-    x_new, _, alpha, _, _ = _backtrack(problem, x, direction, window.maximum, alpha0, cfg)
-    return x_new, alpha
 
 
 def run_pgsa_ls(

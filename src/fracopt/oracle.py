@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import InsufficientDataError
 from .pgsa import SolverTrace, _decrease_excess, _fixed_step_coef
@@ -81,10 +82,23 @@ class AuditReport:
         return {v.iteration for v in self.violations}
 
 
-def _audit_add(report: AuditReport, iteration: int, kind: str, magnitude: float, detail: str) -> None:
-    report.violations.append(
-        AuditViolation(iteration=iteration, kind=kind, magnitude=magnitude, detail=detail)
-    )
+def _flag(
+    report: AuditReport,
+    kind: str,
+    detail: str | Callable[[int], str],
+    failed: np.ndarray,
+    magnitude: float | np.ndarray | None = None,
+    shift: int = 0,
+) -> None:
+    """Record a violation at iteration k + shift for every k where ``failed`` is nonzero.
+
+    ``magnitude`` defaults to ``failed`` itself (a decrease excess); a str
+    ``detail`` is formatted with k and j = k + shift.
+    """
+    magnitude = np.broadcast_to(failed if magnitude is None else magnitude, np.shape(failed))
+    for k in np.flatnonzero(failed).tolist():
+        text = detail(k) if callable(detail) else detail.format(k=k, j=k + shift)
+        report.violations.append(AuditViolation(k + shift, kind, float(magnitude[k]), text))
 
 
 def audit_trace(
@@ -107,8 +121,12 @@ def audit_trace(
     The mode (unless ``mode`` overrides it), a, eta, N and the step bounds
     come from ``trace.params``.  L, the convexity of f and M are recomputed
     from ``problem`` when one is given, else read from ``trace.params`` too;
-    only a problem lets recorded iterates be re-evaluated.
+    only a problem lets recorded iterates be re-evaluated, one problem call
+    per point.
 
+    Each check is one array expression over all iterations (the window
+    maxima are a sliding maximum over the objectives padded with -inf), so
+    the violations come grouped by check, each group in iteration order.
     Inequalities get slack rel_tol * (1 + |reference|); violations are
     collected, never raised, so a caller can report all of them at once.
     """
@@ -123,6 +141,8 @@ def audit_trace(
     alpha = np.asarray(trace.alpha, dtype=float)
     step_norm = np.asarray(trace.step_norm, dtype=float)
     iterations = alpha.shape[0]
+    # F(x_k) and F(x_{k+1}) for every step k.
+    before, after = objective[:iterations], objective[1 : iterations + 1]
 
     if problem is not None:
         lipschitz, convex_f = problem.lipschitz_grad_h, problem.f_is_convex
@@ -132,148 +152,88 @@ def audit_trace(
         g_bound = params["g_sup_bound"]
     hi = params["alpha_upper"]
 
-    def slack(reference: float) -> float:
-        return rel_tol * (1.0 + abs(reference))
+    def slack(reference):
+        return rel_tol * (1.0 + np.abs(reference))
 
-    for k in range(objective.shape[0]):
-        report.checks_run += 1
-        if not math.isfinite(objective[k]):
-            _audit_add(report, k, "domain", math.inf, f"objective at iterate {k} is not finite")
+    # NaN and inf objectives are data here, and the checks treat them exactly
+    # as the scalar decrease test does, so their arithmetic warnings are noise.
+    with np.errstate(all="ignore"):
+        report.checks_run += objective.shape[0]
+        not_finite = ~np.isfinite(objective)
+        _flag(report, "domain", "objective at iterate {k} is not finite", not_finite, math.inf)
 
-    if mode == "pgsa":
-        lo = params["alpha_lower"]
-        cap = (2.0 if convex_f else 1.0) / lipschitz
-        for k in range(iterations):
-            report.checks_run += 1
-            if alpha[k] < lo - slack(lo):
-                _audit_add(report, k, "step_bounds", lo - alpha[k], "step below alpha_lower")
-            if alpha[k] > hi + slack(hi):
-                _audit_add(report, k, "step_bounds", alpha[k] - hi, "step above alpha_upper")
-            if alpha[k] >= cap:
-                _audit_add(report, k, "step_bounds", alpha[k] - cap, "step at or above 1/L cap")
-        for k in range(iterations):
-            report.checks_run += 1
-            coef = _fixed_step_coef(alpha[k], lipschitz, convex_f, g_value[k + 1])
-            excess = _decrease_excess(objective[k + 1], objective[k], rel_tol, coef, step_norm[k])
-            if excess:
-                _audit_add(
-                    report,
-                    k + 1,
-                    "sufficient_decrease",
-                    excess,
-                    f"decrease inequality fails from iterate {k} to {k + 1}",
-                )
-        for k in range(iterations):
-            report.checks_run += 1
-            excess = _decrease_excess(objective[k + 1], objective[k], rel_tol)
-            if excess:
-                _audit_add(
-                    report,
-                    k + 1,
-                    "monotonicity",
-                    excess,
-                    f"objective increased from iterate {k} to {k + 1}",
-                )
-    else:
-        a, eta, memory = params["a"], params["eta"], params["N"]
-        backtracks = trace.backtracks
+        if mode == "pgsa":
+            lo = params["alpha_lower"]
+            cap = (2.0 if convex_f else 1.0) / lipschitz
+            report.checks_run += 3 * iterations
+            below, above = alpha < lo - slack(lo), alpha > hi + slack(hi)
+            _flag(report, "step_bounds", "step below alpha_lower", below, lo - alpha)
+            _flag(report, "step_bounds", "step above alpha_upper", above, alpha - hi)
+            _flag(report, "step_bounds", "step at or above 1/L cap", alpha >= cap, alpha - cap)
+            coef = _fixed_step_coef(alpha, lipschitz, convex_f, g_value[1 : iterations + 1])
+            excess = _decrease_excess(after, before, rel_tol, coef, step_norm)
+            detail = "decrease inequality fails from iterate {k} to {j}"
+            _flag(report, "sufficient_decrease", detail, excess, shift=1)
+            excess = _decrease_excess(after, before, rel_tol)
+            detail = "objective increased from iterate {k} to {j}"
+            _flag(report, "monotonicity", detail, excess, shift=1)
+        else:
+            a, eta, memory = params["a"], params["eta"], params["N"]
+            # maxima[k] = max F(x_j) over [k-N]+ <= j <= k, for k = 0..K.
+            width = min(memory, iterations) + 1
+            padded = np.concatenate((np.full(width - 1, -np.inf), objective[: iterations + 1]))
+            maxima = sliding_window_view(padded, width).max(axis=1)
+            window_max = maxima[:-1]
 
-        window_max = np.empty(iterations)
-        for k in range(iterations):
-            window_max[k] = objective[max(0, k - memory) : k + 1].max()
+            report.checks_run += 3 * iterations
+            excess = _decrease_excess(after, window_max, rel_tol, 0.5 * a, step_norm)
+            detail = "acceptance inequality fails at iterate {j}"
+            _flag(report, "acceptance", detail, excess, shift=1)
+            above = alpha > hi + slack(hi)
+            _flag(report, "step_bounds", "step above alpha_upper", above, alpha - hi)
+            excess = _decrease_excess(after, objective[0], rel_tol)
+            _flag(report, "level_set", "objective left the initial level set", excess, shift=1)
+            # Windowed maxima over accepted values must never increase.
+            excess = _decrease_excess(maxima[1:], window_max, rel_tol)
+            detail = "windowed objective maximum increased"
+            _flag(report, "window_monotonicity", detail, excess, shift=1)
 
-        for k in range(iterations):
-            report.checks_run += 1
-            excess = _decrease_excess(
-                objective[k + 1], window_max[k], rel_tol, 0.5 * a, step_norm[k]
-            )
-            if excess:
-                _audit_add(
-                    report,
-                    k + 1,
-                    "acceptance",
-                    excess,
-                    f"acceptance inequality fails at iterate {k + 1}",
-                )
-            if alpha[k] > hi + slack(hi):
-                _audit_add(report, k, "step_bounds", alpha[k] - hi, "step above alpha_upper")
-            report.checks_run += 1
-            excess = _decrease_excess(objective[k + 1], objective[0], rel_tol)
-            if excess:
-                _audit_add(
-                    report,
-                    k + 1,
-                    "level_set",
-                    excess,
-                    "objective left the initial level set",
-                )
-
-        # Windowed maxima over accepted values must never increase.
-        for k in range(iterations):
-            report.checks_run += 1
-            next_max = objective[max(0, k + 1 - memory) : k + 2].max()
-            excess = _decrease_excess(next_max, window_max[k], rel_tol)
-            if excess:
-                _audit_add(
-                    report,
-                    k + 1,
-                    "window_monotonicity",
-                    excess,
-                    "windowed objective maximum increased",
-                )
-
-        if g_bound is not None:
-            floor = eta / (a * g_bound + lipschitz) - 1e-12
-            for k in range(iterations):
-                report.checks_run += 1
-                if alpha[k] < floor:
-                    _audit_add(
+            if g_bound is not None:
+                floor = eta / (a * g_bound + lipschitz) - 1e-12
+                report.checks_run += iterations
+                detail = "accepted step below the guaranteed floor"
+                _flag(report, "step_floor", detail, alpha < floor, floor - alpha)
+                if trace.backtracks is not None:
+                    backtracks = np.asarray(trace.backtracks)[:iterations]
+                    cap = math.ceil(-math.log(hi * (a * g_bound + lipschitz)) / math.log(eta) + 1.0)
+                    cap = max(cap, 0)
+                    report.checks_run += iterations
+                    _flag(
                         report,
-                        k,
-                        "step_floor",
-                        floor - alpha[k],
-                        "accepted step below the guaranteed floor",
+                        "backtrack_cap",
+                        lambda k: f"{int(backtracks[k])} backtracks exceed the bound {cap}",
+                        backtracks > cap,
+                        backtracks - cap,
                     )
-            if backtracks is not None:
-                cap = math.ceil(-math.log(hi * (a * g_bound + lipschitz)) / math.log(eta) + 1.0)
-                cap = max(cap, 0)
-                for k in range(iterations):
-                    report.checks_run += 1
-                    if int(backtracks[k]) > cap:
-                        _audit_add(
-                            report,
-                            k,
-                            "backtrack_cap",
-                            float(backtracks[k] - cap),
-                            f"{int(backtracks[k])} backtracks exceed the bound {cap}",
-                        )
 
-    if trace.iterates is not None and problem is not None:
-        iterates = np.asarray(trace.iterates, dtype=float)
-        for k in range(iterates.shape[0]):
-            report.checks_run += 1
-            ext = eval_objective(problem, iterates[k])
-            if not ext.in_domain:
-                _audit_add(report, k, "domain", math.inf, f"iterate {k} lies outside dom(F)")
-            elif abs(ext.value - objective[k]) > slack(objective[k]):
-                _audit_add(
-                    report,
-                    k,
-                    "objective_mismatch",
-                    abs(ext.value - objective[k]),
-                    "recorded objective disagrees with re-evaluation",
-                )
-        for k in range(min(iterations, iterates.shape[0] - 1)):
-            report.checks_run += 1
-            recomputed = float(np.linalg.norm(iterates[k + 1] - iterates[k]))
-            if abs(recomputed - step_norm[k]) > slack(step_norm[k]):
-                _audit_add(
-                    report,
-                    k,
-                    "step_mismatch",
-                    abs(recomputed - step_norm[k]),
-                    "recorded step norm disagrees with iterates",
-                )
+        if trace.iterates is not None and problem is not None:
+            iterates = np.asarray(trace.iterates, dtype=float)
+            points = iterates.shape[0]
+            evaluated = [eval_objective(problem, point) for point in iterates]
+            in_domain = np.array([ext.in_domain for ext in evaluated], dtype=bool)
+            recorded = objective[:points]
+            gap = np.abs(np.array([ext.value for ext in evaluated]) - recorded)
+            report.checks_run += points
+            _flag(report, "domain", "iterate {k} lies outside dom(F)", ~in_domain, math.inf)
+            detail = "recorded objective disagrees with re-evaluation"
+            _flag(report, "objective_mismatch", detail, in_domain & (gap > slack(recorded)), gap)
+            # Per-row norms, computed exactly as the solver computed each step.
+            steps = max(0, min(iterations, points - 1))
+            recomputed = [np.linalg.norm(iterates[k + 1] - iterates[k]) for k in range(steps)]
+            gap = np.abs(np.array(recomputed, dtype=float) - step_norm[:steps])
+            report.checks_run += steps
+            detail = "recorded step norm disagrees with iterates"
+            _flag(report, "step_mismatch", detail, gap > slack(step_norm[:steps]), gap)
 
     return report
 

@@ -25,7 +25,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .exceptions import DomainError, InvalidConfigError, NumericsError
-from .problem import Certificate, ExtendedObjective, FractionalProblem, eval_objective
+from .problem import Certificate, ExtendedObjective, FractionalProblem, _norm, eval_objective
 
 logger = logging.getLogger(__name__)
 
@@ -82,31 +82,47 @@ class SolverTrace:
         return int(self.alpha.shape[0])
 
     def errors_to_final(self) -> np.ndarray:
-        """||x_k - x_K|| for every recorded iterate; requires record_trace."""
+        """||x_k - x_K|| for every recorded iterate; requires record_trace.
+
+        One pass over blocks of 64 rows through one reused scratch buffer, so
+        no temporary as large as ``iterates`` is made.  The result is
+        bit-identical to ``np.linalg.norm(iterates - iterates[-1], axis=1)``.
+        """
         if self.iterates is None:
             raise ValueError("trace was recorded without iterates")
-        return np.linalg.norm(self.iterates - self.iterates[-1], axis=1)
+        iterates, rows = self.iterates, 64
+        errors = np.empty(iterates.shape[0])
+        scratch = np.empty((rows,) + iterates.shape[1:])
+        for start in range(0, iterates.shape[0], rows):
+            block = iterates[start : start + rows]
+            diff = np.subtract(block, iterates[-1], out=scratch[: block.shape[0]])
+            np.multiply(diff, diff, out=diff)
+            np.sqrt(np.add.reduce(diff, axis=1), out=errors[start : start + rows])
+        return errors
 
 
-def _decrease_excess(
-    value: float, reference: float, rel_slack: float = 0.0, coef: float = 0.0, step: float = 0.0
-) -> float:
+def _decrease_excess(value, reference, rel_slack=0.0, coef=0.0, step=0.0):
     """0.0 while value + coef * step**2 <= reference + rel_slack * (1 + |reference|),
     else how far the left side exceeds reference.
 
     The one decrease test of the package: the fixed-step check, the
     line-search acceptance and every audit check that a value did not rise.
+    Takes floats or numpy arrays.  On arrays it works elementwise and takes
+    the difference only where the inequality fails, so an entry with a NaN,
+    or with inf on both sides, gives 0.0 exactly as it does on floats.
     """
     lhs = value + coef * step**2
-    if lhs > reference + rel_slack * (1.0 + abs(reference)):
-        return lhs - reference
-    return 0.0
+    over = lhs > reference + rel_slack * (1.0 + abs(reference))
+    if isinstance(over, np.ndarray):
+        return np.subtract(lhs, reference, out=np.zeros(over.shape), where=over)
+    return lhs - reference if over else 0.0
 
 
-def _fixed_step_coef(
-    alpha: float, lipschitz: float, f_is_convex: bool, denominator: float
-) -> float:
-    """Fixed-step decrease coefficient: (1/alpha - L)/2, or 1/alpha - L/2 for convex f, over g."""
+def _fixed_step_coef(alpha, lipschitz: float, f_is_convex: bool, denominator):
+    """Fixed-step decrease coefficient: (1/alpha - L)/2, or 1/alpha - L/2 for convex f, over g.
+
+    ``alpha`` and ``denominator`` may be floats or numpy arrays.
+    """
     if f_is_convex:
         return (1.0 / alpha - lipschitz / 2.0) / denominator
     return (1.0 / alpha - lipschitz) / (2.0 * denominator)
@@ -120,7 +136,7 @@ def _default_step(problem: FractionalProblem) -> float:
 def _stop_metric(step: float, x_new: np.ndarray, relative: bool) -> float:
     if not relative:
         return step
-    norm = float(np.linalg.norm(x_new))
+    norm = _norm(x_new)
     return step / norm if norm > 0 else math.inf
 
 
@@ -143,11 +159,12 @@ def _trial_point(
     problem: FractionalProblem, x: np.ndarray, direction: np.ndarray, alpha: float
 ) -> tuple[np.ndarray, ExtendedObjective]:
     """prox_{alpha f}(x + alpha * direction) and F there."""
+    # min() propagates NaN, so one reduction tests every entry.
     anchor = x + alpha * direction
-    if np.isnan(anchor).any():
+    if math.isnan(anchor.min()):
         raise NumericsError("NaN in step anchor (gradient or subgradient callback)")
     x_new = np.asarray(problem.prox_f(alpha, anchor), dtype=float)
-    if np.isnan(x_new).any():
+    if math.isnan(x_new.min()):
         raise NumericsError("NaN from prox callback")
     return x_new, eval_objective(problem, x_new)
 
@@ -235,22 +252,6 @@ def _solve(
     )
 
 
-def pgsa_step(problem: FractionalProblem, x: np.ndarray, alpha: float) -> np.ndarray:
-    """A single solver step from x with step size alpha.
-
-    Evaluates the ratio at x to get the scaling, so callers taking many steps
-    should prefer run_pgsa, which reuses the previous iteration's objective
-    value instead of paying an extra evaluation per step.
-    """
-    if alpha <= 0:
-        raise InvalidConfigError("step size must be positive")
-    x = np.asarray(x, dtype=float)
-    ext = _start_point(problem, x)
-    _, direction = _descent_direction(problem, x, ext.value)
-    x_new, _ = _trial_point(problem, x, direction, alpha)
-    return x_new
-
-
 def run_pgsa(
     problem: FractionalProblem,
     x0: np.ndarray,
@@ -290,7 +291,7 @@ def run_pgsa(
         # The guaranteed decrease can fail only on corrupted callbacks or on
         # rounding at a critical point, so a failure is logged, not raised.
         x_new, new_ext = _trial_point(problem, x, direction, alpha)
-        step = float(np.linalg.norm(x_new - x))
+        step = _norm(x_new - x)
         if new_ext.in_domain:
             coef = _fixed_step_coef(alpha, lipschitz, convex, new_ext.denominator)
             if _decrease_excess(new_ext.value, ext.value, DECREASE_SLACK, coef, step):

@@ -27,6 +27,15 @@ from .exceptions import DomainError, NumericsError
 DOMAIN_EPS_BASE = 1e-14
 
 
+def _norm(v: np.ndarray) -> float:
+    """||v||_2 of a contiguous 1-D float array.
+
+    np.linalg.norm computes sqrt(v.dot(v)) for such an array, so this is bit
+    for bit its value, without the cost of its Python wrapper.
+    """
+    return math.sqrt(v.dot(v))
+
+
 def domain_eps(numerator: float) -> float:
     """Threshold below which the denominator counts as zero at this point."""
     if not math.isfinite(numerator):
@@ -177,9 +186,3 @@ def quotient_frechet_residual(
         raise NumericsError("NaN from problem callback in quotient residual")
     return float(np.linalg.norm(vec))
 
-
-def critical_point_check(problem: FractionalProblem, x: np.ndarray, tol: float) -> bool:
-    """True when the problem's criticality residual at x is at most tol."""
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    return problem.critical_residual(np.asarray(x, dtype=float)) <= tol

@@ -122,6 +122,26 @@ def test_bench_trace_verifies_without_problem_files(tmp_path, capsys):
     assert "zero violations" in out
 
 
+@pytest.mark.parametrize("blanked", [(2, 3), (6,)])
+def test_verify_blanked_step_cells_is_io_error(tmp_path, capsys, blanked):
+    # Blank alpha and step_norm, or backtracks, in one middle row of a bench
+    # trace: the rows no longer line up with the certificate.
+    cfg = _bench_config(tmp_path, trials=1)
+    out_dir = tmp_path / "out"
+    assert run_cli("bench", "--config", cfg, "--out-dir", out_dir, "--trace") == 0
+    capsys.readouterr()
+    trace_path = out_dir / "traces" / "trace_pgsa_ml_0.csv"
+    lines = trace_path.read_text().splitlines()
+    cells = lines[7].split(",")
+    for column in blanked:
+        cells[column] = ""
+    lines[7] = ",".join(cells)
+    trace_path.write_text("\n".join(lines) + "\n")
+    code = run_cli("verify", "--trace", trace_path)
+    assert code == 3
+    assert "line 8:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("edit", ["drop_line", "drop_keys"])
 def test_verify_trace_without_usable_params_line_is_io_error(edit, sgep_files, tmp_path, capsys):
     a_path, b_path = sgep_files

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 
@@ -133,13 +134,14 @@ def _tiny_l1l2():
     )
 
 
-def _tiny_run(family: str, solver: str):
+def _tiny_run(family: str, solver: str, record_trace: bool = False):
     problem = _tiny_sgep() if family == "sgep" else _tiny_l1l2()
     x0 = sgep_default_init(8, 3) if family == "sgep" else penalty_start_point(problem)
     if solver == "pgsa":
-        return problem, run_pgsa(problem, x0, PgsaConfig(max_iter=300))
+        return problem, run_pgsa(problem, x0, PgsaConfig(max_iter=300, record_trace=record_trace))
     window = 0 if solver == "pgsa_ml" else 4
-    return problem, run_pgsa_ls(problem, x0, LineSearchConfig(N=window, max_iter=300))
+    cfg = LineSearchConfig(N=window, max_iter=300, record_trace=record_trace)
+    return problem, run_pgsa_ls(problem, x0, cfg)
 
 
 @pytest.mark.parametrize("tamper", [False, True])
@@ -229,3 +231,124 @@ def test_jsonl_is_sorted_compact_and_deterministic(tmp_path):
     assert lines[0] == '{"a":1,"b":2}'
     assert json.loads(lines[1]) == records[1]
     assert lines[1].index('"m"') < lines[1].index('"z"')
+
+
+def _reference_trace_csv(path, trace):
+    """The row-by-row csv.writer form that write_trace_csv must reproduce."""
+    errors = trace.errors_to_final() if trace.iterates is not None else None
+    iterations = trace.iterations
+    meta = {"params": trace.params, "certificate": dataclasses.asdict(trace.certificate)}
+    with open(path, "w", newline="") as handle:
+        handle.write("# " + json.dumps(meta, sort_keys=True) + "\n")
+        writer = csv.writer(handle, quoting=csv.QUOTE_MINIMAL)
+        writer.writerow(TRACE_COLUMNS)
+        for k in range(iterations + 1):
+            step = k < iterations
+            writer.writerow(
+                [
+                    k,
+                    repr(float(trace.objective[k])),
+                    repr(float(trace.alpha[k])) if step else "",
+                    repr(float(trace.step_norm[k])) if step else "",
+                    repr(float(errors[k])) if errors is not None else "",
+                    repr(float(trace.g_value[k])),
+                    int(trace.backtracks[k]) if trace.backtracks is not None and step else "",
+                ]
+            )
+
+
+@pytest.mark.parametrize("special", [False, True])
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("family", ["sgep", "l1l2"])
+@pytest.mark.parametrize("solver", ["pgsa", "pgsa_ml", "pgsa_nl"])
+def test_trace_writer_matches_row_by_row_csv_writer(tmp_path, solver, family, record, special):
+    _, trace = _tiny_run(family, solver, record_trace=record)
+    if special:
+        rng = philox_generator(409)
+        arrays = {
+            name: np.array(getattr(trace, name), dtype=float)
+            for name in ("objective", "alpha", "step_norm", "g_value")
+        }
+        for values in arrays.values():
+            picks = rng.choice(values.shape[0], size=min(4, values.shape[0]), replace=False)
+            values[picks] = [np.nan, np.inf, -np.inf, -0.0][: picks.shape[0]]
+        iterates = None
+        if trace.iterates is not None:
+            # A NaN and an inf in err_to_final.
+            iterates = trace.iterates.copy()
+            iterates[1:3, 0] = [np.nan, np.inf]
+        trace = dataclasses.replace(trace, iterates=iterates, **arrays)
+    written, expected = tmp_path / "trace.csv", tmp_path / "reference.csv"
+    write_trace_csv(written, trace)
+    _reference_trace_csv(expected, trace)
+    assert written.read_bytes() == expected.read_bytes()
+
+
+def _blank(cells, *columns):
+    for name in columns:
+        cells[TRACE_COLUMNS.index(name)] = ""
+
+
+def _fill(cells, *columns):
+    for name in columns:
+        cells[TRACE_COLUMNS.index(name)] = "1"
+
+
+# Each case edits the rows of a recorded pgsa_ml trace (row k sits on line
+# k + 3) and names the line the loader must blame.
+MISALIGNED = {
+    "blank_step_cells": (lambda rows: _blank(rows[5], "alpha", "step_norm"), 8),
+    "blank_alpha": (lambda rows: _blank(rows[5], "alpha"), 8),
+    "blank_backtracks": (lambda rows: _blank(rows[5], "backtracks"), 8),
+    "filled_last_row": (lambda rows: _fill(rows[-1], "alpha", "step_norm", "backtracks"), -1),
+    "blank_err_to_final": (lambda rows: _blank(rows[7], "err_to_final"), 10),
+    "dropped_row": (lambda rows: rows.pop(5), -1),
+    "extra_row": (lambda rows: rows.insert(5, list(rows[5])), -1),
+    "bad_objective": (lambda rows: rows[6].__setitem__(1, "abc"), 9),
+    "fractional_backtracks": (lambda rows: rows[4].__setitem__(6, "1.5"), 7),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISALIGNED))
+def test_trace_rows_must_line_up_with_the_certificate(tmp_path, case):
+    _, trace = _tiny_run("l1l2", "pgsa_ml", record_trace=True)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(path, trace)
+    lines = path.read_text().splitlines()
+    rows = [line.split(",") for line in lines[2:]]
+    edit, line = MISALIGNED[case]
+    edit(rows)
+    path.write_text("\n".join(lines[:2] + [",".join(cells) for cells in rows]) + "\n")
+    with pytest.raises(ParseError) as err:
+        load_trace_csv(path)
+    assert f"line {line if line > 0 else len(rows) + 2}:" in str(err.value)
+
+
+def test_fixed_step_trace_rows_carry_no_backtracks(tmp_path):
+    _, trace = _tiny_run("sgep", "pgsa")
+    path = tmp_path / "trace.csv"
+    write_trace_csv(path, trace)
+    lines = path.read_text().splitlines()
+    lines[3] += "2"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        load_trace_csv(path)
+    assert "line 4:" in str(err.value)
+
+
+@pytest.mark.parametrize("solver", ["pgsa", "pgsa_ml"])
+def test_zero_iteration_trace_round_trips(tmp_path, solver):
+    problem = _tiny_sgep()
+    x0 = sgep_default_init(8, 3)
+    if solver == "pgsa":
+        trace = run_pgsa(problem, x0, PgsaConfig(max_iter=0))
+    else:
+        trace = run_pgsa_ls(problem, x0, LineSearchConfig(N=0, max_iter=0))
+    path = tmp_path / "trace.csv"
+    write_trace_csv(path, trace)
+    loaded, _ = load_trace_csv(path)
+    assert loaded.iterations == trace.iterations == 0
+    if trace.backtracks is None:
+        assert loaded.backtracks is None
+    else:
+        assert np.array_equal(loaded.backtracks, trace.backtracks)

@@ -21,7 +21,7 @@ from fracopt import (
     run_pgsa_ls,
 )
 from fracopt.exceptions import DegenerateInputError, DomainError, InvalidProblemError
-from fracopt.l1l2 import l2_subgradient
+from fracopt.l1l2 import _shrink_clip, l2_subgradient
 from fracopt.rand import philox_generator
 
 
@@ -142,27 +142,17 @@ def test_ground_truth_examples():
 
 
 def test_initializer_zero_data_falls_back_then_errors():
-    with pytest.raises(DegenerateInputError):
-        l1_box_initializer(
-            np.array([[1.0]]), np.array([0.0]), np.array([-1.0]), np.array([1.0])
-        )
     problem = one_d_penalty(observation=1.0)
-    zero_data = L1L2PenaltyProblem(
-        sensing=np.array([[1.0]]),
-        observation=np.array([0.0]),
-        lam=0.1,
-        lower=np.array([-1.0]),
-        upper=np.array([1.0]),
-    )
+    zero_data = one_d_penalty(observation=0.0)
+    with pytest.raises(DegenerateInputError):
+        l1_box_initializer(zero_data)
     with pytest.raises(DegenerateInputError):
         penalty_start_point(zero_data)
     assert penalty_start_point(problem).shape == (1,)
 
 
 def test_initializer_scalar_fixed_point():
-    out = l1_box_initializer(
-        np.array([[1.0]]), np.array([0.5]), np.array([-1.0]), np.array([1.0])
-    )
+    out = l1_box_initializer(one_d_penalty(observation=0.5))
     mu = 1e-6 * 0.5
     assert abs(out[0] - (0.5 - mu)) <= 1e-6
 
@@ -179,9 +169,10 @@ def test_initializer_nearly_interpolates_the_data():
         sensing = gen_dct_matrix(64, 1024, 1.0, rng)
         truth = gen_ground_truth(1024, 12, rng)
         observation = sensing @ truth
-        start = l1_box_initializer(
-            sensing, observation, np.full(1024, -1.0), np.full(1024, 1.0)
+        problem = L1L2PenaltyProblem(
+            sensing=sensing, observation=observation, lam=8e-5, lower=-1.0, upper=1.0
         )
+        start = l1_box_initializer(problem)
         assert np.all(start >= -1.0) and np.all(start <= 1.0)
         assert np.linalg.norm(start) > 0.0
         residual = np.linalg.norm(sensing @ start - observation)
@@ -310,6 +301,60 @@ def test_problem_hoisted_constants_match_per_call_formulas():
     assert problem.g_sup_bound == bound
 
 
+def _edge_vectors(rng, problem, count):
+    """Seeded points inside the box, a few entries of each replaced by NaN,
+    +-inf, -0.0 or a value one ulp either side of, or on, the widened box
+    edges lower - tol and upper + tol."""
+    n, tol = problem.dim, problem._box_tol
+    for _ in range(count):
+        x = rng.uniform(problem.lower, problem.upper) * 10.0 ** rng.uniform(-3, 0)
+        for j in rng.integers(n, size=rng.integers(0, 4)):
+            edge = float(rng.choice([problem.lower[j] - tol, problem.upper[j] + tol]))
+            x[j] = rng.choice(
+                [np.nan, np.inf, -np.inf, -0.0, edge, np.nextafter(edge, np.inf),
+                 np.nextafter(edge, -np.inf)]
+            )
+        yield x
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def test_callbacks_match_their_numpy_wrapper_forms_bitwise():
+    # eval_f, eval_g, l2_subgradient and the prox kernel must give the very
+    # bits of the np.any / np.linalg.norm / np.clip forms they replace.
+    rng = philox_generator(263)
+    n = 40
+    lower = -rng.uniform(0.5, 2.0, size=n)
+    upper = rng.uniform(0.5, 2.0, size=n)
+    lower[:5], upper[5:10] = 0.0, 0.0
+    problem = L1L2PenaltyProblem(
+        sensing=rng.standard_normal((6, n)), observation=rng.standard_normal(6),
+        lam=0.3, lower=lower, upper=upper,
+    )
+    seen = {"inf": 0, "nan": 0, "finite": 0}
+    with np.errstate(all="ignore"):
+        for x in _edge_vectors(rng, problem, 400):
+            outside = np.any(x < problem.lower - problem._box_tol) or np.any(
+                x > problem.upper + problem._box_tol
+            )
+            expected_f = math.inf if outside else problem.lam * float(np.abs(x).sum())
+            assert _bits(problem.eval_f(x)) == _bits(expected_f)
+            seen["inf" if outside else "nan" if math.isnan(expected_f) else "finite"] += 1
+            norm = float(np.linalg.norm(x))
+            assert _bits(problem.eval_g(x)) == _bits(norm)
+            expected_y = np.zeros_like(x) if norm <= 1e-14 else x / norm
+            assert _bits(l2_subgradient(x)) == _bits(expected_y)
+            alpha = float(rng.choice([0.0, 1e-3, 2.0]))
+            threshold = alpha * problem.lam
+            shrunk = np.sign(x) * np.maximum(np.abs(x) - threshold, 0.0)
+            expected_p = _bits(np.clip(shrunk, problem.lower, problem.upper))
+            assert _bits(_shrink_clip(x, threshold, problem.lower, problem.upper)) == expected_p
+            assert _bits(problem.prox_f(alpha, x)) == expected_p
+    assert min(seen.values()) >= 20, seen
+
+
 def test_problem_box_is_read_only():
     problem = one_d_penalty(0.5)
     for bound in (problem.lower, problem.upper):
@@ -319,8 +364,12 @@ def test_problem_box_is_read_only():
 
 
 def test_initializer_rejects_empty_box():
-    with pytest.raises(InvalidProblemError):
-        l1_box_initializer(np.eye(2), np.ones(2), np.array([0.0, 2.0]), np.ones(2))
+    # The initializer reads the box of a problem, which cannot be built empty.
+    with pytest.raises(InvalidProblemError, match="box is empty"):
+        L1L2PenaltyProblem(
+            sensing=np.eye(2), observation=np.ones(2), lam=0.1,
+            lower=np.array([0.0, 2.0]), upper=np.ones(2),
+        )
 
 
 def test_lipschitz_matches_dense_eigensolver():

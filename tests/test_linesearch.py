@@ -16,7 +16,6 @@ from fracopt import (
     audit_trace,
     bb_initial_step,
     gen_sfda,
-    line_search_step,
     run_pgsa,
     run_pgsa_ls,
     sgep_default_init,
@@ -84,25 +83,25 @@ def test_objective_window_zero_memory_is_monotone():
 def test_line_search_step_accepts_immediately_below_guarantee():
     problem = one_d_penalty(observation=0.3, lam=0.5)
     x = np.array([0.6])
-    window = ObjectiveWindow(0)
-    window.push(float(problem.eval_f(x) + problem.eval_h(x)) / float(problem.eval_g(x)))
     a = 1e-3
     guaranteed = 1.0 / (a * problem.g_sup_bound + problem.lipschitz_grad_h)
-    x_new, alpha = line_search_step(
-        problem, x, window, 0.5 * guaranteed, LineSearchConfig(a=a)
-    )
-    assert alpha == 0.5 * guaranteed
-    assert x_new.shape == (1,)
+    seed = 0.5 * guaranteed
+    cfg = LineSearchConfig(a=a, N=0, alpha_lower=seed, alpha0=seed, max_iter=1)
+    trace = run_pgsa_ls(problem, x, cfg)
+    assert trace.alpha[0] == seed
+    assert trace.backtracks[0] == 0
+    assert trace.final_x.shape == (1,)
 
 
 def test_line_search_step_backtracks_from_huge_seed():
     problem = one_d_penalty(observation=0.3, lam=0.5)
     x = np.array([0.6])
     ext_value = (0.5 * 0.6 + 0.5 * (0.6 - 0.3) ** 2) / 0.6
-    window = ObjectiveWindow(0)
-    window.push(ext_value)
-    cfg = LineSearchConfig(a=1e-3, eta=0.5)
-    x_new, alpha = line_search_step(problem, x, window, 1e6, cfg)
+    cfg = LineSearchConfig(a=1e-3, eta=0.5, N=0, alpha0=1e6, max_iter=1)
+    trace = run_pgsa_ls(problem, x, cfg)
+    x_new, alpha = trace.final_x, trace.alpha[0]
+    assert abs(trace.objective[0] - ext_value) <= 1e-15
+    assert trace.backtracks[0] > 0
     assert alpha < 1e6
     floor = cfg.eta / (cfg.a * problem.g_sup_bound + problem.lipschitz_grad_h)
     assert alpha >= floor - 1e-12
@@ -114,14 +113,13 @@ def test_line_search_step_backtracks_from_huge_seed():
 
 def test_line_search_step_rejects_bad_seed_and_start():
     problem = diag_pair_problem()
-    window = ObjectiveWindow(0)
-    window.push(2.0)
     with pytest.raises(InvalidConfigError):
-        line_search_step(problem, np.array([1.0, 0.0]), window, 0.0)
+        run_pgsa_ls(problem, np.array([1.0, 0.0]), LineSearchConfig(alpha0=0.0, max_iter=1))
     sparse_problem = diag_pair_problem(r=1)
     dense = np.array([1.0, 1.0]) / math.sqrt(2.0)
     with pytest.raises(DomainError):
-        line_search_step(sparse_problem, dense, window, 0.1)
+        cfg = LineSearchConfig(alpha0=0.1, alpha_lower=0.1, max_iter=1)
+        run_pgsa_ls(sparse_problem, dense, cfg)
 
 
 def test_run_pgsa_ls_critical_start_stops_immediately():

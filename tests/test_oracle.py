@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,11 +16,13 @@ from fracopt import (
     SfdaRecipe,
     SgepProblem,
     audit_trace,
+    eval_objective,
     fd_gradient_check,
     fit_linear_rate,
     fit_rate_from_errors,
     gen_dct_matrix,
     gen_sfda,
+    penalty_start_point,
     run_pgsa,
     run_pgsa_ls,
     sgep_default_init,
@@ -184,3 +187,182 @@ def test_rate_fit_from_solver_trace_sees_linear_convergence():
     fit = fit_linear_rate(trace)
     assert fit.slope < 0.0
     assert fit.r_squared >= 0.9
+
+
+def _scalar_excess(value, reference, rel_slack=0.0, coef=0.0, step=0.0):
+    lhs = value + coef * step**2
+    if lhs > reference + rel_slack * (1.0 + abs(reference)):
+        return lhs - reference
+    return 0.0
+
+
+def _scalar_audit(trace, problem, rel_tol=1e-10):
+    """Reference audit: one Python loop per check, one iteration at a time.
+
+    Returns checks_run and the (iteration, kind, detail, magnitude) of every
+    violation, for comparison with the array audit.
+    """
+    params = trace.params
+    mode = params["mode"]
+    found = []
+    checks = 0
+    objective, g_value = trace.objective, trace.g_value
+    alpha, step_norm = trace.alpha, trace.step_norm
+    iterations = alpha.shape[0]
+    if problem is not None:
+        lipschitz, convex_f = problem.lipschitz_grad_h, problem.f_is_convex
+        g_bound = problem.g_sup_bound
+    else:
+        lipschitz, convex_f = params["lipschitz"], params["f_is_convex"]
+        g_bound = params["g_sup_bound"]
+    hi = params["alpha_upper"]
+
+    def slack(reference):
+        return rel_tol * (1.0 + abs(reference))
+
+    def add(k, kind, magnitude, detail):
+        found.append((k, kind, detail, repr(float(magnitude))))
+
+    for k in range(objective.shape[0]):
+        checks += 1
+        if not math.isfinite(objective[k]):
+            add(k, "domain", math.inf, f"objective at iterate {k} is not finite")
+    if mode == "pgsa":
+        lo = params["alpha_lower"]
+        cap = (2.0 if convex_f else 1.0) / lipschitz
+        for k in range(iterations):
+            checks += 3
+            if alpha[k] < lo - slack(lo):
+                add(k, "step_bounds", lo - alpha[k], "step below alpha_lower")
+            if alpha[k] > hi + slack(hi):
+                add(k, "step_bounds", alpha[k] - hi, "step above alpha_upper")
+            if alpha[k] >= cap:
+                add(k, "step_bounds", alpha[k] - cap, "step at or above 1/L cap")
+            if convex_f:
+                coef = (1.0 / alpha[k] - lipschitz / 2.0) / g_value[k + 1]
+            else:
+                coef = (1.0 / alpha[k] - lipschitz) / (2.0 * g_value[k + 1])
+            excess = _scalar_excess(objective[k + 1], objective[k], rel_tol, coef, step_norm[k])
+            if excess:
+                detail = f"decrease inequality fails from iterate {k} to {k + 1}"
+                add(k + 1, "sufficient_decrease", excess, detail)
+            excess = _scalar_excess(objective[k + 1], objective[k], rel_tol)
+            if excess:
+                detail = f"objective increased from iterate {k} to {k + 1}"
+                add(k + 1, "monotonicity", excess, detail)
+    else:
+        a, eta, memory = params["a"], params["eta"], params["N"]
+        for k in range(iterations):
+            checks += 3
+            window_max = objective[max(0, k - memory) : k + 1].max()
+            excess = _scalar_excess(objective[k + 1], window_max, rel_tol, 0.5 * a, step_norm[k])
+            if excess:
+                add(k + 1, "acceptance", excess, f"acceptance inequality fails at iterate {k + 1}")
+            if alpha[k] > hi + slack(hi):
+                add(k, "step_bounds", alpha[k] - hi, "step above alpha_upper")
+            excess = _scalar_excess(objective[k + 1], objective[0], rel_tol)
+            if excess:
+                add(k + 1, "level_set", excess, "objective left the initial level set")
+            next_max = objective[max(0, k + 1 - memory) : k + 2].max()
+            excess = _scalar_excess(next_max, window_max, rel_tol)
+            if excess:
+                add(k + 1, "window_monotonicity", excess, "windowed objective maximum increased")
+        if g_bound is not None:
+            floor = eta / (a * g_bound + lipschitz) - 1e-12
+            cap = max(math.ceil(-math.log(hi * (a * g_bound + lipschitz)) / math.log(eta) + 1.0), 0)
+            for k in range(iterations):
+                checks += 1
+                if alpha[k] < floor:
+                    detail = "accepted step below the guaranteed floor"
+                    add(k, "step_floor", floor - alpha[k], detail)
+                if trace.backtracks is not None:
+                    checks += 1
+                    if int(trace.backtracks[k]) > cap:
+                        detail = f"{int(trace.backtracks[k])} backtracks exceed the bound {cap}"
+                        add(k, "backtrack_cap", float(trace.backtracks[k] - cap), detail)
+    if trace.iterates is not None and problem is not None:
+        iterates = trace.iterates
+        for k in range(iterates.shape[0]):
+            checks += 1
+            ext = eval_objective(problem, iterates[k])
+            if not ext.in_domain:
+                add(k, "domain", math.inf, f"iterate {k} lies outside dom(F)")
+            elif abs(ext.value - objective[k]) > slack(objective[k]):
+                detail = "recorded objective disagrees with re-evaluation"
+                add(k, "objective_mismatch", abs(ext.value - objective[k]), detail)
+        for k in range(min(iterations, iterates.shape[0] - 1)):
+            checks += 1
+            recomputed = float(np.linalg.norm(iterates[k + 1] - iterates[k]))
+            if abs(recomputed - step_norm[k]) > slack(step_norm[k]):
+                detail = "recorded step norm disagrees with iterates"
+                add(k, "step_mismatch", abs(recomputed - step_norm[k]), detail)
+    return checks, found
+
+
+def _corrupt(trace, rng):
+    """A copy of trace with a random handful of objectives, steps and counts broken."""
+    objective = trace.objective.copy()
+    alpha = trace.alpha.copy()
+    iterates = None if trace.iterates is None else trace.iterates.copy()
+    backtracks = None if trace.backtracks is None else trace.backtracks.copy()
+    size, steps = objective.shape[0], alpha.shape[0]
+    for _ in range(rng.integers(0, 4)):
+        objective[rng.integers(size)] = rng.choice([np.nan, np.inf, -np.inf])
+    for _ in range(rng.integers(0, 4)):
+        k = rng.integers(size)
+        objective[k] += rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12, 0)
+    for _ in range(rng.integers(0, 3)):
+        k = rng.integers(steps)
+        alpha[k] *= rng.choice([0.0, 1e-9, 0.5, 1.5, 3.0, 1e12])
+    if backtracks is not None:
+        for _ in range(rng.integers(0, 3)):
+            backtracks[rng.integers(steps)] += rng.integers(1, 80)
+    if iterates is not None and rng.random() < 0.5:
+        iterates[rng.integers(iterates.shape[0])] *= 1.0 + 1e-6
+    return dataclasses.replace(
+        trace, objective=objective, alpha=alpha, iterates=iterates, backtracks=backtracks
+    )
+
+
+def _tiny_l1l2():
+    rng = philox_generator(341)
+    sensing = gen_dct_matrix(20, 60, 1.0, rng)
+    truth = np.zeros(60)
+    truth[[3, 17, 41]] = [0.5, -0.7, 0.9]
+    return L1L2PenaltyProblem(
+        sensing=sensing, observation=sensing @ truth, lam=8e-5, lower=-1.0, upper=1.0
+    )
+
+
+@pytest.mark.parametrize("family", ["sgep", "l1l2"])
+@pytest.mark.parametrize("mode", ["pgsa", "pgsa_ml", "pgsa_nl"])
+def test_array_audit_matches_scalar_reference(mode, family):
+    # Random corruptions of one clean run, audited with and without the
+    # problem: the same checks and the same multiset of violations.
+    if family == "sgep":
+        problem, x0 = small_sgep(337), sgep_default_init(12, 3)
+    else:
+        problem = _tiny_l1l2()
+        x0 = penalty_start_point(problem)
+    if mode == "pgsa":
+        trace = run_pgsa(problem, x0, PgsaConfig(record_trace=True, max_iter=120))
+    else:
+        cfg = LineSearchConfig(N=0 if mode == "pgsa_ml" else 4, record_trace=True, max_iter=120)
+        trace = run_pgsa_ls(problem, x0, cfg)
+    assert trace.iterations >= 20
+    rng = philox_generator(339, int(family == "l1l2"), ["pgsa", "pgsa_ml", "pgsa_nl"].index(mode))
+    flagged = 0
+    for round_ in range(60):
+        tampered = trace if round_ == 0 else _corrupt(trace, rng)
+        for given in (problem, None):
+            report = audit_trace(tampered, given)
+            with np.errstate(all="ignore"):
+                checks, expected = _scalar_audit(tampered, given)
+            assert report.checks_run == checks
+            got = [
+                (v.iteration, v.kind, v.detail, repr(float(v.magnitude)))
+                for v in report.violations
+            ]
+            assert Counter(got) == Counter(expected)
+            flagged += bool(expected)
+    assert flagged >= 60

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,16 +10,17 @@ import pytest
 
 from fracopt import (
     L1L2PenaltyProblem,
+    LineSearchConfig,
     PgsaConfig,
     SfdaRecipe,
     SgepProblem,
     audit_trace,
     gen_sfda,
-    pgsa_step,
     run_pgsa,
+    run_pgsa_ls,
     sgep_default_init,
 )
-from fracopt.exceptions import DomainError, InvalidConfigError
+from fracopt.exceptions import DomainError, InvalidConfigError, NumericsError
 from fracopt.rand import philox_generator
 
 
@@ -34,6 +36,11 @@ def one_d_penalty(observation: float = 1.0, lam: float = 0.1) -> L1L2PenaltyProb
         lower=np.array([-1.0]),
         upper=np.array([1.0]),
     )
+
+
+def pgsa_step(problem, x: np.ndarray, alpha: float) -> np.ndarray:
+    """The point one fixed-step iteration reaches from x."""
+    return run_pgsa(problem, x, PgsaConfig(alpha=alpha, max_iter=1)).final_x
 
 
 def test_pgsa_step_fixed_point_at_critical_point():
@@ -195,3 +202,45 @@ def test_trace_objective_equals_certificate_objective():
     trace = run_pgsa(problem, np.array([1.0, 1.0]) / math.sqrt(2.0), PgsaConfig())
     assert trace.objective[-1] == trace.certificate.objective
     assert trace.certificate.iterations == len(trace.alpha)
+
+
+@pytest.mark.parametrize("columns", [37, 1024])
+@pytest.mark.parametrize("rows", [1, 63, 64, 65, 4000])
+def test_errors_to_final_matches_row_norms(rows, columns):
+    # The blocked pass must give the very bits of the one-shot row norms.
+    problem = diag_pair_problem()
+    trace = run_pgsa(problem, np.array([0.0, 1.0]), PgsaConfig(max_iter=1, record_trace=True))
+    scales = np.logspace(-3, 3, 7)[np.arange(rows) % 7, None]
+    iterates = philox_generator(503, rows).standard_normal((rows, columns)) * scales
+    traced = dataclasses.replace(trace, iterates=iterates)
+    expected = np.linalg.norm(iterates - iterates[-1], axis=1)
+    assert np.array_equal(traced.errors_to_final(), expected)
+
+
+ANCHOR_NAN = "NaN in step anchor (gradient or subgradient callback)"
+
+
+@pytest.mark.parametrize(
+    "callback, message",
+    [("grad_h", ANCHOR_NAN), ("subgrad_g", ANCHOR_NAN), ("prox_f", "NaN from prox callback")],
+)
+@pytest.mark.parametrize("solver", ["pgsa", "pgsa_ls"])
+def test_nan_from_a_callback_raises_numerics_error(callback, message, solver):
+    # One NaN among finite entries, with an inf beside it, must still be seen.
+    class Poisoned(L1L2PenaltyProblem):
+        pass
+
+    def poisoned(self, *args):
+        return np.array([0.25, np.nan, -np.inf])
+
+    setattr(Poisoned, callback, poisoned)
+    problem = Poisoned(
+        sensing=np.eye(3), observation=np.ones(3), lam=0.1, lower=-1.0, upper=1.0
+    )
+    x0 = np.array([0.5, 0.5, 0.5])
+    with pytest.raises(NumericsError) as err:
+        if solver == "pgsa":
+            run_pgsa(problem, x0, PgsaConfig(max_iter=3))
+        else:
+            run_pgsa_ls(problem, x0, LineSearchConfig(max_iter=3))
+    assert str(err.value) == message

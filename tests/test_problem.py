@@ -11,7 +11,6 @@ from fracopt import (
     Certificate,
     L1L2PenaltyProblem,
     SgepProblem,
-    critical_point_check,
     domain_eps,
     eval_objective,
     quotient_frechet_residual,
@@ -169,18 +168,18 @@ def test_critical_point_check_full_support_eigenvector():
     w_vals, w_vecs = np.linalg.eigh(root @ b @ root)
     x = root @ w_vecs[:, 0]
     x /= np.linalg.norm(x)
-    assert critical_point_check(problem, x, 1e-8)
+    assert problem.critical_residual(x) <= 1e-8
 
 
 def test_critical_point_check_single_coordinate():
     problem = diag_pair_problem(r=1)
-    assert critical_point_check(problem, np.array([1.0, 0.0]), 1e-8)
+    assert problem.critical_residual(np.array([1.0, 0.0])) <= 1e-8
 
 
 def test_critical_point_check_rejects_non_stationary_point():
     problem = diag_pair_problem()
     x = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    assert not critical_point_check(problem, x, 1e-8)
+    assert not problem.critical_residual(x) <= 1e-8
 
 
 def test_objective_nonnegative_on_feasible_points():
