@@ -31,7 +31,6 @@ from .experiments import (
     config_from_dict,
     run_experiment,
     run_trial,
-    solve_with,
     solver_run_config,
 )
 from .l1l2 import (
@@ -138,6 +137,5 @@ __all__ = [
     "sgep_brute_force_optimum",
     "sgep_critical_residual",
     "sgep_default_init",
-    "solve_with",
     "solver_run_config",
 ]

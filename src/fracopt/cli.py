@@ -15,7 +15,6 @@ import argparse
 import dataclasses
 import json
 import sys
-import time
 from pathlib import Path
 from typing import Any
 
@@ -35,11 +34,11 @@ from .exceptions import (
 )
 from .experiments import (
     ExperimentConfig,
+    _load_sgep,
+    _solve_trial,
     apply_env_overrides,
     config_from_dict,
     run_experiment,
-    solve_with,
-    solver_run_config,
 )
 from .io import (
     load_matrix_csv,
@@ -71,6 +70,7 @@ SOLVER_CONFIG_KEYS = {
     "pgsa_ml": _LINE_SEARCH_KEYS,
     "pgsa_nl": _LINE_SEARCH_KEYS | {"window"},
 }
+GEN_SIZES = ("n", "p1", "p2", "r", "m", "k", "dct_f")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,15 +80,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve = sub.add_parser("solve", help="solve one problem read from files")
+    files = argparse.ArgumentParser(add_help=False)
+    files.add_argument("--matrix-a", help="CSV matrix (A for sgep, sensing for l1l2)")
+    files.add_argument("--matrix-b", help="CSV matrix B (sgep only)")
+    files.add_argument("--vector-b", help="CSV observation vector (l1l2 only)")
+    files.add_argument("-r", "--sparsity", type=int, help="sparsity level r (sgep only)")
+    files.add_argument("--lam", type=float, default=8e-5, help="l1 penalty weight (l1l2)")
+    files.add_argument("--box-lower", type=float, default=-1.0)
+    files.add_argument("--box-upper", type=float, default=1.0)
+
+    solve = sub.add_parser("solve", parents=[files], help="solve one problem read from files")
     solve.add_argument("problem", choices=["sgep", "l1l2"])
-    solve.add_argument("--matrix-a", required=True, help="CSV matrix (A for sgep, sensing for l1l2)")
-    solve.add_argument("--matrix-b", help="CSV matrix B (sgep only)")
-    solve.add_argument("--vector-b", help="CSV observation vector (l1l2 only)")
-    solve.add_argument("-r", "--sparsity", type=int, help="sparsity level r (sgep only)")
-    solve.add_argument("--lam", type=float, default=8e-5, help="l1 penalty weight (l1l2)")
-    solve.add_argument("--box-lower", type=float, default=-1.0)
-    solve.add_argument("--box-upper", type=float, default=1.0)
     solve.add_argument("--solver", choices=["pgsa", "pgsa_ml", "pgsa_nl"], default="pgsa_ml")
     solve.add_argument("--x0", help="CSV start vector; defaults to the problem's canonical start")
     solve.add_argument("--config", help="JSON file with solver parameters")
@@ -110,26 +112,22 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("experiment", choices=["sfda", "l1l2"])
     gen.add_argument("--out-dir", default=".")
     gen.add_argument("--seed", type=int, default=0)
+    # Sizes left unset take ExperimentConfig's defaults.
     gen.add_argument("--n", type=int)
-    gen.add_argument("--p1", type=int, default=500)
-    gen.add_argument("--p2", type=int, default=500)
-    gen.add_argument("--r", type=int, default=50)
-    gen.add_argument("--m", type=int, default=64)
-    gen.add_argument("--k", type=int, default=12)
-    gen.add_argument("--dct-f", type=float, default=1.0)
+    gen.add_argument("--p1", type=int)
+    gen.add_argument("--p2", type=int)
+    gen.add_argument("--r", type=int)
+    gen.add_argument("--m", type=int)
+    gen.add_argument("--k", type=int)
+    gen.add_argument("--dct-f", type=float)
 
-    verify = sub.add_parser("verify", help="re-audit a trace with the parameters it carries")
+    verify = sub.add_parser(
+        "verify", parents=[files], help="re-audit a trace with the parameters it carries"
+    )
     verify.add_argument("--trace", required=True, help="trace CSV from solve or bench --trace")
     verify.add_argument(
         "--problem", choices=["sgep", "l1l2"], help="recompute L, M and f's convexity from files"
     )
-    verify.add_argument("--matrix-a")
-    verify.add_argument("--matrix-b")
-    verify.add_argument("--vector-b")
-    verify.add_argument("-r", "--sparsity", type=int)
-    verify.add_argument("--lam", type=float, default=8e-5)
-    verify.add_argument("--box-lower", type=float, default=-1.0)
-    verify.add_argument("--box-upper", type=float, default=1.0)
     verify.add_argument("--rate-fit", action="store_true", help="also fit the convergence rate")
     return parser
 
@@ -159,11 +157,7 @@ def _build_sgep(args: argparse.Namespace) -> SgepProblem:
         raise InvalidConfigError("sgep needs --matrix-b")
     if args.sparsity is None:
         raise InvalidConfigError("sgep needs a sparsity level -r")
-    a = load_matrix_csv(args.matrix_a, symmetrize=True)
-    b = load_matrix_csv(args.matrix_b, symmetrize=True)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"A has shape {a.shape}, B has shape {b.shape}")
-    return SgepProblem(matrix_a=a, matrix_b=b, sparsity=args.sparsity)
+    return _load_sgep(args.matrix_a, args.matrix_b, args.sparsity)
 
 
 def _build_l1l2(args: argparse.Namespace) -> L1L2PenaltyProblem:
@@ -176,13 +170,12 @@ def _build_l1l2(args: argparse.Namespace) -> L1L2PenaltyProblem:
             f"observation has length {observation.shape[0]}, "
             f"sensing matrix has {sensing.shape[0]} rows"
         )
-    n = sensing.shape[1]
     return L1L2PenaltyProblem(
         sensing=sensing,
         observation=observation,
         lam=args.lam,
-        lower=np.full(n, args.box_lower),
-        upper=np.full(n, args.box_upper),
+        lower=args.box_lower,
+        upper=args.box_upper,
     )
 
 
@@ -220,17 +213,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
         experiment="l1l2" if args.problem == "l1l2" else "custom_sgep",
         solver=args.solver,
         trials=1,
+        write_traces=bool(args.trace),
         matrix_a=args.matrix_a,
         matrix_b=args.matrix_b or args.matrix_a,
         **cfg_fields,
     )
-    run_cfg = solver_run_config(exp_cfg, args.solver, record_trace=bool(args.trace))
-    start = time.perf_counter()
-    trace = solve_with(problem, x0, args.solver, run_cfg)
-    elapsed = time.perf_counter() - start
+    result = _solve_trial(exp_cfg, 0, args.solver, (problem, x0, None))
     if args.trace:
-        write_trace_csv(args.trace, trace)
-    print(json.dumps({**dataclasses.asdict(trace.certificate), "wall_time_s": elapsed}, sort_keys=True))
+        write_trace_csv(args.trace, result.trace)
+    payload = {**dataclasses.asdict(result.trace.certificate), "wall_time_s": result.wall_time_s}
+    print(json.dumps(payload, sort_keys=True))
     return EXIT_OK
 
 
@@ -275,34 +267,35 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    sizes = {size: getattr(args, size) for size in GEN_SIZES if getattr(args, size) is not None}
+    cfg = ExperimentConfig(experiment=args.experiment, **sizes)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     meta: dict[str, Any] = {"experiment": args.experiment, "seed": args.seed}
+    n = cfg.dimension
     if args.experiment == "sfda":
-        n = args.n if args.n is not None else 1000
-        recipe = SfdaRecipe(n=n, p1=args.p1, p2=args.p2, r=args.r, seed=args.seed)
+        recipe = SfdaRecipe(n=n, p1=cfg.p1, p2=cfg.p2, r=cfg.r, seed=args.seed)
         problem = gen_sfda(recipe)
         save_matrix_csv(out_dir / "A.csv", problem.matrix_a)
         save_matrix_csv(out_dir / "B.csv", problem.matrix_b)
         meta.update(
             {
                 "n": n,
-                "p1": args.p1,
-                "p2": args.p2,
-                "r": args.r,
+                "p1": cfg.p1,
+                "p2": cfg.p2,
+                "r": cfg.r,
                 "within_ridge": recipe.within_ridge,
             }
         )
         written = ["A.csv", "B.csv"]
     else:
-        n = args.n if args.n is not None else 1024
         rng = philox_generator(args.seed)
-        sensing = gen_dct_matrix(args.m, n, args.dct_f, rng)
-        truth = gen_ground_truth(n, args.k, rng)
+        sensing = gen_dct_matrix(cfg.m, n, cfg.dct_f, rng)
+        truth = gen_ground_truth(n, cfg.k, rng)
         save_matrix_csv(out_dir / "A.csv", sensing)
         save_vector_csv(out_dir / "b.csv", sensing @ truth)
         save_vector_csv(out_dir / "xtrue.csv", truth)
-        meta.update({"m": args.m, "n": n, "k": args.k, "dct_f": args.dct_f})
+        meta.update({"m": cfg.m, "n": n, "k": cfg.k, "dct_f": cfg.dct_f})
         written = ["A.csv", "b.csv", "xtrue.csv"]
     with open(out_dir / "meta.json", "w") as handle:
         json.dump(meta, handle, sort_keys=True, indent=2)

@@ -26,7 +26,7 @@ from typing import Any
 
 import numpy as np
 
-from .exceptions import FracoptError, InvalidConfigError
+from .exceptions import DimensionMismatchError, FracoptError, InvalidConfigError
 from .io import load_matrix_csv
 from .l1l2 import (
     L1L2PenaltyProblem,
@@ -117,6 +117,10 @@ class ExperimentConfig:
             raise InvalidConfigError("threads must be at least 1")
         if self.experiment == "custom_sgep" and (not self.matrix_a or not self.matrix_b):
             raise InvalidConfigError("custom_sgep needs matrix_a and matrix_b paths")
+        if self.experiment == "l1l2" and not 1 <= self.k <= self.dimension:
+            raise InvalidConfigError(f"need 1 <= k <= {self.dimension}, got k = {self.k}")
+        if self.experiment == "l1l2" and (self.m < 1 or not self.dct_f > 0):
+            raise InvalidConfigError(f"need m >= 1 and dct_f > 0, got {self.m} and {self.dct_f}")
 
     @property
     def dimension(self) -> int:
@@ -160,16 +164,13 @@ def apply_env_overrides(
     return result
 
 
-def solver_run_config(
-    cfg: ExperimentConfig, solver: str, record_trace: bool | None = None
-) -> PgsaConfig | LineSearchConfig:
+def solver_run_config(cfg: ExperimentConfig, solver: str) -> PgsaConfig | LineSearchConfig:
     """Translate experiment-level knobs into a concrete solver config."""
-    record = cfg.write_traces if record_trace is None else record_trace
     common = dict(
         step_tol=cfg.step_tol,
         max_iter=cfg.max_iter,
         relative_tol=cfg.stop_is_relative,
-        record_trace=record,
+        record_trace=cfg.write_traces,
     )
     if solver == "pgsa":
         return PgsaConfig(alpha=cfg.alpha, **common)
@@ -184,19 +185,6 @@ def solver_run_config(
         alpha0=cfg.alpha0,
         **common,
     )
-
-
-def solve_with(
-    problem: FractionalProblem,
-    x0: np.ndarray,
-    solver: str,
-    config: PgsaConfig | LineSearchConfig,
-) -> SolverTrace:
-    if solver == "pgsa":
-        assert isinstance(config, PgsaConfig)
-        return run_pgsa(problem, x0, config)
-    assert isinstance(config, LineSearchConfig)
-    return run_pgsa_ls(problem, x0, config)
 
 
 @dataclass
@@ -228,6 +216,14 @@ class TrialResult:
         return rec
 
 
+def _load_sgep(path_a: str, path_b: str, sparsity: int) -> SgepProblem:
+    a = load_matrix_csv(path_a, symmetrize=True)
+    b = load_matrix_csv(path_b, symmetrize=True)
+    if a.shape != b.shape:
+        raise DimensionMismatchError(f"A has shape {a.shape}, B has shape {b.shape}")
+    return SgepProblem(matrix_a=a, matrix_b=b, sparsity=sparsity)
+
+
 def _sfda_problem(cfg: ExperimentConfig, trial: int) -> tuple[SgepProblem, np.ndarray]:
     rng = philox_generator(cfg.master_seed, trial)
     recipe = SfdaRecipe(n=cfg.dimension, p1=cfg.p1, p2=cfg.p2, r=cfg.r, seed=rng)
@@ -246,8 +242,8 @@ def _l1l2_problem(
         sensing=sensing,
         observation=sensing @ truth,
         lam=cfg.lam,
-        lower=np.full(n, cfg.box_lower),
-        upper=np.full(n, cfg.box_upper),
+        lower=cfg.box_lower,
+        upper=cfg.box_upper,
     )
     return problem, penalty_start_point(problem), truth
 
@@ -273,13 +269,14 @@ def _solve_trial(
     instance: tuple[FractionalProblem, np.ndarray, np.ndarray | None],
 ) -> TrialResult:
     problem, x0, truth = instance
+    solve = run_pgsa if solver == "pgsa" else run_pgsa_ls
     run_cfg = solver_run_config(cfg, solver)
     start = time.perf_counter()
-    trace = solve_with(problem, x0, solver, run_cfg)
+    trace = solve(problem, x0, run_cfg)
     elapsed = time.perf_counter() - start
     report = None
     if truth is not None:
-        report = recovery_report(trace.final_x, truth, trace.iterations, elapsed)
+        report = recovery_report(trace.final_x, truth)
     return TrialResult(
         experiment=cfg.experiment,
         solver=solver,
@@ -383,9 +380,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
 
     shared = None
     if cfg.experiment == "custom_sgep":
-        a = load_matrix_csv(cfg.matrix_a, symmetrize=True)
-        b = load_matrix_csv(cfg.matrix_b, symmetrize=True)
-        problem = SgepProblem(matrix_a=a, matrix_b=b, sparsity=cfg.r)
+        problem = _load_sgep(cfg.matrix_a, cfg.matrix_b, cfg.r)
         shared = (problem, sgep_default_init(problem.dim, cfg.r))
 
     if hasattr(os, "sched_getaffinity"):

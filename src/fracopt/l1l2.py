@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DegenerateInputError, DomainError, InvalidProblemError
-from .problem import DOMAIN_EPS_BASE, FractionalProblem, _norm
+from .problem import FractionalProblem, _norm, domain_eps
 from .rand import as_generator
 
 # ||x||_2 at or below this counts as the origin for the l2 subgradient.
@@ -80,8 +80,9 @@ def l2_subgradient(x: np.ndarray) -> np.ndarray:
 class L1L2PenaltyProblem(FractionalProblem):
     """Ratio-structured sparse recovery instance.
 
-    Construction requires a nonempty box containing the origin (otherwise the
-    shrink-then-clip prox would be inexact) and a positive penalty weight.
+    Construction requires finite data, a nonempty box containing the origin
+    (otherwise the shrink-then-clip prox would be inexact) and a positive
+    penalty weight.
     L = ||A||_2^2 comes from the spectrum of the smaller Gram matrix.  The
     box is stored read-only, since its tolerance, the tolerance-widened
     bounds that ``eval_f`` tests against, and M are computed once.
@@ -107,11 +108,15 @@ class L1L2PenaltyProblem(FractionalProblem):
             raise InvalidProblemError(
                 f"observation has length {b.shape}, expected ({a.shape[0]},)"
             )
-        if self.lam <= 0:
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise InvalidProblemError("sensing matrix and observation must be finite")
+        if not self.lam > 0:
             raise InvalidProblemError("penalty weight lam must be positive")
         n = a.shape[1]
         lower = np.broadcast_to(np.asarray(self.lower, dtype=float), (n,)).copy()
         upper = np.broadcast_to(np.asarray(self.upper, dtype=float), (n,)).copy()
+        if np.isnan(lower).any() or np.isnan(upper).any():
+            raise InvalidProblemError("box bounds must not be NaN")
         if np.any(lower > upper):
             raise InvalidProblemError("box is empty: lower > upper somewhere")
         if np.any(lower > 0.0) or np.any(upper < 0.0):
@@ -202,7 +207,7 @@ def l1l2_critical_residual(problem: L1L2PenaltyProblem, x: np.ndarray) -> float:
         raise DomainError(f"x has length {x.shape[0]}, problem dimension is {problem.dim}")
     norm = float(np.linalg.norm(x))
     num = problem.eval_f(x)
-    if not math.isfinite(num) or norm <= DOMAIN_EPS_BASE * (1.0 + num):
+    if norm <= domain_eps(num):
         raise DomainError("criticality residual requested outside dom(F)")
     ratio = (num + problem.eval_h(x)) / norm
     u = ratio * (x / norm) - problem.grad_h(x)
@@ -313,19 +318,12 @@ class RecoveryReport:
     relative_error: float
     success: bool
     objective: float
-    iterations: int
-    wall_time_s: float
 
 
 SUCCESS_REL_ERROR = 1e-3
 
 
-def recovery_report(
-    solution: np.ndarray,
-    ground_truth: np.ndarray,
-    iterations: int,
-    wall_time_s: float,
-) -> RecoveryReport:
+def recovery_report(solution: np.ndarray, ground_truth: np.ndarray) -> RecoveryReport:
     """Score a recovered vector: relative error, success flag, l1/l2 value."""
     solution = np.asarray(solution, dtype=float)
     truth = np.asarray(ground_truth, dtype=float)
@@ -339,6 +337,4 @@ def recovery_report(
         relative_error=rel,
         success=rel < SUCCESS_REL_ERROR,
         objective=objective,
-        iterations=iterations,
-        wall_time_s=wall_time_s,
     )

@@ -62,27 +62,6 @@ class LineSearchConfig:
     record_trace: bool = False
 
 
-class ObjectiveWindow:
-    """Ring buffer over the last N+1 accepted objective values."""
-
-    def __init__(self, memory: int):
-        if memory < 0:
-            raise InvalidConfigError("window memory must be nonnegative")
-        self._values: deque[float] = deque(maxlen=memory + 1)
-
-    def push(self, value: float) -> None:
-        self._values.append(float(value))
-
-    @property
-    def maximum(self) -> float:
-        if not self._values:
-            raise ValueError("window is empty")
-        return max(self._values)
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-
 def bb_initial_step(
     dx: np.ndarray, dgrad: np.ndarray, alpha_lower: float, alpha_upper: float
 ) -> float:
@@ -154,7 +133,8 @@ def run_pgsa_ls(
         raise InvalidConfigError("decrease coefficient a must be positive")
     if not (0.0 < cfg.eta < 1.0):
         raise InvalidConfigError("backtracking factor eta must lie in (0, 1)")
-    window = ObjectiveWindow(cfg.N)
+    if cfg.N < 0:
+        raise InvalidConfigError("window memory N must be nonnegative")
     lo = cfg.alpha_lower if cfg.alpha_lower is not None else _default_step(problem)
     hi = float(cfg.alpha_upper)
     if not (0.0 < lo <= hi):
@@ -163,6 +143,7 @@ def run_pgsa_ls(
     if not (lo <= alpha_seed <= hi):
         raise InvalidConfigError("alpha0 must lie within [alpha_lower, alpha_upper]")
     seed, last = alpha_seed, (None, None)
+    window: deque[float] = deque(maxlen=cfg.N + 1)
 
     def backtracking_step(k, x, ext, grad, direction):
         # From the second step on, the trial step is the BB quotient of the
@@ -171,8 +152,8 @@ def run_pgsa_ls(
         if k > 0:
             seed = bb_initial_step(x - last[0], grad - last[1], lo, hi)
         last = (x, grad)
-        window.push(ext.value)
-        return _backtrack(problem, x, direction, window.maximum, seed, cfg)
+        window.append(ext.value)
+        return _backtrack(problem, x, direction, max(window), seed, cfg)
 
     params = {
         "mode": "pgsa_ml" if cfg.N == 0 else "pgsa_nl",

@@ -248,10 +248,6 @@ class RateFit:
     window: tuple[int, int]
     n_points: int
 
-    @property
-    def is_linear_decay(self) -> bool:
-        return self.slope < 0.0 and self.r_squared >= 0.9
-
 
 def fit_rate_from_errors(errors: Sequence[float]) -> RateFit:
     """Fit log(e_k) ~ slope * k + intercept on the stable part of the decay.

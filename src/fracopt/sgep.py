@@ -27,7 +27,7 @@ from .exceptions import (
     InvalidProblemError,
     SizeGuardError,
 )
-from .problem import DOMAIN_EPS_BASE, FractionalProblem
+from .problem import DOMAIN_EPS_BASE, FractionalProblem, domain_eps
 from .rand import as_generator, philox_generator
 
 # Relative floor on the smallest eigenvalue for the PSD construction check.
@@ -44,14 +44,17 @@ UNIT_NORM_TOL = 1e-9
 
 
 def check_symmetric(matrix: np.ndarray, name: str, tol: float = 1e-12) -> None:
-    """Raise ValueError unless matrix equals its transpose within tol (scaled)."""
+    """Raise InvalidProblemError unless matrix is finite and symmetric within tol (scaled)."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {m.shape}")
-    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
+        raise InvalidProblemError(f"{name} must be square, got shape {m.shape}")
+    largest = float(np.max(np.abs(m))) if m.size else 0.0
+    if not math.isfinite(largest):
+        raise InvalidProblemError(f"{name} has a non-finite entry")
+    scale = max(1.0, largest)
     gap = float(np.max(np.abs(m - m.T))) if m.size else 0.0
     if gap > tol * scale:
-        raise ValueError(f"{name} is not symmetric: max |M - M.T| = {gap:.3e}")
+        raise InvalidProblemError(f"{name} is not symmetric: max |M - M.T| = {gap:.3e}")
 
 
 def project_sparse_sphere(x: np.ndarray, r: int) -> np.ndarray:
@@ -83,7 +86,7 @@ def project_sparse_sphere(x: np.ndarray, r: int) -> np.ndarray:
 class SgepProblem(FractionalProblem):
     """Ratio-structured sparse generalized eigenvalue instance.
 
-    Construction validates symmetry (1e-12 relative), positive
+    Construction validates finiteness, symmetry (1e-12 relative), positive
     semidefiniteness (smallest eigenvalue no lower than -1e-10 relative to
     the largest) and positive definiteness of B on min(50, C(n, r)) supports
     of size r, exhaustively when that enumeration is small enough.  The
@@ -103,11 +106,8 @@ class SgepProblem(FractionalProblem):
     def __post_init__(self) -> None:
         a = np.asarray(self.matrix_a, dtype=float)
         b = np.asarray(self.matrix_b, dtype=float)
-        try:
-            check_symmetric(a, "A")
-            check_symmetric(b, "B")
-        except ValueError as exc:
-            raise InvalidProblemError(str(exc)) from exc
+        check_symmetric(a, "A")
+        check_symmetric(b, "B")
         if a.shape != b.shape:
             raise InvalidProblemError(f"A has shape {a.shape}, B has shape {b.shape}")
         n = a.shape[0]
@@ -191,7 +191,7 @@ class SgepProblem(FractionalProblem):
         """x.T B x / x.T A x, without the (cancelling) halving."""
         den = 2.0 * self.eval_g(x)
         num = 2.0 * self.eval_h(x)
-        if den <= DOMAIN_EPS_BASE * (1.0 + abs(num)):
+        if den <= domain_eps(num):
             raise DomainError("denominator energy x.T A x vanishes at this point")
         return num / den
 
@@ -296,10 +296,6 @@ class SfdaRecipe:
         if self.within_ridge < 0.0:
             raise InvalidProblemError("within_ridge must be nonnegative")
 
-    @property
-    def p(self) -> int:
-        return self.p1 + self.p2
-
     def class2_mean(self) -> np.ndarray:
         mean = np.zeros(self.n)
         mean[1 : min(40, self.n) : 2] = self.mean_shift
@@ -312,7 +308,7 @@ def gen_sfda_dataset(recipe: SfdaRecipe) -> tuple[np.ndarray, np.ndarray]:
     block = recipe.n // 5
     cov = recipe.toeplitz_rho ** np.abs(np.subtract.outer(np.arange(block), np.arange(block)))
     chol = np.linalg.cholesky(cov)
-    samples = rng.standard_normal((recipe.p, recipe.n))
+    samples = rng.standard_normal((recipe.p1 + recipe.p2, recipe.n))
     for start in range(0, recipe.n, block):
         samples[:, start : start + block] = samples[:, start : start + block] @ chol.T
     class1 = samples[: recipe.p1]

@@ -490,3 +490,64 @@ def test_gen_l1l2_round_trips_through_solve(tmp_path, capsys):
     assert payload["objective"] > 0.0
     truth = np.loadtxt(out_dir / "xtrue.csv")
     assert truth.shape == (60,)
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [["--n", "10", "--k", "20"], ["--m", "0"], ["--dct-f", "0"]],
+    ids=["k-above-n", "m-zero", "dct-f-zero"],
+)
+def test_gen_bad_l1l2_sizes_is_validation_error(sizes, tmp_path, capsys):
+    assert run_cli("gen", "l1l2", "--out-dir", tmp_path, *sizes) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_bench_bad_l1l2_sizes_is_validation_error(tmp_path, capsys):
+    cfg = _bench_config(tmp_path, experiment="l1l2", k=2000)
+    assert run_cli("bench", "--config", cfg, "--out-dir", tmp_path / "out") == 2
+    assert "k = 2000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("problem", ["sgep", "l1l2"])
+def test_solve_non_finite_data_is_validation_error(problem, tmp_path, capsys):
+    a_path = tmp_path / "A.csv"
+    if problem == "sgep":
+        save_matrix_csv(a_path, np.diag([2.0, np.nan]))
+        flags = ["--matrix-b", a_path, "-r", "1"]
+    else:
+        save_matrix_csv(a_path, np.array([[1.0, np.nan]]))
+        flags = ["--vector-b", _write_vector(tmp_path, "b.csv", [1.0])]
+    assert run_cli("solve", problem, "--matrix-a", a_path, *flags) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def _custom_sgep_config(tmp_path, a_path, b_path):
+    return _bench_config(
+        tmp_path, experiment="custom_sgep", matrix_a=str(a_path), matrix_b=str(b_path)
+    )
+
+
+def test_bench_custom_sgep_solves_the_files_once_per_trial(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert run_cli(
+        "gen", "sfda", "--n", "50", "--p1", "60", "--p2", "60", "--r", "5", "--out-dir", data
+    ) == 0
+    cfg = _custom_sgep_config(tmp_path, data / "A.csv", data / "B.csv")
+    out_dir = tmp_path / "out"
+    assert run_cli("bench", "--config", cfg, "--out-dir", out_dir) == 0
+    capsys.readouterr()
+    records = [json.loads(line) for line in (out_dir / "runs.jsonl").read_text().splitlines()]
+    assert [record.pop("trial") for record in records] == [0, 1]
+    # Both trials solve the same instance from the same start.
+    assert records[0] == records[1]
+    assert records[0]["experiment"] == "custom_sgep"
+
+
+def test_bench_custom_sgep_mismatched_matrices_is_dimension_error(tmp_path, capsys):
+    a_path = tmp_path / "A.csv"
+    b_path = tmp_path / "B.csv"
+    save_matrix_csv(a_path, np.eye(2))
+    save_matrix_csv(b_path, np.eye(3))
+    cfg = _custom_sgep_config(tmp_path, a_path, b_path)
+    assert run_cli("bench", "--config", cfg, "--out-dir", tmp_path / "out") == 4
+    assert "shape" in capsys.readouterr().err

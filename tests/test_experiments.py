@@ -14,7 +14,6 @@ from fracopt import (
     config_from_dict,
     run_experiment,
     run_trial,
-    solve_with,
     solver_run_config,
 )
 from fracopt import experiments
@@ -47,6 +46,9 @@ def test_config_validation():
         ExperimentConfig(threads=0)
     with pytest.raises(InvalidConfigError):
         ExperimentConfig(experiment="custom_sgep")
+    for sizes in (dict(m=0), dict(k=0), dict(n=10, k=20), dict(dct_f=0.0)):
+        with pytest.raises(InvalidConfigError):
+            ExperimentConfig(experiment="l1l2", **sizes)
 
 
 def test_config_defaults_depend_on_experiment():
@@ -93,12 +95,12 @@ def test_solver_run_config_routing():
     nonmonotone = solver_run_config(cfg, "pgsa_nl")
     assert nonmonotone.N == 6
     assert not nonmonotone.record_trace
-    assert solver_run_config(cfg, "pgsa_nl", record_trace=True).record_trace
+    assert solver_run_config(small_sfda_config(write_traces=True), "pgsa_nl").record_trace
     with pytest.raises(InvalidConfigError):
         solver_run_config(cfg, "bisection")
 
 
-def test_solve_with_routes_by_name():
+def test_run_trial_routes_by_solver_name():
     cfg = small_sfda_config(trials=1)
     results = run_trial(cfg, 0)
     assert [r.solver for r in results] == ["pgsa_ml"]
@@ -196,14 +198,16 @@ class NanProx(SgepProblem):
 def test_failures_are_recorded_per_trial_and_solver(monkeypatch, threads):
     # Forked workers inherit these patches; the failure records cross the
     # process boundary back to run_experiment.
-    real_solve_with = experiments.solve_with
+    real_solve_trial = experiments._solve_trial
 
-    def solve_with(problem, x0, solver, config):
+    def solve_trial(cfg, trial, solver, instance):
         if solver == "pgsa_ml":
-            problem = NanProx(
+            problem, x0, truth = instance
+            broken = NanProx(
                 matrix_a=problem.matrix_a, matrix_b=problem.matrix_b, sparsity=problem.sparsity
             )
-        return real_solve_with(problem, x0, solver, config)
+            instance = (broken, x0, truth)
+        return real_solve_trial(cfg, trial, solver, instance)
 
     real_sfda_problem = experiments._sfda_problem
 
@@ -212,7 +216,7 @@ def test_failures_are_recorded_per_trial_and_solver(monkeypatch, threads):
             raise DegenerateInputError("instance cannot be built")
         return real_sfda_problem(cfg, trial)
 
-    monkeypatch.setattr(experiments, "solve_with", solve_with)
+    monkeypatch.setattr(experiments, "_solve_trial", solve_trial)
     monkeypatch.setattr(experiments, "_sfda_problem", sfda_problem)
     cfg = small_sfda_config(solver="all", trials=3, master_seed=4, threads=threads)
     outcome = run_experiment(cfg)

@@ -21,7 +21,6 @@ from fracopt import (
     sgep_default_init,
 )
 from fracopt.exceptions import DomainError, InvalidConfigError
-from fracopt.linesearch import ObjectiveWindow
 from fracopt.rand import philox_generator
 
 
@@ -59,25 +58,6 @@ def test_bb_initial_step_rejects_bad_bounds():
         bb_initial_step(np.array([1.0]), np.array([1.0]), 0.0, 1.0)
     with pytest.raises(InvalidConfigError):
         bb_initial_step(np.array([1.0]), np.array([1.0]), 2.0, 1.0)
-
-
-def test_objective_window_tracks_recent_maximum():
-    window = ObjectiveWindow(2)
-    with pytest.raises(ValueError):
-        _ = window.maximum
-    for value, expected in [(5.0, 5.0), (3.0, 5.0), (4.0, 5.0), (2.0, 4.0), (1.0, 4.0)]:
-        window.push(value)
-        assert window.maximum == expected
-    assert len(window) == 3
-
-
-def test_objective_window_zero_memory_is_monotone():
-    window = ObjectiveWindow(0)
-    window.push(7.0)
-    window.push(3.0)
-    assert window.maximum == 3.0
-    with pytest.raises(InvalidConfigError):
-        ObjectiveWindow(-1)
 
 
 def test_line_search_step_accepts_immediately_below_guarantee():

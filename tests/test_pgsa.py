@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 
@@ -9,13 +10,17 @@ import numpy as np
 import pytest
 
 from fracopt import (
+    FractionalProblem,
     L1L2PenaltyProblem,
     LineSearchConfig,
     PgsaConfig,
     SfdaRecipe,
     SgepProblem,
     audit_trace,
+    gen_dct_matrix,
+    gen_ground_truth,
     gen_sfda,
+    penalty_start_point,
     run_pgsa,
     run_pgsa_ls,
     sgep_default_init,
@@ -244,3 +249,73 @@ def test_nan_from_a_callback_raises_numerics_error(callback, message, solver):
         else:
             run_pgsa_ls(problem, x0, LineSearchConfig(max_iter=3))
     assert str(err.value) == message
+
+
+def _counted(name):
+    def method(self, *args):
+        self.calls[name] += 1
+        return getattr(self.inner, name)(*args)
+
+    return method
+
+
+class CallCounter(FractionalProblem):
+    """Forwards every callback to ``inner`` and counts the calls made from outside it."""
+
+    def __init__(self, inner):
+        self.inner, self.dim = inner, inner.dim
+        self.calls = collections.Counter()
+        self.finite_f = 0
+
+    def eval_f(self, x):
+        self.calls["eval_f"] += 1
+        value = self.inner.eval_f(x)
+        self.finite_f += math.isfinite(value)
+        return value
+
+    eval_h = _counted("eval_h")
+    eval_g = _counted("eval_g")
+    grad_h = _counted("grad_h")
+    subgrad_g = _counted("subgrad_g")
+    prox_f = _counted("prox_f")
+    critical_residual = _counted("critical_residual")
+    lipschitz_grad_h = property(lambda self: self.inner.lipschitz_grad_h)
+    f_is_convex = property(lambda self: self.inner.f_is_convex)
+    g_sup_bound = property(lambda self: self.inner.g_sup_bound)
+
+
+@pytest.mark.parametrize("solver", ["pgsa", "pgsa_ml", "pgsa_nl"])
+@pytest.mark.parametrize("family", ["sgep", "l1l2"])
+def test_callback_counts_follow_iterations_and_backtracks(family, solver):
+    # K iterations with B backtracks make K calls each to grad_h and
+    # subgrad_g, K + B to prox_f, K + B + 1 each to eval_f and eval_g, one to
+    # eval_h per point where f is finite, and one to critical_residual.
+    rng = philox_generator(41, 0)
+    if family == "sgep":
+        problem = gen_sfda(SfdaRecipe(n=50, p1=60, p2=60, r=5, seed=rng))
+        x0 = sgep_default_init(50, 5)
+    else:
+        sensing = gen_dct_matrix(32, 128, 1.0, rng)
+        truth = gen_ground_truth(128, 4, rng)
+        problem = L1L2PenaltyProblem(
+            sensing=sensing, observation=sensing @ truth, lam=8e-5, lower=-1.0, upper=1.0
+        )
+        x0 = penalty_start_point(problem)
+    counter = CallCounter(problem)
+    if solver == "pgsa":
+        trace = run_pgsa(counter, x0, PgsaConfig(max_iter=300))
+    else:
+        cfg = LineSearchConfig(N=0 if solver == "pgsa_ml" else 4, max_iter=300)
+        trace = run_pgsa_ls(counter, x0, cfg)
+    k = trace.iterations
+    b = 0 if trace.backtracks is None else int(trace.backtracks.sum())
+    assert k > 0 and (solver == "pgsa" or b > 0)
+    assert counter.calls == {
+        "grad_h": k,
+        "subgrad_g": k,
+        "prox_f": k + b,
+        "eval_f": k + b + 1,
+        "eval_g": k + b + 1,
+        "eval_h": counter.finite_f,
+        "critical_residual": 1,
+    }

@@ -411,6 +411,15 @@ def test_sgep_problem_validation():
         SgepProblem(matrix_a=np.eye(2), matrix_b=np.diag([1.0, 0.0]), sparsity=1)
 
 
+@pytest.mark.parametrize("which", ["A", "B"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sgep_problem_rejects_non_finite_data(which, bad):
+    matrices = {"A": np.eye(3), "B": 2.0 * np.eye(3)}
+    matrices[which][0, 2] = matrices[which][2, 0] = bad
+    with pytest.raises(InvalidProblemError, match=f"{which} has a non-finite entry"):
+        SgepProblem(matrix_a=matrices["A"], matrix_b=matrices["B"], sparsity=2)
+
+
 def test_sgep_objective_scale_invariance():
     rng = philox_generator(137)
     a = wishart(rng, 20, 5) + 0.1 * np.eye(5)
