@@ -6,6 +6,9 @@ are aggregated in index order whatever the worker count, and the per-run
 records contain no timing fields, so identical inputs give byte-identical
 records.  Every trial runs in a worker process whose BLAS is pinned to one
 thread, so a trial's arithmetic does not depend on how many workers run.
+With traces on, a worker computes each run's ``errors_to_final`` and saves
+its iterates to a temporary file; the parent gets them back as a read-only
+memory map of that file, so no iterate crosses the result pipe.
 Wall-clock times appear only in the aggregate table and cover the solver
 call alone, timed inside its worker with no other trial sharing that
 process (problem construction, including the Lipschitz-constant
@@ -14,11 +17,13 @@ computation, and the sparse-recovery initializer run outside the clock).
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import itertools
 import json
 import numbers
 import os
+import tempfile
 import time
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
@@ -324,15 +329,19 @@ def _pin_blas_to_one_thread() -> None:
                 return
 
 
-# The config and shared problem of the running experiment, bound in each
-# worker process by _init_worker.
-_worker_args: tuple[ExperimentConfig, tuple[SgepProblem, np.ndarray] | None]
+# The config, shared problem and iterate hand-off directory of the running
+# experiment, bound in each worker process by _init_worker.
+_worker_args: tuple[ExperimentConfig, tuple[SgepProblem, np.ndarray] | None, str | None]
 
 
-def _init_worker(cfg: ExperimentConfig, shared: tuple[SgepProblem, np.ndarray] | None) -> None:
+def _init_worker(*worker_args: Any) -> None:
     global _worker_args
     _pin_blas_to_one_thread()
-    _worker_args = (cfg, shared)
+    _worker_args = worker_args
+
+
+def _handoff_path(handoff: str, result: TrialResult) -> str:
+    return os.path.join(handoff, f"{result.trial}_{result.solver}.npy")
 
 
 def _failure(cfg: ExperimentConfig, index: int, solver: str, exc: FracoptError) -> dict[str, Any]:
@@ -347,7 +356,7 @@ def _failure(cfg: ExperimentConfig, index: int, solver: str, exc: FracoptError) 
 
 def _one_trial(index: int) -> list[TrialResult | dict[str, Any]]:
     """Trial ``index`` in a worker: each solver's result, or its failure record."""
-    cfg, shared = _worker_args
+    cfg, shared, handoff = _worker_args
     try:
         instance = _build_trial(cfg, index, shared)
     except FracoptError as exc:
@@ -355,9 +364,16 @@ def _one_trial(index: int) -> list[TrialResult | dict[str, Any]]:
     outcomes: list[TrialResult | dict[str, Any]] = []
     for solver in cfg.solver_names():
         try:
-            outcomes.append(_solve_trial(cfg, index, solver, instance))
+            result = _solve_trial(cfg, index, solver, instance)
         except FracoptError as exc:
             outcomes.append(_failure(cfg, index, solver, exc))
+            continue
+        if handoff is not None:
+            # The iterates go through a file; only their errors ride the pipe.
+            errors = result.trace.errors_to_final()
+            np.save(_handoff_path(handoff, result), result.trace.iterates)
+            result.trace._set_iterates(None, errors)
+        outcomes.append(result)
     return outcomes
 
 
@@ -389,26 +405,27 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
         usable = os.cpu_count() or 1
     workers = max(1, min(cfg.threads or usable, cfg.trials, usable))
     fork = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-    with ProcessPoolExecutor(
+    results: list[TrialResult] = []
+    failures: list[dict[str, Any]] = []
+    traced = tempfile.TemporaryDirectory() if cfg.write_traces else contextlib.nullcontext()
+    with traced as handoff, ProcessPoolExecutor(
         max_workers=workers,
         mp_context=multiprocessing.get_context(fork),
         initializer=_init_worker,
-        initargs=(cfg, shared),
+        initargs=(cfg, shared, handoff),
     ) as pool:
-        trials = list(pool.map(_one_trial, range(cfg.trials)))
-
-    results: list[TrialResult] = []
-    failures: list[dict[str, Any]] = []
-    for outcome in itertools.chain.from_iterable(trials):
-        if isinstance(outcome, dict):
-            failures.append(outcome)
-        else:
+        for outcome in itertools.chain.from_iterable(pool.map(_one_trial, range(cfg.trials))):
+            if isinstance(outcome, dict):
+                failures.append(outcome)
+                continue
+            if handoff is not None:
+                path = _handoff_path(handoff, outcome)
+                outcome.trace._set_iterates(np.load(path, mmap_mode="r"), outcome.trace._errors[1])
+                os.unlink(path)
             results.append(outcome)
 
-    if cfg.trials == 0:
-        rows = []
-    else:
-        rows = [aggregate_row(cfg, solver, results, failures) for solver in cfg.solver_names()]
+    solvers = cfg.solver_names() if cfg.trials else ()
+    rows = [aggregate_row(cfg, solver, results, failures) for solver in solvers]
     records = [result.record() for result in results]
     return ExperimentOutcome(rows=rows, records=records, results=results, failures=failures)
 

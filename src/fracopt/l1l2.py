@@ -80,7 +80,7 @@ def l2_subgradient(x: np.ndarray) -> np.ndarray:
 class L1L2PenaltyProblem(FractionalProblem):
     """Ratio-structured sparse recovery instance.
 
-    Construction requires finite data, a nonempty box containing the origin
+    Construction requires finite data, a finite nonempty box containing the origin
     (otherwise the shrink-then-clip prox would be inexact) and a positive
     penalty weight.
     L = ||A||_2^2 comes from the spectrum of the smaller Gram matrix.  The
@@ -115,8 +115,8 @@ class L1L2PenaltyProblem(FractionalProblem):
         n = a.shape[1]
         lower = np.broadcast_to(np.asarray(self.lower, dtype=float), (n,)).copy()
         upper = np.broadcast_to(np.asarray(self.upper, dtype=float), (n,)).copy()
-        if np.isnan(lower).any() or np.isnan(upper).any():
-            raise InvalidProblemError("box bounds must not be NaN")
+        if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+            raise InvalidProblemError("box bounds must be finite")
         if np.any(lower > upper):
             raise InvalidProblemError("box is empty: lower > upper somewhere")
         if np.any(lower > 0.0) or np.any(upper < 0.0):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
@@ -60,11 +60,12 @@ class SolverTrace:
     for k = 0..K-1.  The scaling sequence c_k equals the objective sequence
     by construction (each c_k is the objective value reused from the previous
     evaluation).  ``iterates`` is only populated when the run was configured
-    with record_trace; everything else is always present.  ``params`` holds
-    the resolved step rule ("mode", the step bounds and, for the line search,
-    "a", "eta" and "N") together with the problem's "lipschitz",
-    "f_is_convex" and "g_sup_bound"; the trace file carries it, so an audit
-    reads every parameter from here and never guesses one.
+    with record_trace; ``run_experiment`` returns them as a read-only memory
+    map, with ``errors_to_final`` computed in the worker.  ``params`` holds the
+    resolved step rule ("mode", the step bounds and, for the line search, "a",
+    "eta" and "N") with the problem's "lipschitz", "f_is_convex" and
+    "g_sup_bound"; the trace file carries it, so an audit reads every
+    parameter from here and never guesses one.
     """
 
     objective: np.ndarray
@@ -76,6 +77,8 @@ class SolverTrace:
     params: dict[str, Any]
     backtracks: np.ndarray | None = None
     iterates: np.ndarray | None = None
+    # (iterates, their errors_to_final); another iterates array misses it.
+    _errors: tuple[Any, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     @property
     def iterations(self) -> int:
@@ -86,10 +89,13 @@ class SolverTrace:
 
         One pass over blocks of 64 rows through one reused scratch buffer, so
         no temporary as large as ``iterates`` is made.  The result is
-        bit-identical to ``np.linalg.norm(iterates - iterates[-1], axis=1)``.
+        bit-identical to ``np.linalg.norm(iterates - iterates[-1], axis=1)``,
+        computed once per iterates array (an in-place edit is not seen) and read-only.
         """
         if self.iterates is None:
             raise ValueError("trace was recorded without iterates")
+        if self._errors is not None and self._errors[0] is self.iterates:
+            return self._errors[1]
         iterates, rows = self.iterates, 64
         errors = np.empty(iterates.shape[0])
         scratch = np.empty((rows,) + iterates.shape[1:])
@@ -98,7 +104,13 @@ class SolverTrace:
             diff = np.subtract(block, iterates[-1], out=scratch[: block.shape[0]])
             np.multiply(diff, diff, out=diff)
             np.sqrt(np.add.reduce(diff, axis=1), out=errors[start : start + rows])
+        self._set_iterates(iterates, errors)
         return errors
+
+    def _set_iterates(self, iterates: Any, errors: np.ndarray) -> None:
+        """Store ``iterates`` with ``errors``, their errors_to_final, made read-only."""
+        errors.flags.writeable = False
+        self.iterates, self._errors = iterates, (iterates, errors)
 
 
 def _decrease_excess(value, reference, rel_slack=0.0, coef=0.0, step=0.0):

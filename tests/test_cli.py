@@ -521,6 +521,19 @@ def test_solve_non_finite_data_is_validation_error(problem, tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_solve_infinite_box_is_validation_error(tmp_path, capsys):
+    a_path = tmp_path / "A.csv"
+    save_matrix_csv(a_path, np.array([[1.0, 0.5], [0.5, 2.0]]))
+    b_path = _write_vector(tmp_path, "b.csv", [1.0, -1.0])
+    code = run_cli(
+        "solve", "l1l2", "--matrix-a", a_path, "--vector-b", b_path,
+        "--box-lower=-inf", "--box-upper", "inf", "--trace", tmp_path / "trace.csv",
+    )
+    assert code == 2
+    assert "box bounds must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def _custom_sgep_config(tmp_path, a_path, b_path):
     return _bench_config(
         tmp_path, experiment="custom_sgep", matrix_a=str(a_path), matrix_b=str(b_path)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from fracopt import (
     solver_run_config,
 )
 from fracopt import experiments
-from fracopt.exceptions import DegenerateInputError, InvalidConfigError
+from fracopt.exceptions import DegenerateInputError, InvalidConfigError, NumericsError
 
 
 def small_sfda_config(**extra) -> ExperimentConfig:
@@ -239,3 +241,77 @@ def test_failures_are_recorded_per_trial_and_solver(monkeypatch, threads):
     # run_trial itself still raises when its instance cannot be built.
     with pytest.raises(DegenerateInputError):
         run_trial(cfg, 2)
+
+
+def _traced_config(experiment: str, **extra) -> ExperimentConfig:
+    if experiment == "l1l2":
+        return ExperimentConfig(
+            experiment="l1l2", solver="all", trials=2, n=60, m=20, k=3, write_traces=True, **extra
+        )
+    return small_sfda_config(solver="all", write_traces=True, **extra)
+
+
+@pytest.fixture()
+def handoff_root(tmp_path, monkeypatch):
+    """The temp location run_experiment puts its iterate hand-off directory in."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    return tmp_path
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("experiment", ["l1l2", "sfda"])
+def test_traced_iterates_match_an_in_process_run_bitwise(experiment, threads, handoff_root):
+    cfg = _traced_config(experiment, threads=threads)
+    outcome = run_experiment(cfg)
+    assert list(handoff_root.iterdir()) == []
+    expected = {
+        (res.trial, res.solver): res.trace for trial in range(2) for res in run_trial(cfg, trial)
+    }
+    assert [(res.trial, res.solver) for res in outcome.results] == list(expected)
+    for res in outcome.results:
+        iterates, errors = res.trace.iterates, res.trace.errors_to_final()
+        want = expected[res.trial, res.solver]
+        assert isinstance(iterates, np.memmap) and not iterates.flags.writeable
+        assert iterates.shape == want.iterates.shape
+        assert iterates.tobytes() == want.iterates.tobytes()
+        assert errors.tobytes() == want.errors_to_final().tobytes()
+        assert res.trace.errors_to_final() is errors and not errors.flags.writeable
+
+
+def test_traced_solver_failures_leave_no_handoff_files(monkeypatch, handoff_root):
+    real_solve_trial = experiments._solve_trial
+
+    def solve_trial(cfg, trial, solver, instance):
+        if solver == "pgsa_ml":
+            raise NumericsError("injected")
+        return real_solve_trial(cfg, trial, solver, instance)
+
+    monkeypatch.setattr(experiments, "_solve_trial", solve_trial)
+    outcome = run_experiment(_traced_config("sfda", threads=2))
+    assert list(handoff_root.iterdir()) == []
+    assert [(f["trial"], f["solver"]) for f in outcome.failures] == [
+        (0, "pgsa_ml"), (1, "pgsa_ml"),
+    ]
+    assert [(r.trial, r.solver) for r in outcome.results] == [
+        (0, "pgsa"), (0, "pgsa_nl"), (1, "pgsa"), (1, "pgsa_nl"),
+    ]
+    for res in outcome.results:
+        assert res.trace.iterates.shape == (res.trace.iterations + 1, 50)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_traced_worker_bug_propagates_and_leaves_no_handoff_files(
+    monkeypatch, handoff_root, threads
+):
+    # Trial 1's pgsa run has saved its iterates when its pgsa_ml run raises.
+    real_solve_trial = experiments._solve_trial
+
+    def solve_trial(cfg, trial, solver, instance):
+        if (trial, solver) == (1, "pgsa_ml"):
+            raise RuntimeError("injected bug")
+        return real_solve_trial(cfg, trial, solver, instance)
+
+    monkeypatch.setattr(experiments, "_solve_trial", solve_trial)
+    with pytest.raises(RuntimeError, match="injected bug"):
+        run_experiment(_traced_config("sfda", threads=threads))
+    assert list(handoff_root.iterdir()) == []

@@ -219,7 +219,29 @@ def test_errors_to_final_matches_row_norms(rows, columns):
     iterates = philox_generator(503, rows).standard_normal((rows, columns)) * scales
     traced = dataclasses.replace(trace, iterates=iterates)
     expected = np.linalg.norm(iterates - iterates[-1], axis=1)
-    assert np.array_equal(traced.errors_to_final(), expected)
+    errors = traced.errors_to_final()
+    assert errors.tobytes() == expected.tobytes()
+    # Computed once for this iterates array, and read-only so no caller can edit the cached copy.
+    assert traced.errors_to_final() is errors
+    assert not errors.flags.writeable
+
+
+def test_errors_to_final_is_recomputed_for_a_new_iterates_array():
+    problem = diag_pair_problem()
+    trace = run_pgsa(problem, np.array([0.6, 0.8]), PgsaConfig(max_iter=5, record_trace=True))
+    assert trace.iterates.shape[0] >= 2
+    first = trace.errors_to_final()
+    with pytest.raises(ValueError):
+        first[0] = 1.0
+    tampered = trace.iterates.copy()
+    tampered[0] += 1.0
+    fresh = np.linalg.norm(tampered - tampered[-1], axis=1)
+    replaced = dataclasses.replace(trace, iterates=tampered)
+    assert replaced.errors_to_final().tobytes() == fresh.tobytes()
+    assert trace.errors_to_final() is first
+    trace.iterates = tampered
+    assert trace.errors_to_final() is not first
+    assert trace.errors_to_final().tobytes() == fresh.tobytes()
 
 
 ANCHOR_NAN = "NaN in step anchor (gradient or subgradient callback)"
