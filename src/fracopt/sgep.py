@@ -27,7 +27,7 @@ from .exceptions import (
     InvalidProblemError,
     SizeGuardError,
 )
-from .problem import DOMAIN_EPS_BASE, FractionalProblem, domain_eps
+from .problem import DOMAIN_EPS_BASE, FractionalProblem, _norm, domain_eps
 from .rand import as_generator, philox_generator
 
 # Relative floor on the smallest eigenvalue for the PSD construction check.
@@ -43,18 +43,20 @@ SUBMATRIX_CHECK_SAMPLES = 50
 UNIT_NORM_TOL = 1e-9
 
 
-def check_symmetric(matrix: np.ndarray, name: str, tol: float = 1e-12) -> None:
-    """Raise InvalidProblemError unless matrix is finite and symmetric within tol (scaled)."""
+def check_symmetric(matrix: np.ndarray, name: str, tol: float = 1e-12) -> bool:
+    """Raise InvalidProblemError unless finite and symmetric within tol (scaled); True if exact."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidProblemError(f"{name} must be square, got shape {m.shape}")
-    largest = float(np.max(np.abs(m))) if m.size else 0.0
-    if not math.isfinite(largest):
+    if not m.size:
+        return True
+    high, low = float(m.max()), float(m.min())
+    if not (math.isfinite(high) and math.isfinite(low)):
         raise InvalidProblemError(f"{name} has a non-finite entry")
-    scale = max(1.0, largest)
-    gap = float(np.max(np.abs(m - m.T))) if m.size else 0.0
-    if gap > tol * scale:
+    gap = float((m - m.T).max())  # M - M.T is exactly antisymmetric: this is max |M - M.T|
+    if gap > tol * max(1.0, high, -low):
         raise InvalidProblemError(f"{name} is not symmetric: max |M - M.T| = {gap:.3e}")
+    return gap == 0.0
 
 
 def project_sparse_sphere(x: np.ndarray, r: int) -> np.ndarray:
@@ -71,7 +73,7 @@ def project_sparse_sphere(x: np.ndarray, r: int) -> np.ndarray:
     n = x.shape[0]
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= {n}, got r = {r}")
-    if float(np.linalg.norm(x)) <= DOMAIN_EPS_BASE:
+    if _norm(x) <= DOMAIN_EPS_BASE:
         raise DegenerateInputError("projection onto the sparse sphere is undefined at 0")
     neg = -np.abs(x)
     cut = np.partition(neg, r - 1)[r - 1]
@@ -79,7 +81,7 @@ def project_sparse_sphere(x: np.ndarray, r: int) -> np.ndarray:
     keep = np.concatenate((np.flatnonzero(neg < cut), np.flatnonzero(neg == cut)))[:r]
     y = np.zeros_like(x)
     y[keep] = x[keep]
-    return y / np.linalg.norm(y)
+    return y / _norm(y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,9 +94,12 @@ class SgepProblem(FractionalProblem):
     of size r, exhaustively when that enumeration is small enough.  The
     gradient Lipschitz constant L = lambda_max(B) and the denominator bound
     M = lambda_max(A) / 2 are read off the spectra of that PSD check.  A and
-    B are stored as 0.5 * (M + M.T), exactly symmetric, so the callbacks work
-    over the support S of x only (B x is x_S @ B[S]): O(|S| n) rather than
-    O(n^2) per product on r-sparse points.
+    B are stored exactly symmetric (averaged with M.T if need be) as read-only
+    private copies, in copies and unpickled problems too.  The callbacks work
+    over the support S of x, O(|S| n) per product (B x is x_S @ B[S]), and
+    keep the operands last gathered, keyed by S: the S x S blocks, read at
+    every trial point, and the rows A[S], B[S], read at accepted points.  S
+    rarely changes between iterates, and read-only data keeps a gather fresh.
     """
 
     matrix_a: np.ndarray
@@ -102,12 +107,14 @@ class SgepProblem(FractionalProblem):
     sparsity: int
     _lipschitz: float = field(init=False, repr=False)
     _g_bound: float = field(init=False, repr=False)
+    _blocks: tuple = field(init=False, repr=False, default=(None, None, None))
+    _rows: tuple = field(init=False, repr=False, default=(None, None, None))
 
     def __post_init__(self) -> None:
         a = np.asarray(self.matrix_a, dtype=float)
         b = np.asarray(self.matrix_b, dtype=float)
-        check_symmetric(a, "A")
-        check_symmetric(b, "B")
+        exact_a = check_symmetric(a, "A")
+        exact_b = check_symmetric(b, "B")
         if a.shape != b.shape:
             raise InvalidProblemError(f"A has shape {a.shape}, B has shape {b.shape}")
         n = a.shape[0]
@@ -123,57 +130,73 @@ class SgepProblem(FractionalProblem):
                 )
             lambda_max[name] = float(eigs[-1])
         self._check_submatrices(b, n)
-        object.__setattr__(self, "matrix_a", 0.5 * (a + a.T))
-        object.__setattr__(self, "matrix_b", 0.5 * (b + b.T))
+        for name, m, exact in (("matrix_a", a, exact_a), ("matrix_b", b, exact_b)):
+            stored = m.copy() if exact else 0.5 * (m + m.T)
+            stored.setflags(write=False)
+            object.__setattr__(self, name, stored)
         object.__setattr__(self, "_lipschitz", lambda_max["B"])
         object.__setattr__(self, "_g_bound", 0.5 * lambda_max["A"])
+
+    def __setstate__(self, state: dict) -> None:
+        for name in ("matrix_a", "matrix_b"):
+            state[name].setflags(write=False)
+        self.__dict__.update(state)
 
     def _check_submatrices(self, b: np.ndarray, n: int) -> None:
         r = self.sparsity
         total = math.comb(n, r)
         if total <= SUBMATRIX_CHECK_SAMPLES:
-            supports = itertools.combinations(range(n), r)
+            supports = np.array(list(itertools.combinations(range(n), r)))
         else:
             rng = philox_generator(0)
-            supports = (
-                tuple(np.sort(rng.choice(n, size=r, replace=False)))
-                for _ in range(SUBMATRIX_CHECK_SAMPLES)
+            draws = (rng.choice(n, size=r, replace=False) for _ in range(SUBMATRIX_CHECK_SAMPLES))
+            supports = np.sort(np.array(list(draws)), axis=1)
+        # One stacked eigensolve over every sampled r x r principal block.
+        smallest = np.linalg.eigvalsh(b[supports[:, :, None], supports[:, None, :]])[:, 0]
+        failing = np.flatnonzero(smallest <= 0.0)
+        if failing.size:
+            raise InvalidProblemError(
+                f"B restricted to support {tuple(int(i) for i in supports[failing[0]])} "
+                "is not positive definite"
             )
-        for support in supports:
-            idx = np.asarray(support)
-            sub = b[np.ix_(idx, idx)]
-            if float(np.linalg.eigvalsh(sub)[0]) <= 0.0:
-                raise InvalidProblemError(
-                    f"B restricted to support {tuple(int(i) for i in idx)} "
-                    "is not positive definite"
-                )
 
     @property
     def dim(self) -> int:
         return self.matrix_a.shape[0]
 
+    def _gathered(self, x: np.ndarray, slot: str) -> tuple:
+        support = x.nonzero()[0]
+        key = support.tobytes()
+        kept = getattr(self, slot)
+        if kept[0] != key:
+            # np.ix_ gathers C-ordered blocks; M[S][:, S] would round differently.
+            index = np.ix_(support, support) if slot == "_blocks" else support
+            kept = (key, self.matrix_a[index], self.matrix_b[index])
+            object.__setattr__(self, slot, kept)
+        return x[support], kept[1], kept[2]
+
     def eval_f(self, x: np.ndarray) -> float:
         if np.count_nonzero(x) > self.sparsity:
             return math.inf
-        if abs(float(np.linalg.norm(x)) - 1.0) > UNIT_NORM_TOL:
+        if abs(_norm(x) - 1.0) > UNIT_NORM_TOL:
             return math.inf
         return 0.0
 
     def eval_h(self, x: np.ndarray) -> float:
-        support = np.flatnonzero(x)
-        return 0.5 * float(x[support] @ self.matrix_b[np.ix_(support, support)] @ x[support])
+        xs, _, block = self._gathered(x, "_blocks")
+        return 0.5 * float(xs @ block @ xs)
 
     def grad_h(self, x: np.ndarray) -> np.ndarray:
-        support = np.flatnonzero(x)
-        return x[support] @ self.matrix_b[support]
+        xs, _, rows = self._gathered(x, "_rows")
+        return xs @ rows
 
     def eval_g(self, x: np.ndarray) -> float:
-        support = np.flatnonzero(x)
-        return 0.5 * float(x[support] @ self.matrix_a[np.ix_(support, support)] @ x[support])
+        xs, block, _ = self._gathered(x, "_blocks")
+        return 0.5 * float(xs @ block @ xs)
 
     def subgrad_g(self, x: np.ndarray) -> np.ndarray:
-        support = np.flatnonzero(x)
-        return x[support] @ self.matrix_a[support]
+        xs, rows, _ = self._gathered(x, "_rows")
+        return xs @ rows
 
     def prox_f(self, alpha: float, z: np.ndarray) -> np.ndarray:
         # The prox of an indicator is the projection, whatever alpha is.
@@ -309,8 +332,8 @@ def gen_sfda_dataset(recipe: SfdaRecipe) -> tuple[np.ndarray, np.ndarray]:
     cov = recipe.toeplitz_rho ** np.abs(np.subtract.outer(np.arange(block), np.arange(block)))
     chol = np.linalg.cholesky(cov)
     samples = rng.standard_normal((recipe.p1 + recipe.p2, recipe.n))
-    for start in range(0, recipe.n, block):
-        samples[:, start : start + block] = samples[:, start : start + block] @ chol.T
+    # Each row holds five consecutive blocks, so one GEMM colours them all.
+    samples = (samples.reshape(-1, block) @ chol.T).reshape(samples.shape)
     class1 = samples[: recipe.p1]
     class2 = samples[recipe.p1 :] + recipe.class2_mean()
     return class1, class2
@@ -326,7 +349,9 @@ def scatter_matrices(class1: np.ndarray, class2: np.ndarray) -> tuple[np.ndarray
         within  = (sum_i (z1_i - m1)(z1_i - m1).T
                    + sum_i (z2_i - m2)(z2_i - m2).T) / p
 
-    Results are symmetrized by averaging with their transpose.
+    Both come out exactly symmetric without averaging: float products
+    commute, so each outer product is, and numpy computes c.T @ c as a
+    symmetric rank-k update.
     """
     z1 = np.asarray(class1, dtype=float)
     z2 = np.asarray(class2, dtype=float)
@@ -337,11 +362,16 @@ def scatter_matrices(class1: np.ndarray, class2: np.ndarray) -> tuple[np.ndarray
     p = z1.shape[0] + z2.shape[0]
     m1 = z1.mean(axis=0)
     m2 = z2.mean(axis=0)
-    between = (z1.shape[0] * np.outer(m1, m1) + z2.shape[0] * np.outer(m2, m2)) / p
+    between = np.outer(m1, m1)
+    between *= z1.shape[0]
+    between += z2.shape[0] * np.outer(m2, m2)
+    between /= p
     c1 = z1 - m1
     c2 = z2 - m2
-    within = (c1.T @ c1 + c2.T @ c2) / p
-    return 0.5 * (between + between.T), 0.5 * (within + within.T)
+    within = c1.T @ c1
+    within += c2.T @ c2
+    within /= p
+    return between, within
 
 
 def gen_sfda(recipe: SfdaRecipe) -> SgepProblem:

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import math
 
 import numpy as np
 import pytest
+from conftest import CallCounter
 
 from fracopt import (
-    FractionalProblem,
     L1L2PenaltyProblem,
     LineSearchConfig,
     PgsaConfig,
@@ -271,39 +270,6 @@ def test_nan_from_a_callback_raises_numerics_error(callback, message, solver):
         else:
             run_pgsa_ls(problem, x0, LineSearchConfig(max_iter=3))
     assert str(err.value) == message
-
-
-def _counted(name):
-    def method(self, *args):
-        self.calls[name] += 1
-        return getattr(self.inner, name)(*args)
-
-    return method
-
-
-class CallCounter(FractionalProblem):
-    """Forwards every callback to ``inner`` and counts the calls made from outside it."""
-
-    def __init__(self, inner):
-        self.inner, self.dim = inner, inner.dim
-        self.calls = collections.Counter()
-        self.finite_f = 0
-
-    def eval_f(self, x):
-        self.calls["eval_f"] += 1
-        value = self.inner.eval_f(x)
-        self.finite_f += math.isfinite(value)
-        return value
-
-    eval_h = _counted("eval_h")
-    eval_g = _counted("eval_g")
-    grad_h = _counted("grad_h")
-    subgrad_g = _counted("subgrad_g")
-    prox_f = _counted("prox_f")
-    critical_residual = _counted("critical_residual")
-    lipschitz_grad_h = property(lambda self: self.inner.lipschitz_grad_h)
-    f_is_convex = property(lambda self: self.inner.f_is_convex)
-    g_sup_bound = property(lambda self: self.inner.g_sup_bound)
 
 
 @pytest.mark.parametrize("solver", ["pgsa", "pgsa_ml", "pgsa_nl"])

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
+from conftest import CallCounter
 
 from fracopt import (
     LineSearchConfig,
@@ -29,7 +32,8 @@ from fracopt.exceptions import (
     InvalidProblemError,
     SizeGuardError,
 )
-from fracopt.rand import philox_generator
+from fracopt.rand import as_generator, philox_generator
+from fracopt.sgep import check_symmetric
 
 
 def diag_pair_problem(r: int = 2) -> SgepProblem:
@@ -431,3 +435,197 @@ def test_sgep_objective_scale_invariance():
         assert abs(problem.ratio_value(x) - scaled.ratio_value(x)) <= 1e-12 * (
             1.0 + abs(problem.ratio_value(x))
         )
+
+
+def uncached_callback(problem: SgepProblem, name: str, x: np.ndarray):
+    """The support formulas as written before the support cache: every call gathers."""
+    support = np.flatnonzero(x)
+    m = problem.matrix_a if name in ("eval_g", "subgrad_g") else problem.matrix_b
+    if name.startswith("eval"):
+        return 0.5 * float(x[support] @ m[np.ix_(support, support)] @ x[support])
+    return x[support] @ m[support]
+
+
+def test_support_cache_matches_uncached_formulas_bitwise():
+    rng = philox_generator(151)
+    n, r = 60, 8
+    problems = [
+        SgepProblem(
+            matrix_a=wishart(rng, 80, n) + 0.1 * np.eye(n),
+            matrix_b=wishart(rng, 80, n) + 0.5 * np.eye(n),
+            sparsity=r,
+        )
+        for _ in range(2)
+    ]
+
+    def on_support(support):
+        x = np.zeros(n)
+        x[support] = rng.standard_normal(support.size)
+        return x / np.linalg.norm(x)
+
+    first = np.flatnonzero(project_sparse_sphere(rng.standard_normal(n), r))
+    second = np.flatnonzero(project_sparse_sphere(rng.standard_normal(n), r))
+    walk = [on_support(first), on_support(first), on_support(second)]  # repeat, then change
+    walk += [on_support(s) for s in (first, second) * 3]  # two supports alternating
+    walk += [project_sparse_sphere(rng.standard_normal(n), 3), rng.standard_normal(n)]
+    walk += [on_support(first)]
+    names = ["eval_h", "eval_g", "grad_h", "subgrad_g"]
+    for step, x in enumerate(walk):
+        for problem in problems:  # two problems used in turn
+            order = names[step % 4 :] + names[: step % 4]
+            for name in order:
+                got = getattr(problem, name)(x)
+                want = uncached_callback(problem, name, x)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (step, name)
+
+
+def test_stored_matrices_are_read_only_private_copies():
+    rng = philox_generator(157)
+    n = 12
+    a = wishart(rng, 30, n) + 0.1 * np.eye(n)
+    b = wishart(rng, 30, n) + 0.5 * np.eye(n)
+    skewed = b.copy()
+    skewed[0, 3] += 1e-13
+    x = project_sparse_sphere(rng.standard_normal(n), 3)
+    for given_b in (b, skewed):  # stored as a copy, and stored averaged
+        problem = SgepProblem(matrix_a=a, matrix_b=given_b, sparsity=3)
+        before = [problem.eval_h(x), problem.grad_h(x), problem.eval_g(x), problem.subgrad_g(x)]
+        for stored, given in ((problem.matrix_a, a), (problem.matrix_b, given_b)):
+            assert not np.shares_memory(stored, given)
+        for kept in (problem, copy.deepcopy(problem), pickle.loads(pickle.dumps(problem))):
+            for stored in (kept.matrix_a, kept.matrix_b):
+                with pytest.raises(ValueError):
+                    stored[0, 0] = 1.0
+        given_b_copy = given_b.copy()
+        given_b[:] = 0.0
+        after = [problem.eval_h(x), problem.grad_h(x), problem.eval_g(x), problem.subgrad_g(x)]
+        given_b[:] = given_b_copy
+        assert [np.asarray(v).tobytes() for v in after] == [
+            np.asarray(v).tobytes() for v in before
+        ]
+
+
+@pytest.mark.parametrize("solver", ["pgsa", "pgsa_ml", "pgsa_nl"])
+def test_counted_solve_matches_direct_solve(solver):
+    def build():
+        recipe = SfdaRecipe(n=50, p1=60, p2=60, r=5, seed=philox_generator(43, 0))
+        return gen_sfda(recipe)
+
+    def solve(problem):
+        x0 = sgep_default_init(50, 5)
+        if solver == "pgsa":
+            return run_pgsa(problem, x0, PgsaConfig(max_iter=300))
+        cfg = LineSearchConfig(N=0 if solver == "pgsa_ml" else 4, max_iter=300)
+        return run_pgsa_ls(problem, x0, cfg)
+
+    def fingerprint(trace):
+        arrays = (trace.objective, trace.g_value, trace.alpha, trace.step_norm, trace.final_x)
+        arrays += () if trace.backtracks is None else (trace.backtracks,)
+        return [a.tobytes() for a in arrays], trace.certificate
+
+    problem = build()
+    direct = solve(problem)
+    counter = CallCounter(problem)  # the same problem, its kept gathers warm
+    counted = solve(counter)
+    assert fingerprint(counted) == fingerprint(direct) == fingerprint(solve(build()))
+    k = direct.iterations
+    b = 0 if direct.backtracks is None else int(direct.backtracks.sum())
+    assert counter.calls == {
+        "grad_h": k,
+        "subgrad_g": k,
+        "prox_f": k + b,
+        "eval_f": k + b + 1,
+        "eval_g": k + b + 1,
+        "eval_h": counter.finite_f,
+        "critical_residual": 1,
+    }
+
+
+def looped_sfda_dataset(recipe: SfdaRecipe) -> tuple[np.ndarray, np.ndarray]:
+    """gen_sfda_dataset as first written: the Cholesky factor applied block by block."""
+    rng = as_generator(recipe.seed)
+    block = recipe.n // 5
+    cov = recipe.toeplitz_rho ** np.abs(np.subtract.outer(np.arange(block), np.arange(block)))
+    chol = np.linalg.cholesky(cov)
+    samples = rng.standard_normal((recipe.p1 + recipe.p2, recipe.n))
+    for start in range(0, recipe.n, block):
+        samples[:, start : start + block] = samples[:, start : start + block] @ chol.T
+    return samples[: recipe.p1], samples[recipe.p1 :] + recipe.class2_mean()
+
+
+def averaged_scatter_matrices(z1: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """scatter_matrices as first written: out-of-place, then averaged with the transpose."""
+    p = z1.shape[0] + z2.shape[0]
+    m1 = z1.mean(axis=0)
+    m2 = z2.mean(axis=0)
+    between = (z1.shape[0] * np.outer(m1, m1) + z2.shape[0] * np.outer(m2, m2)) / p
+    c1 = z1 - m1
+    c2 = z2 - m2
+    within = (c1.T @ c1 + c2.T @ c2) / p
+    return 0.5 * (between + between.T), 0.5 * (within + within.T)
+
+
+@pytest.mark.parametrize("n, p1, p2, r", [(1000, 500, 500, 50), (50, 60, 40, 5)])
+def test_sfda_construction_matches_first_formulas_bitwise(n, p1, p2, r):
+    recipe = SfdaRecipe(n=n, p1=p1, p2=p2, r=r, seed=167)
+    classes = gen_sfda_dataset(recipe)
+    reference = looped_sfda_dataset(recipe)
+    assert [c.tobytes() for c in classes] == [c.tobytes() for c in reference]
+    scatter = scatter_matrices(*classes)
+    assert [m.tobytes() for m in scatter] == [
+        m.tobytes() for m in averaged_scatter_matrices(*reference)
+    ]
+    for m in scatter:
+        assert np.array_equal(m, m.T)
+
+
+def test_check_symmetric_gap_is_max_abs_difference():
+    rng = philox_generator(173)
+    for trial in range(6):
+        k = 5 + 3 * trial
+        m = rng.uniform(-0.45, 0.45, (k, k))
+        m = m + m.T
+        assert check_symmetric(m, "M")
+        m[rng.integers(k), rng.integers(k)] += rng.uniform(1e-15, 1e-13)
+        gap = float(np.max(np.abs(m - m.T)))
+        if gap == 0.0:  # the nudge landed on the diagonal
+            continue
+        # Entries below 1 in magnitude make the scale 1, so tol is the bound itself.
+        assert not check_symmetric(m, "M", tol=gap)
+        with pytest.raises(InvalidProblemError, match="not symmetric"):
+            check_symmetric(m, "M", tol=np.nextafter(gap, 0.0))
+        # A negative largest entry sets the scale through its magnitude.
+        scaled = -8.0 * np.abs(m)
+        scaled[0, 0] = -64.0
+        gap = float(np.max(np.abs(scaled - scaled.T)))
+        assert not check_symmetric(scaled, "M", tol=gap / 64.0)
+        with pytest.raises(InvalidProblemError, match="not symmetric"):
+            check_symmetric(scaled, "M", tol=np.nextafter(gap / 64.0, 0.0))
+
+
+def looped_first_singular_support(b: np.ndarray, r: int) -> tuple[int, ...] | None:
+    """The submatrix check as first written: one eigensolve per support, in order."""
+    n = b.shape[0]
+    if math.comb(n, r) <= 50:
+        supports = itertools.combinations(range(n), r)
+    else:
+        rng = philox_generator(0)
+        supports = (tuple(np.sort(rng.choice(n, size=r, replace=False))) for _ in range(50))
+    for support in supports:
+        idx = np.asarray(support)
+        if float(np.linalg.eigvalsh(b[np.ix_(idx, idx)])[0]) <= 0.0:
+            return tuple(int(i) for i in idx)
+    return None
+
+
+@pytest.mark.parametrize("n, r", [(5, 2), (12, 5)])
+def test_stacked_submatrix_check_names_the_looped_first_failure(n, r):
+    # Coordinates 1 and 3, and 2 and 4, are copies of each other, so every
+    # principal block holding either pair is singular while B stays PSD.
+    b = np.eye(n)
+    b[1, 3] = b[3, 1] = b[2, 4] = b[4, 2] = 1.0
+    expected = looped_first_singular_support(b, r)
+    assert expected is not None
+    with pytest.raises(InvalidProblemError) as err:
+        SgepProblem(matrix_a=np.eye(n), matrix_b=b, sparsity=r)
+    assert str(err.value) == f"B restricted to support {expected} is not positive definite"
