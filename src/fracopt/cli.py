@@ -4,9 +4,11 @@ Subcommands: ``solve`` (one problem from files, certificate JSON to stdout),
 ``bench`` (seeded multi-trial experiments driven by a JSON config), ``gen``
 (write synthetic problem files), ``verify`` (re-audit a recorded trace).
 
-Exit codes: 0 success; 1 a verification found violations; 2 invalid flags or
-configuration; 3 I/O or parse failure; 4 dimension mismatch between inputs;
-5 solver runtime failure.
+Exit codes (``_EXIT_CODES`` maps each error class to one): 0 success; 1 a
+verification found violations; 2 invalid flags or configuration; 3 I/O or
+parse failure; 4 dimension mismatch between inputs; 5 solver runtime failure.
+The keys each solver reads, how ``gen`` draws an instance and the default
+start point all come from ``experiments``, as they do for ``bench``.
 """
 
 from __future__ import annotations
@@ -33,9 +35,13 @@ from .exceptions import (
     SizeGuardError,
 )
 from .experiments import (
+    _SOLVER_FIELDS,
+    SOLVERS,
     ExperimentConfig,
+    _instance,
     _load_sgep,
     _solve_trial,
+    _start,
     apply_env_overrides,
     config_from_dict,
     run_experiment,
@@ -50,10 +56,10 @@ from .io import (
     write_result_rows,
     write_trace_csv,
 )
-from .l1l2 import L1L2PenaltyProblem, gen_dct_matrix, gen_ground_truth, penalty_start_point
+from .l1l2 import L1L2PenaltyProblem
 from .oracle import audit_trace, fit_rate_from_errors
 from .rand import philox_generator
-from .sgep import SfdaRecipe, SgepProblem, gen_sfda, sgep_default_init
+from .sgep import SfdaRecipe, SgepProblem
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -61,14 +67,18 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_DIMENSIONS = 4
 EXIT_SOLVER = 5
-
-# The solver config keys each solver reads; `solve` rejects any other key.
-_STOPPING_KEYS = {"step_tol", "max_iter", "relative_tol"}
-_LINE_SEARCH_KEYS = _STOPPING_KEYS | {"a", "eta", "alpha_lower", "alpha_upper", "alpha0"}
-SOLVER_CONFIG_KEYS = {
-    "pgsa": _STOPPING_KEYS | {"alpha"},
-    "pgsa_ml": _LINE_SEARCH_KEYS,
-    "pgsa_nl": _LINE_SEARCH_KEYS | {"window"},
+# The exit code of each error class main reports; any other error propagates.
+_EXIT_CODES = {
+    InvalidConfigError: EXIT_VALIDATION,
+    InvalidProblemError: EXIT_VALIDATION,
+    ParseError: EXIT_IO,
+    OSError: EXIT_IO,
+    DimensionMismatchError: EXIT_DIMENSIONS,
+    DomainError: EXIT_SOLVER,
+    LineSearchError: EXIT_SOLVER,
+    NumericsError: EXIT_SOLVER,
+    DegenerateInputError: EXIT_SOLVER,
+    SizeGuardError: EXIT_SOLVER,
 }
 GEN_SIZES = ("n", "p1", "p2", "r", "m", "k", "dct_f")
 
@@ -91,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", parents=[files], help="solve one problem read from files")
     solve.add_argument("problem", choices=["sgep", "l1l2"])
-    solve.add_argument("--solver", choices=["pgsa", "pgsa_ml", "pgsa_nl"], default="pgsa_ml")
+    solve.add_argument("--solver", choices=SOLVERS, default="pgsa_ml")
     solve.add_argument("--x0", help="CSV start vector; defaults to the problem's canonical start")
     solve.add_argument("--config", help="JSON file with solver parameters")
     solve.add_argument("--trace", help="write the per-iteration trace CSV here")
@@ -182,16 +192,14 @@ def _build_l1l2(args: argparse.Namespace) -> L1L2PenaltyProblem:
 def _start_point(
     args: argparse.Namespace, problem: SgepProblem | L1L2PenaltyProblem
 ) -> np.ndarray:
-    if args.x0:
-        x0 = load_vector_csv(args.x0)
-        if x0.shape[0] != problem.dim:
-            raise DimensionMismatchError(
-                f"x0 has length {x0.shape[0]}, problem dimension is {problem.dim}"
-            )
-        return x0
-    if isinstance(problem, SgepProblem):
-        return sgep_default_init(problem.dim, problem.sparsity)
-    return penalty_start_point(problem)
+    if not args.x0:
+        return _start(problem)
+    x0 = load_vector_csv(args.x0)
+    if x0.shape[0] != problem.dim:
+        raise DimensionMismatchError(
+            f"x0 has length {x0.shape[0]}, problem dimension is {problem.dim}"
+        )
+    return x0
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -204,7 +212,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     ):
         if value is not None:
             cfg_fields[key] = value
-    unknown = sorted(set(cfg_fields) - SOLVER_CONFIG_KEYS[args.solver])
+    unknown = sorted(set(cfg_fields) - set(_SOLVER_FIELDS[args.solver]))
     if unknown:
         raise InvalidConfigError(f"solver {args.solver} does not read: {', '.join(unknown)}")
     problem = _build_problem(args)
@@ -215,7 +223,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         trials=1,
         write_traces=bool(args.trace),
         matrix_a=args.matrix_a,
-        matrix_b=args.matrix_b or args.matrix_a,
+        matrix_b=args.matrix_b,
         **cfg_fields,
     )
     result = _solve_trial(exp_cfg, 0, args.solver, (problem, x0, None))
@@ -271,31 +279,18 @@ def cmd_gen(args: argparse.Namespace) -> int:
     cfg = ExperimentConfig(experiment=args.experiment, **sizes)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    meta: dict[str, Any] = {"experiment": args.experiment, "seed": args.seed}
-    n = cfg.dimension
+    problem, truth = _instance(cfg, philox_generator(args.seed))
+    meta: dict[str, Any] = {"experiment": args.experiment, "seed": args.seed, "n": cfg.dimension}
     if args.experiment == "sfda":
-        recipe = SfdaRecipe(n=n, p1=cfg.p1, p2=cfg.p2, r=cfg.r, seed=args.seed)
-        problem = gen_sfda(recipe)
         save_matrix_csv(out_dir / "A.csv", problem.matrix_a)
         save_matrix_csv(out_dir / "B.csv", problem.matrix_b)
-        meta.update(
-            {
-                "n": n,
-                "p1": cfg.p1,
-                "p2": cfg.p2,
-                "r": cfg.r,
-                "within_ridge": recipe.within_ridge,
-            }
-        )
+        meta.update(p1=cfg.p1, p2=cfg.p2, r=cfg.r, within_ridge=SfdaRecipe.within_ridge)
         written = ["A.csv", "B.csv"]
     else:
-        rng = philox_generator(args.seed)
-        sensing = gen_dct_matrix(cfg.m, n, cfg.dct_f, rng)
-        truth = gen_ground_truth(n, cfg.k, rng)
-        save_matrix_csv(out_dir / "A.csv", sensing)
-        save_vector_csv(out_dir / "b.csv", sensing @ truth)
+        save_matrix_csv(out_dir / "A.csv", problem.sensing)
+        save_vector_csv(out_dir / "b.csv", problem.observation)
         save_vector_csv(out_dir / "xtrue.csv", truth)
-        meta.update({"m": cfg.m, "n": n, "k": cfg.k, "dct_f": cfg.dct_f})
+        meta.update(m=cfg.m, k=cfg.k, dct_f=cfg.dct_f)
         written = ["A.csv", "b.csv", "xtrue.csv"]
     with open(out_dir / "meta.json", "w") as handle:
         json.dump(meta, handle, sort_keys=True, indent=2)
@@ -338,32 +333,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "solve": cmd_solve,
-        "bench": cmd_bench,
-        "gen": cmd_gen,
-        "verify": cmd_verify,
-    }
+    handlers = {"solve": cmd_solve, "bench": cmd_bench, "gen": cmd_gen, "verify": cmd_verify}
     try:
         return handlers[args.command](args)
-    except (InvalidConfigError, InvalidProblemError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except DimensionMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSIONS
-    except (
-        DomainError,
-        LineSearchError,
-        NumericsError,
-        DegenerateInputError,
-        SizeGuardError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 def main_entry() -> None:

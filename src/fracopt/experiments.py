@@ -13,6 +13,7 @@ Wall-clock times appear only in the aggregate table and cover the solver
 call alone, timed inside its worker with no other trial sharing that
 process (problem construction, including the Lipschitz-constant
 computation, and the sparse-recovery initializer run outside the clock).
+The CLI takes each solver's fields, the instance recipe and start points from here.
 """
 
 from __future__ import annotations
@@ -48,7 +49,15 @@ from .rand import philox_generator
 from .sgep import SfdaRecipe, SgepProblem, gen_sfda, sgep_default_init
 
 EXPERIMENTS = ("sfda", "l1l2", "custom_sgep")
-SOLVERS = ("pgsa", "pgsa_ml", "pgsa_nl")
+# The ExperimentConfig fields each solver reads; `fracopt solve` rejects any other.
+_STOPPING = ("step_tol", "max_iter", "relative_tol")
+_LINE_SEARCH = ("a", "eta", "alpha_lower", "alpha_upper", "alpha0", *_STOPPING)
+_SOLVER_FIELDS = {
+    "pgsa": ("alpha", *_STOPPING),
+    "pgsa_ml": _LINE_SEARCH,
+    "pgsa_nl": (*_LINE_SEARCH, "window"),
+}
+SOLVERS = tuple(_SOLVER_FIELDS)
 ENV_PREFIX = "FRACOPT_"
 # The values each ExperimentConfig field annotation admits; a bool is no number.
 FIELD_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real, "bool": bool}
@@ -122,6 +131,8 @@ class ExperimentConfig:
             raise InvalidConfigError("threads must be at least 1")
         if self.experiment == "custom_sgep" and (not self.matrix_a or not self.matrix_b):
             raise InvalidConfigError("custom_sgep needs matrix_a and matrix_b paths")
+        if self.experiment == "sfda":  # the recipe's own checks reject impossible sizes
+            SfdaRecipe(n=self.dimension, p1=self.p1, p2=self.p2, r=self.r)
         if self.experiment == "l1l2" and not 1 <= self.k <= self.dimension:
             raise InvalidConfigError(f"need 1 <= k <= {self.dimension}, got k = {self.k}")
         if self.experiment == "l1l2" and (self.m < 1 or not self.dct_f > 0):
@@ -170,26 +181,14 @@ def apply_env_overrides(
 
 
 def solver_run_config(cfg: ExperimentConfig, solver: str) -> PgsaConfig | LineSearchConfig:
-    """Translate experiment-level knobs into a concrete solver config."""
-    common = dict(
-        step_tol=cfg.step_tol,
-        max_iter=cfg.max_iter,
-        relative_tol=cfg.stop_is_relative,
-        record_trace=cfg.write_traces,
-    )
-    if solver == "pgsa":
-        return PgsaConfig(alpha=cfg.alpha, **common)
-    if solver not in ("pgsa_ml", "pgsa_nl"):
+    """The concrete config of ``solver``, built from the fields it reads."""
+    if solver not in _SOLVER_FIELDS:
         raise InvalidConfigError(f"unknown solver {solver!r}")
-    return LineSearchConfig(
-        a=cfg.a,
-        eta=cfg.eta,
-        N=0 if solver == "pgsa_ml" else cfg.window,
-        alpha_lower=cfg.alpha_lower,
-        alpha_upper=cfg.alpha_upper,
-        alpha0=cfg.alpha0,
-        **common,
-    )
+    knobs = {
+        ("N" if name == "window" else name): getattr(cfg, name) for name in _SOLVER_FIELDS[solver]
+    }
+    knobs.update(relative_tol=cfg.stop_is_relative, record_trace=cfg.write_traces)
+    return PgsaConfig(**knobs) if solver == "pgsa" else LineSearchConfig(**{"N": 0, **knobs})
 
 
 @dataclass
@@ -229,18 +228,13 @@ def _load_sgep(path_a: str, path_b: str, sparsity: int) -> SgepProblem:
     return SgepProblem(matrix_a=a, matrix_b=b, sparsity=sparsity)
 
 
-def _sfda_problem(cfg: ExperimentConfig, trial: int) -> tuple[SgepProblem, np.ndarray]:
-    rng = philox_generator(cfg.master_seed, trial)
-    recipe = SfdaRecipe(n=cfg.dimension, p1=cfg.p1, p2=cfg.p2, r=cfg.r, seed=rng)
-    problem = gen_sfda(recipe)
-    return problem, sgep_default_init(cfg.dimension, cfg.r)
-
-
-def _l1l2_problem(
-    cfg: ExperimentConfig, trial: int
-) -> tuple[L1L2PenaltyProblem, np.ndarray, np.ndarray]:
-    rng = philox_generator(cfg.master_seed, trial)
+def _instance(
+    cfg: ExperimentConfig, rng: np.random.Generator
+) -> tuple[FractionalProblem, np.ndarray | None]:
+    """An sfda or l1l2 instance drawn from ``rng``, with the l1l2 ground truth."""
     n = cfg.dimension
+    if cfg.experiment == "sfda":
+        return gen_sfda(SfdaRecipe(n=n, p1=cfg.p1, p2=cfg.p2, r=cfg.r, seed=rng)), None
     sensing = gen_dct_matrix(cfg.m, n, cfg.dct_f, rng)
     truth = gen_ground_truth(n, cfg.k, rng)
     problem = L1L2PenaltyProblem(
@@ -250,7 +244,14 @@ def _l1l2_problem(
         lower=cfg.box_lower,
         upper=cfg.box_upper,
     )
-    return problem, penalty_start_point(problem), truth
+    return problem, truth
+
+
+def _start(problem: FractionalProblem) -> np.ndarray:
+    """The canonical start point of the problem's family."""
+    if isinstance(problem, SgepProblem):
+        return sgep_default_init(problem.dim, problem.sparsity)
+    return penalty_start_point(problem)
 
 
 def _build_trial(
@@ -259,12 +260,11 @@ def _build_trial(
     shared_problem: tuple[SgepProblem, np.ndarray] | None,
 ) -> tuple[FractionalProblem, np.ndarray, np.ndarray | None]:
     """This trial's problem instance, start point and, for l1l2, ground truth."""
-    if cfg.experiment == "sfda":
-        return (*_sfda_problem(cfg, trial), None)
-    if cfg.experiment == "l1l2":
-        return _l1l2_problem(cfg, trial)
-    assert shared_problem is not None, "custom_sgep requires a preloaded problem"
-    return (*shared_problem, None)
+    if cfg.experiment == "custom_sgep":
+        assert shared_problem is not None, "custom_sgep requires a preloaded problem"
+        return (*shared_problem, None)
+    problem, truth = _instance(cfg, philox_generator(cfg.master_seed, trial))
+    return problem, _start(problem), truth
 
 
 def _solve_trial(
@@ -397,7 +397,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
     shared = None
     if cfg.experiment == "custom_sgep":
         problem = _load_sgep(cfg.matrix_a, cfg.matrix_b, cfg.r)
-        shared = (problem, sgep_default_init(problem.dim, cfg.r))
+        shared = (problem, _start(problem))
 
     if hasattr(os, "sched_getaffinity"):
         usable = len(os.sched_getaffinity(0))

@@ -164,4 +164,4 @@ def run_pgsa_ls(
         "alpha_upper": hi,
         "alpha0": alpha_seed,
     }
-    return _solve(problem, x0, cfg, backtracking_step, params, backtracking=True)
+    return _solve(problem, x0, cfg, backtracking_step, params)

@@ -187,7 +187,6 @@ def _solve(
     cfg: Any,
     step_rule: Callable[..., tuple],
     params: dict[str, Any],
-    backtracking: bool,
 ) -> SolverTrace:
     """The iteration loop of every solver.
 
@@ -259,7 +258,7 @@ def _solve(
             "f_is_convex": problem.f_is_convex,
             "g_sup_bound": problem.g_sup_bound,
         },
-        backtracks=np.asarray(backtracks, dtype=int) if backtracking else None,
+        backtracks=np.asarray(backtracks, dtype=int) if params["mode"] != "pgsa" else None,
         iterates=np.asarray(iterates) if iterates is not None else None,
     )
 
@@ -314,4 +313,4 @@ def run_pgsa(
         return x_new, new_ext, alpha, step, 0
 
     params = {"mode": "pgsa", "alpha": alpha, "alpha_lower": alpha, "alpha_upper": alpha}
-    return _solve(problem, x0, cfg, fixed_step, params, backtracking=False)
+    return _solve(problem, x0, cfg, fixed_step, params)

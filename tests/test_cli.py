@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from fracopt import cli, exceptions
 from fracopt.cli import main
 from fracopt.io import RESULT_COLUMNS, save_matrix_csv, save_vector_csv
 
@@ -508,6 +509,19 @@ def test_bench_bad_l1l2_sizes_is_validation_error(tmp_path, capsys):
     assert "k = 2000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "sizes, message",
+    [({"n": 7}, "multiple of 5"), ({"r": 0}, "r = 0"), ({"p1": 0}, "class sizes")],
+    ids=["n-not-multiple-of-5", "r-zero", "p1-zero"],
+)
+def test_bench_bad_sfda_sizes_is_validation_error(sizes, message, tmp_path, capsys):
+    # The sizes SfdaRecipe rejects are rejected up front, before any trial runs.
+    cfg = _bench_config(tmp_path, **sizes)
+    assert run_cli("bench", "--config", cfg, "--out-dir", tmp_path / "out") == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("problem", ["sgep", "l1l2"])
 def test_solve_non_finite_data_is_validation_error(problem, tmp_path, capsys):
     a_path = tmp_path / "A.csv"
@@ -564,3 +578,40 @@ def test_bench_custom_sgep_mismatched_matrices_is_dimension_error(tmp_path, caps
     cfg = _custom_sgep_config(tmp_path, a_path, b_path)
     assert run_cli("bench", "--config", cfg, "--out-dir", tmp_path / "out") == 4
     assert "shape" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (exceptions.InvalidConfigError, 2),
+        (exceptions.InvalidProblemError, 2),
+        (exceptions.ParseError, 3),
+        (OSError, 3),
+        (FileNotFoundError, 3),
+        (exceptions.DimensionMismatchError, 4),
+        (exceptions.DomainError, 5),
+        (exceptions.LineSearchError, 5),
+        (exceptions.NumericsError, 5),
+        (exceptions.DegenerateInputError, 5),
+        (exceptions.SizeGuardError, 5),
+    ],
+    ids=lambda value: value.__name__ if isinstance(value, type) else str(value),
+)
+def test_each_error_class_exits_with_its_documented_code(
+    error, code, tmp_path, capsys, monkeypatch
+):
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_gen", fail)
+    assert run_cli("gen", "sfda", "--out-dir", tmp_path) == code
+    assert capsys.readouterr().err == "error: boom\n"
+
+
+def test_an_unmapped_error_propagates(tmp_path, monkeypatch):
+    def fail(args):
+        raise exceptions.InsufficientDataError("not an exit code")
+
+    monkeypatch.setattr(cli, "cmd_gen", fail)
+    with pytest.raises(exceptions.InsufficientDataError):
+        run_cli("gen", "sfda", "--out-dir", tmp_path)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import tempfile
 
 import numpy as np
@@ -19,6 +21,8 @@ from fracopt import (
     solver_run_config,
 )
 from fracopt import experiments
+from fracopt.cli import main
+from fracopt.io import save_matrix_csv
 from fracopt.exceptions import DegenerateInputError, InvalidConfigError, NumericsError
 
 
@@ -100,6 +104,52 @@ def test_solver_run_config_routing():
     assert solver_run_config(small_sfda_config(write_traces=True), "pgsa_nl").record_trace
     with pytest.raises(InvalidConfigError):
         solver_run_config(cfg, "bisection")
+
+
+# Every solver knob of ExperimentConfig, at a valid value other than its default.
+SOLVER_KNOBS = {
+    "alpha": 0.01,
+    "a": 0.02,
+    "eta": 0.3,
+    "window": 7,
+    "alpha_lower": 1e-3,
+    "alpha_upper": 1e3,
+    "alpha0": 0.5,
+    "step_tol": 1e-9,
+    "max_iter": 77,
+    "relative_tol": True,
+}
+
+
+@pytest.mark.parametrize("solver", experiments.SOLVERS)
+def test_solver_table_matches_the_configs_built_from_it(solver, tmp_path, capsys):
+    table = experiments._SOLVER_FIELDS
+    assert set().union(*table.values()) == set(SOLVER_KNOBS)
+    cfg = small_sfda_config()
+    base = solver_run_config(cfg, solver)
+    reached = set()
+    for name, value in SOLVER_KNOBS.items():
+        built = solver_run_config(dataclasses.replace(cfg, **{name: value}), solver)
+        moved = {
+            f.name for f in dataclasses.fields(built) if getattr(built, f.name) != getattr(base, f.name)
+        }
+        assert bool(moved) == (name in table[solver]), name
+        reached |= moved
+    # Each parameter of the solver's config is set from the table, except the
+    # trace switch and the memory N that makes pgsa_ml monotone.
+    fixed = {"record_trace"} | ({"N"} if solver == "pgsa_ml" else set())
+    assert reached == {f.name for f in dataclasses.fields(base)} - fixed
+
+    # `fracopt solve` accepts exactly the keys of the solver's entry.
+    a_path, b_path, config = tmp_path / "A.csv", tmp_path / "B.csv", tmp_path / "solver.json"
+    save_matrix_csv(a_path, np.diag([2.0, 1.0]))
+    save_matrix_csv(b_path, np.diag([1.0, 4.0]))
+    argv = ["solve", "sgep", "--matrix-a", str(a_path), "--matrix-b", str(b_path), "-r", "1"]
+    argv += ["--solver", solver, "--config", str(config)]
+    for name, value in SOLVER_KNOBS.items():
+        config.write_text(json.dumps({name: value}))
+        assert main(argv) == (0 if name in table[solver] else 2), name
+    capsys.readouterr()
 
 
 def test_run_trial_routes_by_solver_name():
@@ -211,15 +261,15 @@ def test_failures_are_recorded_per_trial_and_solver(monkeypatch, threads):
             instance = (broken, x0, truth)
         return real_solve_trial(cfg, trial, solver, instance)
 
-    real_sfda_problem = experiments._sfda_problem
+    real_build_trial = experiments._build_trial
 
-    def sfda_problem(cfg, trial):
+    def build_trial(cfg, trial, shared_problem):
         if trial == 2:
             raise DegenerateInputError("instance cannot be built")
-        return real_sfda_problem(cfg, trial)
+        return real_build_trial(cfg, trial, shared_problem)
 
     monkeypatch.setattr(experiments, "_solve_trial", solve_trial)
-    monkeypatch.setattr(experiments, "_sfda_problem", sfda_problem)
+    monkeypatch.setattr(experiments, "_build_trial", build_trial)
     cfg = small_sfda_config(solver="all", trials=3, master_seed=4, threads=threads)
     outcome = run_experiment(cfg)
 
