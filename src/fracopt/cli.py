@@ -95,9 +95,11 @@ def build_parser() -> argparse.ArgumentParser:
     files.add_argument("--matrix-b", help="CSV matrix B (sgep only)")
     files.add_argument("--vector-b", help="CSV observation vector (l1l2 only)")
     files.add_argument("-r", "--sparsity", type=int, help="sparsity level r (sgep only)")
-    files.add_argument("--lam", type=float, default=8e-5, help="l1 penalty weight (l1l2)")
-    files.add_argument("--box-lower", type=float, default=-1.0)
-    files.add_argument("--box-upper", type=float, default=1.0)
+    files.add_argument(
+        "--lam", type=float, default=ExperimentConfig.lam, help="l1 penalty weight (l1l2)"
+    )
+    files.add_argument("--box-lower", type=float, default=ExperimentConfig.box_lower)
+    files.add_argument("--box-upper", type=float, default=ExperimentConfig.box_upper)
 
     solve = sub.add_parser("solve", parents=[files], help="solve one problem read from files")
     solve.add_argument("problem", choices=["sgep", "l1l2"])
@@ -122,14 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("experiment", choices=["sfda", "l1l2"])
     gen.add_argument("--out-dir", default=".")
     gen.add_argument("--seed", type=int, default=0)
-    # Sizes left unset take ExperimentConfig's defaults.
-    gen.add_argument("--n", type=int)
-    gen.add_argument("--p1", type=int)
-    gen.add_argument("--p2", type=int)
-    gen.add_argument("--r", type=int)
-    gen.add_argument("--m", type=int)
-    gen.add_argument("--k", type=int)
-    gen.add_argument("--dct-f", type=float)
+    for size in GEN_SIZES:  # sizes left unset take ExperimentConfig's defaults
+        gen.add_argument("--" + size.replace("_", "-"), type=float if size == "dct_f" else int)
 
     verify = sub.add_parser(
         "verify", parents=[files], help="re-audit a trace with the parameters it carries"
@@ -204,14 +200,9 @@ def _start_point(
 
 def cmd_solve(args: argparse.Namespace) -> int:
     cfg_fields = _load_json_object(args.config)
-    for key, value in (
-        ("alpha", args.alpha),
-        ("step_tol", args.step_tol),
-        ("max_iter", args.max_iter),
-        ("relative_tol", args.relative_tol),
-    ):
-        if value is not None:
-            cfg_fields[key] = value
+    for key in ("alpha", "step_tol", "max_iter", "relative_tol"):
+        if getattr(args, key) is not None:
+            cfg_fields[key] = getattr(args, key)
     unknown = sorted(set(cfg_fields) - set(_SOLVER_FIELDS[args.solver]))
     if unknown:
         raise InvalidConfigError(f"solver {args.solver} does not read: {', '.join(unknown)}")

@@ -37,6 +37,7 @@ from .io import load_matrix_csv
 from .l1l2 import (
     L1L2PenaltyProblem,
     RecoveryReport,
+    _check_penalty,
     gen_dct_matrix,
     gen_ground_truth,
     penalty_start_point,
@@ -95,11 +96,11 @@ class ExperimentConfig:
     box_upper: float = 1.0
     # solver knobs; None keeps the solver's own defaults
     alpha: float | None = None
-    a: float = 1e-3
-    eta: float = 0.5
-    window: int = 4
+    a: float | None = None
+    eta: float | None = None
+    window: int | None = None
     alpha_lower: float | None = None
-    alpha_upper: float = 1e8
+    alpha_upper: float | None = None
     alpha0: float | None = None
     step_tol: float | None = None
     max_iter: int | None = None
@@ -121,10 +122,8 @@ class ExperimentConfig:
             raise InvalidConfigError(
                 f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}"
             )
-        if self.solver != "all" and self.solver not in SOLVERS:
-            raise InvalidConfigError(
-                f"unknown solver {self.solver!r}; expected 'all' or one of {SOLVERS}"
-            )
+        for solver in self.solver_names():  # each solver config checks its own knobs
+            solver_run_config(self, solver)
         if self.trials < 0:
             raise InvalidConfigError("trials must be nonnegative")
         if self.threads is not None and self.threads < 1:
@@ -137,6 +136,8 @@ class ExperimentConfig:
             raise InvalidConfigError(f"need 1 <= k <= {self.dimension}, got k = {self.k}")
         if self.experiment == "l1l2" and (self.m < 1 or not self.dct_f > 0):
             raise InvalidConfigError(f"need m >= 1 and dct_f > 0, got {self.m} and {self.dct_f}")
+        if self.experiment == "l1l2":
+            _check_penalty(self.lam, self.box_lower, self.box_upper)
 
     @property
     def dimension(self) -> int:
@@ -181,14 +182,18 @@ def apply_env_overrides(
 
 
 def solver_run_config(cfg: ExperimentConfig, solver: str) -> PgsaConfig | LineSearchConfig:
-    """The concrete config of ``solver``, built from the fields it reads."""
+    """The config of ``solver`` from the fields it reads that are set; ``window`` is ``N``."""
     if solver not in _SOLVER_FIELDS:
-        raise InvalidConfigError(f"unknown solver {solver!r}")
+        raise InvalidConfigError(f"unknown solver {solver!r}; expected 'all' or one of {SOLVERS}")
     knobs = {
-        ("N" if name == "window" else name): getattr(cfg, name) for name in _SOLVER_FIELDS[solver]
+        ("N" if name == "window" else name): value
+        for name in _SOLVER_FIELDS[solver]
+        if (value := getattr(cfg, name)) is not None
     }
     knobs.update(relative_tol=cfg.stop_is_relative, record_trace=cfg.write_traces)
-    return PgsaConfig(**knobs) if solver == "pgsa" else LineSearchConfig(**{"N": 0, **knobs})
+    if solver == "pgsa_ml":  # the monotone line search; it reads no window
+        knobs["N"] = 0
+    return PgsaConfig(**knobs) if solver == "pgsa" else LineSearchConfig(**knobs)
 
 
 @dataclass

@@ -76,6 +76,18 @@ def l2_subgradient(x: np.ndarray) -> np.ndarray:
     return x / norm
 
 
+def _check_penalty(lam: float, lower: float | np.ndarray, upper: float | np.ndarray) -> None:
+    """Require lam > 0 and a finite, nonempty box around the origin; bounds may be scalars."""
+    if not lam > 0:
+        raise InvalidProblemError("penalty weight lam must be positive")
+    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+        raise InvalidProblemError("box bounds must be finite")
+    if np.any(lower > upper):
+        raise InvalidProblemError("box is empty: lower > upper somewhere")
+    if np.any(lower > 0.0) or np.any(upper < 0.0):
+        raise InvalidProblemError("box must contain the origin componentwise")
+
+
 @dataclass(frozen=True, eq=False)
 class L1L2PenaltyProblem(FractionalProblem):
     """Ratio-structured sparse recovery instance.
@@ -110,17 +122,10 @@ class L1L2PenaltyProblem(FractionalProblem):
             )
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise InvalidProblemError("sensing matrix and observation must be finite")
-        if not self.lam > 0:
-            raise InvalidProblemError("penalty weight lam must be positive")
         n = a.shape[1]
         lower = np.broadcast_to(np.asarray(self.lower, dtype=float), (n,)).copy()
         upper = np.broadcast_to(np.asarray(self.upper, dtype=float), (n,)).copy()
-        if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
-            raise InvalidProblemError("box bounds must be finite")
-        if np.any(lower > upper):
-            raise InvalidProblemError("box is empty: lower > upper somewhere")
-        if np.any(lower > 0.0) or np.any(upper < 0.0):
-            raise InvalidProblemError("box must contain the origin componentwise")
+        _check_penalty(self.lam, lower, upper)
         lower.flags.writeable = upper.flags.writeable = False
         object.__setattr__(self, "sensing", a)
         object.__setattr__(self, "observation", b)

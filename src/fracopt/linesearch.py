@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidConfigError, LineSearchError
-from .pgsa import SolverTrace, _decrease_excess, _default_step, _solve, _trial_point
+from .pgsa import SolverTrace, _check_stop, _decrease_excess, _default_step, _solve, _trial_point
 from .problem import ExtendedObjective, FractionalProblem, _norm
 
 # A trial step is never shrunk more than this many times; with the default
@@ -43,11 +43,11 @@ ACCEPT_REL_SLACK = 1e-12
 class LineSearchConfig:
     """Configuration for run_pgsa_ls.
 
-    ``a`` is the quadratic decrease coefficient, ``eta`` the backtracking
-    factor, and ``N`` the nonmonotone memory (0 = monotone).  Initial trial
-    steps are clamped into [alpha_lower, alpha_upper]; ``alpha_lower`` and the
-    first seed ``alpha0`` default to 0.99/L (1.99/L when f is convex).
-    ``max_iter`` and ``step_tol`` default exactly as in PgsaConfig.
+    ``a`` > 0 is the quadratic decrease coefficient, ``eta`` in (0, 1) the
+    backtracking factor and ``N`` >= 0 the nonmonotone memory (0 = monotone);
+    ``max_iter`` and ``step_tol`` default and are checked as in PgsaConfig.
+    run_pgsa_ls clamps trial steps into [alpha_lower, alpha_upper], whose lower
+    end and the first seed ``alpha0`` default to 0.99/L (1.99/L for convex f).
     """
 
     a: float = 1e-3
@@ -60,6 +60,15 @@ class LineSearchConfig:
     step_tol: float | None = None
     relative_tol: bool = False
     record_trace: bool = False
+
+    def __post_init__(self) -> None:
+        _check_stop(self)
+        if not self.a > 0:
+            raise InvalidConfigError("decrease coefficient a must be positive")
+        if not (0.0 < self.eta < 1.0):
+            raise InvalidConfigError("backtracking factor eta must lie in (0, 1)")
+        if self.N < 0:
+            raise InvalidConfigError("window memory N must be nonnegative")
 
 
 def bb_initial_step(
@@ -129,12 +138,6 @@ def run_pgsa_ls(
     which the acceptance test itself prevents for sound problems.
     """
     cfg = config or LineSearchConfig()
-    if cfg.a <= 0:
-        raise InvalidConfigError("decrease coefficient a must be positive")
-    if not (0.0 < cfg.eta < 1.0):
-        raise InvalidConfigError("backtracking factor eta must lie in (0, 1)")
-    if cfg.N < 0:
-        raise InvalidConfigError("window memory N must be nonnegative")
     lo = cfg.alpha_lower if cfg.alpha_lower is not None else _default_step(problem)
     hi = float(cfg.alpha_upper)
     if not (0.0 < lo <= hi):

@@ -38,10 +38,10 @@ DECREASE_SLACK = 1e-10
 class PgsaConfig:
     """Configuration for run_pgsa.
 
-    ``alpha`` is the constant step size; None picks 0.99/L, or 1.99/L when
-    the problem declares f convex.  ``max_iter`` defaults to 2n, or 10n when
-    ``relative_tol`` is set; ``step_tol`` defaults to 1e-6 absolute, or 1e-8
-    when interpreted relative to the iterate norm.
+    ``alpha`` > 0 is the constant step size; None picks 0.99/L, or 1.99/L
+    when f is convex.  ``max_iter`` >= 0 defaults to 2n, or 10n when
+    ``relative_tol`` is set; ``step_tol`` >= 0 defaults to 1e-6 absolute, or
+    1e-8 relative to the iterate norm.  Construction checks these signs.
     """
 
     alpha: float | None = None
@@ -49,6 +49,18 @@ class PgsaConfig:
     step_tol: float | None = None
     relative_tol: bool = False
     record_trace: bool = False
+
+    def __post_init__(self) -> None:
+        _check_stop(self)
+        if self.alpha is not None and not self.alpha > 0.0:
+            raise InvalidConfigError(f"step size alpha must be positive, got {float(self.alpha)}")
+
+
+def _check_stop(cfg: Any) -> None:
+    """Reject a negative or NaN max_iter or step_tol; both solver configs call this."""
+    for name, value in (("max_iter", cfg.max_iter), ("step_tol", cfg.step_tol)):
+        if value is not None and not value >= 0:
+            raise InvalidConfigError(f"{name} must be nonnegative, got {value}")
 
 
 @dataclass
@@ -212,7 +224,7 @@ def _solve(
     alphas: list[float] = []
     steps: list[float] = []
     backtracks: list[int] = []
-    iterates = [x.copy()] if cfg.record_trace else None
+    iterates = np.array([x]) if cfg.record_trace else None
     reason = "max_iter"
 
     for k in range(max_iter):
@@ -227,12 +239,17 @@ def _solve(
         objective.append(new_ext.value)
         g_value.append(new_ext.denominator)
         if iterates is not None:
-            iterates.append(x_new.copy())
+            if len(alphas) == iterates.shape[0]:
+                # A quarter more, not double: resize zero-fills, so every new row is resident.
+                iterates.resize((len(alphas) * 5 // 4 + 64, n), refcheck=False)
+            iterates[len(alphas)] = x_new
         x, ext = x_new, new_ext
         if _stop_metric(step, x_new, cfg.relative_tol) <= step_tol:
             reason = "step_tol"
             break
 
+    if iterates is not None:
+        iterates.resize((len(alphas) + 1, n), refcheck=False)
     try:
         residual = problem.critical_residual(x)
     except NotImplementedError:
@@ -259,7 +276,7 @@ def _solve(
             "g_sup_bound": problem.g_sup_bound,
         },
         backtracks=np.asarray(backtracks, dtype=int) if params["mode"] != "pgsa" else None,
-        iterates=np.asarray(iterates) if iterates is not None else None,
+        iterates=iterates,
     )
 
 
@@ -292,8 +309,6 @@ def run_pgsa(
     lipschitz, convex = problem.lipschitz_grad_h, problem.f_is_convex
     alpha = _default_step(problem) if cfg.alpha is None else float(cfg.alpha)
     cap = (2.0 if convex else 1.0) / lipschitz
-    if not alpha > 0.0:
-        raise InvalidConfigError(f"step size alpha must be positive, got {alpha}")
     if not alpha < cap:
         kind = "2/L (convex f)" if convex else "1/L"
         raise InvalidConfigError(f"alpha = {alpha:.6e} must stay strictly below {kind} = {cap:.6e}")

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from fracopt import cli, exceptions
+from fracopt import ExperimentConfig, cli, exceptions
 from fracopt.cli import main
 from fracopt.io import RESULT_COLUMNS, save_matrix_csv, save_vector_csv
 
@@ -520,6 +520,51 @@ def test_bench_bad_sfda_sizes_is_validation_error(sizes, message, tmp_path, caps
     assert run_cli("bench", "--config", cfg, "--out-dir", tmp_path / "out") == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "problem, solver, bad",
+    [
+        ("sgep", "pgsa_ml", {"eta": 2}),
+        ("sgep", "pgsa_nl", {"window": -1}),
+        ("sgep", "pgsa_ml", {"a": 0}),
+        ("sgep", "pgsa_nl", {"a": float("nan")}),
+        ("sgep", "pgsa", {"alpha": -1}),
+        ("sgep", "pgsa", {"step_tol": -1}),
+        ("sgep", "pgsa_ml", {"max_iter": -3}),
+        ("l1l2", "pgsa_ml", {"lam": -1}),
+        ("l1l2", "pgsa_ml", {"box_lower": 0.5}),
+    ],
+    ids=["eta", "window", "a-zero", "a-nan", "alpha", "step_tol", "max_iter", "lam", "box"],
+)
+def test_solve_and_bench_reject_a_bad_run_parameter_alike(
+    problem, solver, bad, sgep_files, tmp_path, capsys
+):
+    a_path, b_path = sgep_files
+    if problem == "sgep":
+        (tmp_path / "solver.json").write_text(json.dumps(bad))
+        flags = ["--matrix-b", b_path, "-r", "1", "--config", tmp_path / "solver.json"]
+        experiment = {}
+    else:
+        vector = _write_vector(tmp_path, "b.csv", [1.0, -1.0])
+        flags = ["--vector-b", vector] + [f"--{k.replace('_', '-')}={v}" for k, v in bad.items()]
+        experiment = {"experiment": "l1l2", "n": 64}
+    code = run_cli("solve", problem, "--matrix-a", a_path, "--solver", solver, *flags)
+    solve_err = capsys.readouterr().err
+    cfg = _bench_config(tmp_path, solver=solver, **experiment, **bad)
+    # bench rejects the value before any trial runs, so it writes nothing.
+    assert run_cli("bench", "--config", cfg, "--out-dir", tmp_path / "out") == code == 2
+    assert capsys.readouterr().err == solve_err
+    assert solve_err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_parser_problem_defaults_are_the_experiment_config_defaults():
+    args = cli.build_parser().parse_args(["solve", "l1l2"])
+    defaults = ExperimentConfig()
+    assert (args.lam, args.box_lower, args.box_upper) == (
+        defaults.lam, defaults.box_lower, defaults.box_upper
+    )
 
 
 @pytest.mark.parametrize("problem", ["sgep", "l1l2"])

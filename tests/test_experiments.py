@@ -106,6 +106,20 @@ def test_solver_run_config_routing():
         solver_run_config(cfg, "bisection")
 
 
+@pytest.mark.parametrize("experiment", experiments.EXPERIMENTS)
+@pytest.mark.parametrize("solver", experiments.SOLVERS)
+def test_unset_knobs_keep_the_solver_config_defaults(experiment, solver):
+    # Each default lives on the solver's config alone; pgsa_ml differs only by N = 0.
+    paths = {"matrix_a": "A.csv", "matrix_b": "B.csv"} if experiment == "custom_sgep" else {}
+    built = solver_run_config(ExperimentConfig(experiment=experiment, **paths), solver)
+    relative = experiment == "l1l2"
+    if solver == "pgsa":
+        assert built == PgsaConfig(relative_tol=relative)
+    else:
+        memory = {"N": 0} if solver == "pgsa_ml" else {}
+        assert built == LineSearchConfig(relative_tol=relative, **memory)
+
+
 # Every solver knob of ExperimentConfig, at a valid value other than its default.
 SOLVER_KNOBS = {
     "alpha": 0.01,

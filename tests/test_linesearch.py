@@ -175,6 +175,8 @@ def test_run_pgsa_ls_validation_errors():
     x0 = np.array([1.0, 0.0])
     with pytest.raises(InvalidConfigError):
         run_pgsa_ls(problem, x0, LineSearchConfig(a=0.0))
+    with pytest.raises(InvalidConfigError):  # a NaN coefficient would accept every step
+        run_pgsa_ls(problem, x0, LineSearchConfig(a=math.nan))
     with pytest.raises(InvalidConfigError):
         run_pgsa_ls(problem, x0, LineSearchConfig(eta=1.0))
     with pytest.raises(InvalidConfigError):

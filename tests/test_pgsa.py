@@ -156,6 +156,21 @@ def test_run_pgsa_step_size_cap_enforced():
         run_pgsa(problem, np.array([1.0, 0.0]), PgsaConfig(alpha=cap))
     with pytest.raises(InvalidConfigError):
         run_pgsa(problem, np.array([1.0, 0.0]), PgsaConfig(alpha=-0.1))
+    with pytest.raises(InvalidConfigError):
+        run_pgsa(problem, np.array([1.0, 0.0]), PgsaConfig(alpha=math.nan))
+
+
+@pytest.mark.parametrize("config_class", [PgsaConfig, LineSearchConfig])
+@pytest.mark.parametrize(
+    "bad",
+    [{"max_iter": -3}, {"step_tol": -1.0}, {"step_tol": math.nan}],
+    ids=["max_iter-negative", "step_tol-negative", "step_tol-nan"],
+)
+def test_solver_configs_reject_bad_stopping_fields(config_class, bad):
+    # Checked at construction: a run would otherwise make no step or never stop early.
+    with pytest.raises(InvalidConfigError, match=next(iter(bad))):
+        config_class(**bad)
+    assert config_class(max_iter=0, step_tol=0.0).max_iter == 0
 
 
 def test_run_pgsa_rejects_bad_start():
