@@ -67,13 +67,15 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_DIMENSIONS = 4
 EXIT_SOLVER = 5
-# The exit code of each error class main reports; any other error propagates.
+# The exit code of each error class main reports, subclasses before their
+# bases (a DimensionMismatchError is an InvalidProblemError); any other error
+# propagates.
 _EXIT_CODES = {
+    DimensionMismatchError: EXIT_DIMENSIONS,
     InvalidConfigError: EXIT_VALIDATION,
     InvalidProblemError: EXIT_VALIDATION,
     ParseError: EXIT_IO,
     OSError: EXIT_IO,
-    DimensionMismatchError: EXIT_DIMENSIONS,
     DomainError: EXIT_SOLVER,
     LineSearchError: EXIT_SOLVER,
     NumericsError: EXIT_SOLVER,
@@ -169,16 +171,9 @@ def _build_sgep(args: argparse.Namespace) -> SgepProblem:
 def _build_l1l2(args: argparse.Namespace) -> L1L2PenaltyProblem:
     if not args.vector_b:
         raise InvalidConfigError("l1l2 needs --vector-b")
-    sensing = load_matrix_csv(args.matrix_a)
-    observation = load_vector_csv(args.vector_b)
-    if observation.shape[0] != sensing.shape[0]:
-        raise DimensionMismatchError(
-            f"observation has length {observation.shape[0]}, "
-            f"sensing matrix has {sensing.shape[0]} rows"
-        )
     return L1L2PenaltyProblem(
-        sensing=sensing,
-        observation=observation,
+        sensing=load_matrix_csv(args.matrix_a),
+        observation=load_vector_csv(args.vector_b),
         lam=args.lam,
         lower=args.box_lower,
         upper=args.box_upper,

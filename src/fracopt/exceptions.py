@@ -47,5 +47,5 @@ class ParseError(FracoptError):
     """A data file could not be parsed; the message names the offending line."""
 
 
-class DimensionMismatchError(FracoptError):
-    """Problem pieces have inconsistent shapes."""
+class DimensionMismatchError(InvalidProblemError):
+    """Problem pieces have inconsistent shapes: an invalid problem, with its own CLI exit code."""

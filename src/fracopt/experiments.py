@@ -32,8 +32,8 @@ from typing import Any
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError, FracoptError, InvalidConfigError
-from .io import load_matrix_csv
+from .exceptions import FracoptError, InvalidConfigError
+from .io import RESULT_COLUMNS, load_matrix_csv
 from .l1l2 import (
     L1L2PenaltyProblem,
     RecoveryReport,
@@ -226,10 +226,8 @@ class TrialResult:
 
 
 def _load_sgep(path_a: str, path_b: str, sparsity: int) -> SgepProblem:
-    a = load_matrix_csv(path_a, symmetrize=True)
-    b = load_matrix_csv(path_b, symmetrize=True)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"A has shape {a.shape}, B has shape {b.shape}")
+    """The SGEP in two matrix files, as written; SgepProblem checks them."""
+    a, b = load_matrix_csv(path_a), load_matrix_csv(path_b)
     return SgepProblem(matrix_a=a, matrix_b=b, sparsity=sparsity)
 
 
@@ -443,16 +441,9 @@ def aggregate_row(
 ) -> dict[str, Any]:
     """One row per solver over its completed trials; an aggregate without samples is empty."""
     mine = [res for res in results if res.solver == solver]
-    row: dict[str, Any] = {
-        "experiment": cfg.experiment,
-        "solver": solver,
-        "trials": len(mine),
-        "failed": sum(1 for fail in failures if fail["solver"] == solver),
-        "mean_objective": "",
-        "mean_time_s": "",
-        "success_rate": "",
-        "mean_iterations": "",
-    }
+    failed = sum(1 for fail in failures if fail["solver"] == solver)
+    row: dict[str, Any] = dict.fromkeys(RESULT_COLUMNS, "")
+    row.update(experiment=cfg.experiment, solver=solver, trials=len(mine), failed=failed)
     if not mine:
         return row
     row["mean_time_s"] = float(np.mean([res.wall_time_s for res in mine]))

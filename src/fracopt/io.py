@@ -1,9 +1,7 @@
 """File formats: CSV matrices and vectors, result tables, run records, traces.
 
-Matrices are plain CSV, one row per line, comma-separated floats, no header.
-Square matrices loaded for eigenvalue problems are symmetrized by averaging
-with the transpose, so tiny asymmetries from text round-tripping never
-surface as validation failures.  Result tables and traces are headered CSV;
+Matrices are plain CSV, one row per line, comma-separated floats, no header,
+loaded as they are written.  Result tables and traces are headered CSV;
 a trace's header follows a ``# {json}`` line with its solver parameters and
 certificate, so the file alone can be re-audited.  Per-run records are JSON
 lines with sorted keys and no timing fields, so a repeated run with the same
@@ -15,7 +13,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-from itertools import zip_longest
+from itertools import compress, count, zip_longest
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
@@ -55,8 +53,8 @@ def _parse_rows(path: str | Path) -> list[list[float]]:
     return rows
 
 
-def load_matrix_csv(path: str | Path, symmetrize: bool = False) -> np.ndarray:
-    """Load a dense matrix; optionally average with its transpose."""
+def load_matrix_csv(path: str | Path) -> np.ndarray:
+    """Load a dense matrix."""
     rows = _parse_rows(path)
     width = len(rows[0])
     for i, row in enumerate(rows, start=1):
@@ -64,12 +62,7 @@ def load_matrix_csv(path: str | Path, symmetrize: bool = False) -> np.ndarray:
             raise ParseError(
                 f"{path}: line {i}: expected {width} values, found {len(row)}"
             )
-    matrix = np.asarray(rows, dtype=float)
-    if symmetrize:
-        if matrix.shape[0] != matrix.shape[1]:
-            raise ParseError(f"{path}: cannot symmetrize a {matrix.shape} matrix")
-        matrix = 0.5 * (matrix + matrix.T)
-    return matrix
+    return np.asarray(rows, dtype=float)
 
 
 def load_vector_csv(path: str | Path) -> np.ndarray:
@@ -173,13 +166,13 @@ def load_trace_csv(path: str | Path) -> tuple[SolverTrace, np.ndarray | None]:
         if header is None or [h.strip() for h in header] != TRACE_COLUMNS:
             raise ParseError(f"{path}: line 2: expected trace header {TRACE_COLUMNS}")
         lines = list(reader)
-    rows = [row for row in lines if row]
+    rows = list(filter(None, lines))
     if not rows:
         raise ParseError(f"{path}: trace has no data rows")
+    linenos = list(compress(count(3), lines))  # the line each row sits on
 
     def parse_error(index: int, message: str) -> ParseError:
-        lineno = [k for k, row in enumerate(lines, start=3) if row][index]
-        return ParseError(f"{path}: line {lineno}: {message}")
+        return ParseError(f"{path}: line {linenos[index]}: {message}")
 
     width = len(TRACE_COLUMNS)
     if set(map(len, rows)) != {width}:
@@ -189,29 +182,23 @@ def load_trace_csv(path: str | Path) -> tuple[SolverTrace, np.ndarray | None]:
     last = len(rows) - 1
     line_search = params.get("mode") in ("pgsa_ml", "pgsa_nl")
     with_errors = rows[0][4] != ""
-
-    def misfit(name: str, steps: bool, end: bool) -> int:
-        """First row that fills column ``name`` against the rule, or len(rows):
-        rows 0..K-1 fill it when ``steps`` is true, row K when ``end`` is."""
-        cells = columns[name]
-        body = cells[:last]
-        if steps and "" in body:
-            return body.index("")
-        if not steps and body.count("") != last:
-            return next(k for k, cell in enumerate(body) if cell)
-        return last if (cells[last] != "") != end else len(rows)
-
-    rule = "and backtracks" if line_search else "and leave backtracks empty"
-    errors_rule = "err_to_final must be filled in every row or in none"
-    found = [(misfit("err_to_final", with_errors, with_errors), errors_rule)]
-    for name, steps in (("alpha", True), ("step_norm", True), ("backtracks", line_search)):
-        index = misfit(name, steps, False)
-        if index == last:
-            found.append((index, "the last row leaves alpha, step_norm and backtracks empty"))
+    # Which rows fill err_to_final, alpha, step_norm and backtracks, against
+    # which rows write_trace_csv fills: all or none for err_to_final, every
+    # row but the last for the step cells, backtracks only in a line search.
+    names = ("err_to_final", "alpha", "step_norm", "backtracks")
+    filled = np.array([np.fromiter(map(bool, columns[name]), bool, len(rows)) for name in names])
+    expected = np.array([[with_errors], [True], [True], [line_search]]).repeat(len(rows), 1)
+    expected[1:, last] = False
+    wrong = (filled != expected).any(axis=0)
+    if wrong.any():
+        index = int(wrong.argmax())
+        if filled[0, index] != with_errors:
+            message = "err_to_final must be filled in every row or in none"
+        elif index == last:
+            message = "the last row leaves alpha, step_norm and backtracks empty"
         else:
-            found.append((index, f"every row but the last must fill alpha, step_norm {rule}"))
-    index, message = min(found)
-    if index < len(rows):
+            rule = "and backtracks" if line_search else "and leave backtracks empty"
+            message = f"every row but the last must fill alpha, step_norm {rule}"
         raise parse_error(index, message)
     if len(rows) != cert.iterations + 1:
         raise parse_error(

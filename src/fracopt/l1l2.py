@@ -17,7 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DegenerateInputError, DomainError, InvalidProblemError
+from .exceptions import (
+    DegenerateInputError,
+    DimensionMismatchError,
+    DomainError,
+    InvalidProblemError,
+)
 from .problem import FractionalProblem, _norm, domain_eps
 from .rand import as_generator
 
@@ -116,9 +121,11 @@ class L1L2PenaltyProblem(FractionalProblem):
         b = np.asarray(self.observation, dtype=float)
         if a.ndim != 2:
             raise InvalidProblemError("sensing matrix must be 2-D")
-        if b.ndim != 1 or b.shape[0] != a.shape[0]:
-            raise InvalidProblemError(
-                f"observation has length {b.shape}, expected ({a.shape[0]},)"
+        if b.ndim != 1:
+            raise InvalidProblemError(f"observation must be 1-D, got shape {b.shape}")
+        if b.shape[0] != a.shape[0]:
+            raise DimensionMismatchError(
+                f"observation has length {b.shape[0]}, sensing matrix has {a.shape[0]} rows"
             )
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise InvalidProblemError("sensing matrix and observation must be finite")

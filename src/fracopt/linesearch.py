@@ -69,6 +69,12 @@ class LineSearchConfig:
             raise InvalidConfigError("backtracking factor eta must lie in (0, 1)")
         if self.N < 0:
             raise InvalidConfigError("window memory N must be nonnegative")
+        # The ends that are set; run_pgsa_ls checks again once 0.99/L fills the rest.
+        lo, hi, seed = self.alpha_lower, self.alpha_upper, self.alpha0
+        if not (0.0 < hi and (lo is None or 0.0 < lo <= hi)):
+            raise InvalidConfigError(f"need 0 < alpha_lower <= alpha_upper, got [{lo}, {hi}]")
+        if seed is not None and not (0.0 < seed <= hi and (lo is None or lo <= seed)):
+            raise InvalidConfigError("alpha0 must lie within [alpha_lower, alpha_upper]")
 
 
 def bb_initial_step(

@@ -23,6 +23,7 @@ import numpy as np
 
 from .exceptions import (
     DegenerateInputError,
+    DimensionMismatchError,
     DomainError,
     InvalidProblemError,
     SizeGuardError,
@@ -88,18 +89,18 @@ def project_sparse_sphere(x: np.ndarray, r: int) -> np.ndarray:
 class SgepProblem(FractionalProblem):
     """Ratio-structured sparse generalized eigenvalue instance.
 
-    Construction validates finiteness, symmetry (1e-12 relative), positive
-    semidefiniteness (smallest eigenvalue no lower than -1e-10 relative to
-    the largest) and positive definiteness of B on min(50, C(n, r)) supports
-    of size r, exhaustively when that enumeration is small enough.  The
-    gradient Lipschitz constant L = lambda_max(B) and the denominator bound
-    M = lambda_max(A) / 2 are read off the spectra of that PSD check.  A and
-    B are stored exactly symmetric (averaged with M.T if need be) as read-only
-    private copies, in copies and unpickled problems too.  The callbacks work
-    over the support S of x, O(|S| n) per product (B x is x_S @ B[S]), and
-    keep the operands last gathered, keyed by S: the S x S blocks, read at
-    every trial point, and the rows A[S], B[S], read at accepted points.  S
-    rarely changes between iterates, and read-only data keeps a gather fresh.
+    Construction checks finiteness and symmetry (1e-12 relative), stores A
+    and B exactly symmetric (averaged with M.T if need be) as read-only
+    private copies, in copies and unpickled problems too, and checks those
+    copies: equal shapes (else DimensionMismatchError), PSD (smallest
+    eigenvalue no lower than -1e-10 relative to the largest) and B positive
+    definite on min(50, C(n, r)) supports of size r, exhaustively when that
+    enumeration is small enough.  L = lambda_max(B) and M = lambda_max(A) / 2
+    are read off the spectra of that PSD check.  The callbacks work over the
+    support S of x, O(|S| n) per product (B x is x_S @ B[S]), and keep the
+    operands last gathered, keyed by S: the S x S blocks, read at every
+    trial point, and the rows A[S], B[S], read at accepted points.  S rarely
+    changes between iterates, and read-only data keeps a gather fresh.
     """
 
     matrix_a: np.ndarray
@@ -111,12 +112,14 @@ class SgepProblem(FractionalProblem):
     _rows: tuple = field(init=False, repr=False, default=(None, None, None))
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.matrix_a, dtype=float)
-        b = np.asarray(self.matrix_b, dtype=float)
-        exact_a = check_symmetric(a, "A")
-        exact_b = check_symmetric(b, "B")
+        for name, attr in (("A", "matrix_a"), ("B", "matrix_b")):
+            m = np.asarray(getattr(self, attr), dtype=float)
+            stored = m.copy() if check_symmetric(m, name) else 0.5 * (m + m.T)
+            stored.setflags(write=False)
+            object.__setattr__(self, attr, stored)
+        a, b = self.matrix_a, self.matrix_b
         if a.shape != b.shape:
-            raise InvalidProblemError(f"A has shape {a.shape}, B has shape {b.shape}")
+            raise DimensionMismatchError(f"A has shape {a.shape}, B has shape {b.shape}")
         n = a.shape[0]
         if not 1 <= self.sparsity <= n:
             raise InvalidProblemError(f"need 1 <= r <= {n}, got r = {self.sparsity}")
@@ -130,10 +133,6 @@ class SgepProblem(FractionalProblem):
                 )
             lambda_max[name] = float(eigs[-1])
         self._check_submatrices(b, n)
-        for name, m, exact in (("matrix_a", a, exact_a), ("matrix_b", b, exact_b)):
-            stored = m.copy() if exact else 0.5 * (m + m.T)
-            stored.setflags(write=False)
-            object.__setattr__(self, name, stored)
         object.__setattr__(self, "_lipschitz", lambda_max["B"])
         object.__setattr__(self, "_g_bound", 0.5 * lambda_max["A"])
 

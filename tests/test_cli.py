@@ -226,7 +226,7 @@ def test_solve_l1l2_dimension_mismatch(tmp_path, capsys):
     b_path = _write_vector(tmp_path, "b.csv", [1.0, 2.0, 3.0])
     code = run_cli("solve", "l1l2", "--matrix-a", a_path, "--vector-b", b_path)
     assert code == 4
-    capsys.readouterr()
+    assert capsys.readouterr().err == "error: observation has length 3, sensing matrix has 2 rows\n"
 
 
 def test_solve_config_with_unknown_key_is_validation_error(sgep_files, tmp_path, capsys):
@@ -532,10 +532,15 @@ def test_bench_bad_sfda_sizes_is_validation_error(sizes, message, tmp_path, caps
         ("sgep", "pgsa", {"alpha": -1}),
         ("sgep", "pgsa", {"step_tol": -1}),
         ("sgep", "pgsa_ml", {"max_iter": -3}),
+        ("sgep", "pgsa_ml", {"alpha_lower": 2.0, "alpha_upper": 1.0}),
+        ("sgep", "pgsa_nl", {"alpha0": 5.0, "alpha_lower": 0.1, "alpha_upper": 1.0}),
         ("l1l2", "pgsa_ml", {"lam": -1}),
         ("l1l2", "pgsa_ml", {"box_lower": 0.5}),
     ],
-    ids=["eta", "window", "a-zero", "a-nan", "alpha", "step_tol", "max_iter", "lam", "box"],
+    ids=[
+        "eta", "window", "a-zero", "a-nan", "alpha", "step_tol", "max_iter",
+        "interval", "alpha0", "lam", "box",
+    ],
 )
 def test_solve_and_bench_reject_a_bad_run_parameter_alike(
     problem, solver, bad, sgep_files, tmp_path, capsys
@@ -623,6 +628,38 @@ def test_bench_custom_sgep_mismatched_matrices_is_dimension_error(tmp_path, caps
     cfg = _custom_sgep_config(tmp_path, a_path, b_path)
     assert run_cli("bench", "--config", cfg, "--out-dir", tmp_path / "out") == 4
     assert "shape" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "bench", "verify"])
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([[2.0, 1.5], [0.5, 2.0]], "A is not symmetric: max |M - M.T| = 1.000e+00"),
+        ([[2.0, 1.0], [1.0, 2.0], [0.0, 1.0]], "A must be square, got shape (3, 2)"),
+    ],
+    ids=["asymmetric", "non-square"],
+)
+def test_sgep_file_that_is_not_symmetric_is_validation_error(
+    command, matrix, message, sgep_files, tmp_path, capsys
+):
+    # The file is solved as written or rejected by SgepProblem, never averaged.
+    good_a, b_path = sgep_files
+    a_path = tmp_path / "bad.csv"
+    save_matrix_csv(a_path, np.array(matrix))
+    files = ["--matrix-a", a_path, "--matrix-b", b_path, "-r", "1"]
+    if command == "solve":
+        argv = ["solve", "sgep", *files]
+    elif command == "bench":
+        cfg = _custom_sgep_config(tmp_path, a_path, b_path)
+        argv = ["bench", "--config", cfg, "--out-dir", tmp_path / "out"]
+    else:
+        trace = tmp_path / "trace.csv"
+        solve = ["solve", "sgep", "--matrix-a", good_a, "--matrix-b", b_path, "-r", "1"]
+        assert run_cli(*solve, "--trace", trace) == 0
+        capsys.readouterr()
+        argv = ["verify", "--trace", trace, "--problem", "sgep", *files]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

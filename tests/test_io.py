@@ -87,15 +87,14 @@ def test_empty_file_is_a_parse_error(tmp_path):
         load_matrix_csv(path)
 
 
-def test_symmetrize_averages_with_transpose(tmp_path):
+def test_matrix_is_loaded_as_written(tmp_path):
+    # Symmetry and shape are the problem's to check, not the loader's.
     path = tmp_path / "asym.csv"
     path.write_text("1.0,2.0\n0.0,1.0\n")
-    loaded = load_matrix_csv(path, symmetrize=True)
-    assert np.array_equal(loaded, [[1.0, 1.0], [1.0, 1.0]])
+    assert np.array_equal(load_matrix_csv(path), [[1.0, 2.0], [0.0, 1.0]])
     tall = tmp_path / "tall.csv"
     tall.write_text("1.0,2.0\n3.0,4.0\n5.0,6.0\n")
-    with pytest.raises(ParseError):
-        load_matrix_csv(tall, symmetrize=True)
+    assert load_matrix_csv(tall).shape == (3, 2)
 
 
 def test_trace_round_trip_preserves_audited_columns(tmp_path):
@@ -295,17 +294,35 @@ def _fill(cells, *columns):
 
 
 # Each case edits the rows of a recorded pgsa_ml trace (row k sits on line
-# k + 3) and names the line the loader must blame.
+# k + 3) and names the line the loader must blame and its message.
+STEP_RULE = "every row but the last must fill alpha, step_norm and backtracks"
+LAST_RULE = "the last row leaves alpha, step_norm and backtracks empty"
+COUNT_RULE = "rows, but its certificate counts"
 MISALIGNED = {
-    "blank_step_cells": (lambda rows: _blank(rows[5], "alpha", "step_norm"), 8),
-    "blank_alpha": (lambda rows: _blank(rows[5], "alpha"), 8),
-    "blank_backtracks": (lambda rows: _blank(rows[5], "backtracks"), 8),
-    "filled_last_row": (lambda rows: _fill(rows[-1], "alpha", "step_norm", "backtracks"), -1),
-    "blank_err_to_final": (lambda rows: _blank(rows[7], "err_to_final"), 10),
-    "dropped_row": (lambda rows: rows.pop(5), -1),
-    "extra_row": (lambda rows: rows.insert(5, list(rows[5])), -1),
-    "bad_objective": (lambda rows: rows[6].__setitem__(1, "abc"), 9),
-    "fractional_backtracks": (lambda rows: rows[4].__setitem__(6, "1.5"), 7),
+    "blank_step_cells": (lambda rows: _blank(rows[5], "alpha", "step_norm"), 8, STEP_RULE),
+    "blank_alpha": (lambda rows: _blank(rows[5], "alpha"), 8, STEP_RULE),
+    "blank_backtracks": (lambda rows: _blank(rows[5], "backtracks"), 8, STEP_RULE),
+    "filled_last_row": (
+        lambda rows: _fill(rows[-1], "alpha", "step_norm", "backtracks"), -1, LAST_RULE
+    ),
+    "blank_err_to_final": (
+        lambda rows: _blank(rows[7], "err_to_final"),
+        10,
+        "err_to_final must be filled in every row or in none",
+    ),
+    "blank_err_and_step": (
+        lambda rows: _blank(rows[7], "err_to_final", "alpha"),
+        10,
+        "err_to_final must be filled in every row or in none",
+    ),
+    "dropped_row": (lambda rows: rows.pop(5), -1, COUNT_RULE),
+    "extra_row": (lambda rows: rows.insert(5, list(rows[5])), -1, COUNT_RULE),
+    "bad_objective": (
+        lambda rows: rows[6].__setitem__(1, "abc"), 9, "could not convert string to float"
+    ),
+    "fractional_backtracks": (
+        lambda rows: rows[4].__setitem__(6, "1.5"), 7, "invalid literal for int()"
+    ),
 }
 
 
@@ -316,12 +333,13 @@ def test_trace_rows_must_line_up_with_the_certificate(tmp_path, case):
     write_trace_csv(path, trace)
     lines = path.read_text().splitlines()
     rows = [line.split(",") for line in lines[2:]]
-    edit, line = MISALIGNED[case]
+    edit, line, message = MISALIGNED[case]
     edit(rows)
     path.write_text("\n".join(lines[:2] + [",".join(cells) for cells in rows]) + "\n")
     with pytest.raises(ParseError) as err:
         load_trace_csv(path)
-    assert f"line {line if line > 0 else len(rows) + 2}:" in str(err.value)
+    assert f"line {line if line > 0 else len(rows) + 2}: " in str(err.value)
+    assert message in str(err.value)
 
 
 def test_fixed_step_trace_rows_carry_no_backtracks(tmp_path):

@@ -20,7 +20,12 @@ from fracopt import (
     recovery_report,
     run_pgsa_ls,
 )
-from fracopt.exceptions import DegenerateInputError, DomainError, InvalidProblemError
+from fracopt.exceptions import (
+    DegenerateInputError,
+    DimensionMismatchError,
+    DomainError,
+    InvalidProblemError,
+)
 from fracopt.l1l2 import _shrink_clip, l2_subgradient
 from fracopt.rand import philox_generator
 
@@ -273,6 +278,18 @@ def test_problem_validation():
             sensing=np.array([[0.0]]), observation=np.array([1.0]),
             lam=0.1, lower=box[0], upper=box[1],
         )
+
+
+def test_observation_length_mismatch_is_a_dimension_mismatch():
+    box = dict(lam=0.1, lower=-1.0, upper=1.0)
+    with pytest.raises(DimensionMismatchError) as err:
+        L1L2PenaltyProblem(sensing=np.ones((3, 4)), observation=np.ones(2), **box)
+    assert str(err.value) == "observation has length 2, sensing matrix has 3 rows"
+    assert isinstance(err.value, InvalidProblemError)
+    # An observation that is not 1-D is invalid, not a length mismatch.
+    with pytest.raises(InvalidProblemError) as err:
+        L1L2PenaltyProblem(sensing=np.ones((3, 4)), observation=np.ones((3, 1)), **box)
+    assert type(err.value) is InvalidProblemError
 
 
 @pytest.mark.parametrize(

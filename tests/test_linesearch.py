@@ -102,6 +102,34 @@ def test_line_search_step_rejects_bad_seed_and_start():
         run_pgsa_ls(sparse_problem, dense, cfg)
 
 
+@pytest.mark.parametrize(
+    "ends",
+    [
+        dict(alpha_upper=0.0),
+        dict(alpha_lower=2.0, alpha_upper=1.0),
+        dict(alpha_lower=-1.0),
+        dict(alpha0=0.0),
+        dict(alpha0=5.0, alpha_upper=1.0),
+        dict(alpha0=0.05, alpha_lower=0.1, alpha_upper=1.0),
+    ],
+)
+def test_config_rejects_a_bad_set_step_interval(ends):
+    with pytest.raises(InvalidConfigError):
+        LineSearchConfig(**ends)
+
+
+def test_config_accepts_a_seed_at_either_set_end():
+    LineSearchConfig(alpha_lower=0.1, alpha0=0.1, alpha_upper=1.0)
+    LineSearchConfig(alpha_lower=0.1, alpha0=1.0, alpha_upper=1.0)
+
+
+def test_interval_against_the_default_lower_end_is_checked_per_run():
+    # The lower end defaults to 0.99/L, so only the run can compare it with alpha_upper.
+    cfg = LineSearchConfig(alpha_upper=1e-9)
+    with pytest.raises(InvalidConfigError, match="alpha_lower <= alpha_upper"):
+        run_pgsa_ls(diag_pair_problem(), np.array([1.0, 0.0]), cfg)
+
+
 def test_run_pgsa_ls_critical_start_stops_immediately():
     problem = diag_pair_problem()
     trace = run_pgsa_ls(problem, np.array([0.0, 1.0]), LineSearchConfig())

@@ -28,6 +28,7 @@ from fracopt import (
 )
 from fracopt.exceptions import (
     DegenerateInputError,
+    DimensionMismatchError,
     DomainError,
     InvalidProblemError,
     SizeGuardError,
@@ -161,6 +162,16 @@ def test_nearly_symmetric_input_is_stored_exactly_symmetric():
     x[3] = 1.0
     assert np.array_equal(problem.grad_h(x), problem.matrix_b @ x)
     assert not np.array_equal(x @ skewed, skewed @ x)
+    # L is read off the stored, averaged B: the matrix the callbacks use.
+    assert problem.lipschitz_grad_h == float(np.linalg.eigvalsh(problem.matrix_b)[-1])
+    assert np.array_equal(problem.matrix_b, 0.5 * (skewed + skewed.T))
+
+
+def test_shape_mismatch_is_a_dimension_mismatch():
+    with pytest.raises(DimensionMismatchError) as err:
+        SgepProblem(matrix_a=np.eye(2), matrix_b=np.eye(3), sparsity=1)
+    assert str(err.value) == "A has shape (2, 2), B has shape (3, 3)"
+    assert issubclass(DimensionMismatchError, InvalidProblemError)
 
 
 def test_projection_beats_random_feasible_net():
