@@ -57,7 +57,7 @@ from .io import (
     write_trace_csv,
 )
 from .l1l2 import L1L2PenaltyProblem
-from .oracle import audit_trace, fit_rate_from_errors
+from .oracle import audit_trace, fit_linear_rate
 from .rand import philox_generator
 from .sgep import SfdaRecipe, SgepProblem
 
@@ -232,9 +232,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         data["write_traces"] = True
     cfg = config_from_dict(data)
 
+    outcome = run_experiment(cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    outcome = run_experiment(cfg)
 
     results_path = out_dir / "results.csv"
     write_result_rows(results_path, outcome.rows)
@@ -285,7 +285,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    trace, errors = load_trace_csv(args.trace)
+    trace, _ = load_trace_csv(args.trace)
     problem = _build_problem(args) if args.problem else None
     try:
         report = audit_trace(trace, problem)
@@ -297,11 +297,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"(magnitude {violation.magnitude:.3e}) {violation.detail}"
         )
     if args.rate_fit:
-        if errors is None:
+        if trace.err_to_final is None:
             print("rate fit: trace carries no err_to_final column")
         else:
             try:
-                fit = fit_rate_from_errors(errors[:-1])
+                fit = fit_linear_rate(trace)
             except InsufficientDataError as exc:
                 print(f"rate fit: {exc}")
             else:

@@ -6,7 +6,7 @@ are aggregated in index order whatever the worker count, and the per-run
 records contain no timing fields, so identical inputs give byte-identical
 records.  Every trial runs in a worker process whose BLAS is pinned to one
 thread, so a trial's arithmetic does not depend on how many workers run.
-With traces on, a worker computes each run's ``errors_to_final`` and saves
+With traces on, a worker fills each run's ``err_to_final`` column and saves
 its iterates to a temporary file; the parent gets them back as a read-only
 memory map of that file, so no iterate crosses the result pipe.
 Wall-clock times appear only in the aggregate table and cover the solver
@@ -372,10 +372,10 @@ def _one_trial(index: int) -> list[TrialResult | dict[str, Any]]:
             outcomes.append(_failure(cfg, index, solver, exc))
             continue
         if handoff is not None:
-            # The iterates go through a file; only their errors ride the pipe.
-            errors = result.trace.errors_to_final()
+            # The iterates go through a file; only their err_to_final column rides the pipe.
+            result.trace.errors_to_final()
             np.save(_handoff_path(handoff, result), result.trace.iterates)
-            result.trace._set_iterates(None, errors)
+            result.trace.iterates = None
         outcomes.append(result)
     return outcomes
 
@@ -423,7 +423,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
                 continue
             if handoff is not None:
                 path = _handoff_path(handoff, outcome)
-                outcome.trace._set_iterates(np.load(path, mmap_mode="r"), outcome.trace._errors[1])
+                outcome.trace.iterates = np.load(path, mmap_mode="r")
                 os.unlink(path)
             results.append(outcome)
 

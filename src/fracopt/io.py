@@ -109,7 +109,7 @@ def write_jsonl(path: str | Path, records: Iterable[dict[str, Any]]) -> None:
 
 def write_trace_csv(path: str | Path, trace: SolverTrace) -> None:
     """Per-iteration trace table after a ``# {json}`` line with the run's
-    ``params`` and certificate; err_to_final is empty without iterates.
+    ``params`` and certificate; err_to_final is empty when the trace has none.
 
     Each column is formatted in one pass, floats by ``repr`` so that a reload
     is exact, and the rows are joined with ``\\r\\n`` ends: byte for byte
@@ -120,7 +120,7 @@ def write_trace_csv(path: str | Path, trace: SolverTrace) -> None:
     def cells(values: Any, dtype: type = float, fmt: Callable[[Any], str] = repr) -> Iterable[str]:
         return () if values is None else map(fmt, np.asarray(values, dtype=dtype).tolist())
 
-    errors = trace.errors_to_final() if trace.iterates is not None else None
+    errors = trace.err_to_final if trace.iterates is None else trace.errors_to_final()
     columns = (
         map(str, range(trace.iterations + 1)),
         cells(trace.objective),
@@ -140,10 +140,10 @@ def write_trace_csv(path: str | Path, trace: SolverTrace) -> None:
 def load_trace_csv(path: str | Path) -> tuple[SolverTrace, np.ndarray | None]:
     """Rebuild a trace from its CSV form.
 
-    Returns the trace plus the err_to_final column (None when it was empty).
-    The trace gets back its ``params`` and certificate from the first line,
-    so ``audit_trace`` needs nothing else; it has no iterates.  A file
-    without that line is a ParseError naming line 1.
+    Returns the trace and its ``err_to_final`` (None when that column was
+    empty).  The first line gives back ``params`` and the certificate, so
+    ``audit_trace``, ``fit_linear_rate`` and ``write_trace_csv`` need nothing
+    else; there are no iterates.  A file without that line is a ParseError naming line 1.
 
     The rows must line up with the certificate, or the file is a ParseError
     naming the offending line: there are ``iterations + 1`` of them; every
@@ -228,5 +228,6 @@ def load_trace_csv(path: str | Path) -> tuple[SolverTrace, np.ndarray | None]:
         certificate=cert,
         params=params,
         backtracks=parse("backtracks", last, int) if line_search else None,
+        err_to_final=parse("err_to_final") if with_errors else None,
     )
-    return trace, (parse("err_to_final") if with_errors else None)
+    return trace, trace.err_to_final

@@ -294,8 +294,7 @@ def fit_rate_from_errors(errors: Sequence[float]) -> RateFit:
 
 
 def fit_linear_rate(trace: SolverTrace) -> RateFit:
-    """Rate fit for a recorded run; requires the trace to carry iterates."""
-    if trace.iterates is None:
+    """Rate fit for a recorded run; requires iterates or an err_to_final column."""
+    if trace.iterates is None and trace.err_to_final is None:
         raise InsufficientDataError("trace has no iterates; rerun with record_trace")
-    errors = trace.errors_to_final()[:-1]
-    return fit_rate_from_errors(errors)
+    return fit_rate_from_errors(trace.errors_to_final()[:-1])

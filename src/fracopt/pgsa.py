@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -73,7 +73,8 @@ class SolverTrace:
     by construction (each c_k is the objective value reused from the previous
     evaluation).  ``iterates`` is only populated when the run was configured
     with record_trace; ``run_experiment`` returns them as a read-only memory
-    map, with ``errors_to_final`` computed in the worker.  ``params`` holds the
+    map.  ``err_to_final``, ||x_k - x_K|| per iterate, is filled once from them
+    or read from a trace file, so a reloaded trace keeps it.  ``params`` holds the
     resolved step rule ("mode", the step bounds and, for the line search, "a",
     "eta" and "N") with the problem's "lipschitz", "f_is_convex" and
     "g_sup_bound"; the trace file carries it, so an audit reads every
@@ -89,40 +90,34 @@ class SolverTrace:
     params: dict[str, Any]
     backtracks: np.ndarray | None = None
     iterates: np.ndarray | None = None
-    # (iterates, their errors_to_final); another iterates array misses it.
-    _errors: tuple[Any, np.ndarray] | None = field(default=None, init=False, repr=False)
+    err_to_final: np.ndarray | None = None
 
     @property
     def iterations(self) -> int:
         return int(self.alpha.shape[0])
 
     def errors_to_final(self) -> np.ndarray:
-        """||x_k - x_K|| for every recorded iterate; requires record_trace.
+        """``err_to_final``, read-only; computed once from ``iterates`` if unset.
 
         One pass over blocks of 64 rows through one reused scratch buffer, so
-        no temporary as large as ``iterates`` is made.  The result is
-        bit-identical to ``np.linalg.norm(iterates - iterates[-1], axis=1)``,
-        computed once per iterates array (an in-place edit is not seen) and read-only.
+        no temporary as large as ``iterates`` is made, bit-identical to
+        ``np.linalg.norm(iterates - iterates[-1], axis=1)``.  Kept, like ``objective``,
+        when ``iterates`` changes; ``replace(..., err_to_final=None)`` recomputes it.
         """
-        if self.iterates is None:
-            raise ValueError("trace was recorded without iterates")
-        if self._errors is not None and self._errors[0] is self.iterates:
-            return self._errors[1]
-        iterates, rows = self.iterates, 64
-        errors = np.empty(iterates.shape[0])
-        scratch = np.empty((rows,) + iterates.shape[1:])
-        for start in range(0, iterates.shape[0], rows):
-            block = iterates[start : start + rows]
-            diff = np.subtract(block, iterates[-1], out=scratch[: block.shape[0]])
-            np.multiply(diff, diff, out=diff)
-            np.sqrt(np.add.reduce(diff, axis=1), out=errors[start : start + rows])
-        self._set_iterates(iterates, errors)
-        return errors
-
-    def _set_iterates(self, iterates: Any, errors: np.ndarray) -> None:
-        """Store ``iterates`` with ``errors``, their errors_to_final, made read-only."""
-        errors.flags.writeable = False
-        self.iterates, self._errors = iterates, (iterates, errors)
+        if self.err_to_final is None:
+            if self.iterates is None:
+                raise ValueError("trace was recorded without iterates")
+            iterates, rows = self.iterates, 64
+            errors = np.empty(iterates.shape[0])
+            scratch = np.empty((rows,) + iterates.shape[1:])
+            for start in range(0, iterates.shape[0], rows):
+                block = iterates[start : start + rows]
+                diff = np.subtract(block, iterates[-1], out=scratch[: block.shape[0]])
+                np.multiply(diff, diff, out=diff)
+                np.sqrt(np.add.reduce(diff, axis=1), out=errors[start : start + rows])
+            self.err_to_final = errors
+        self.err_to_final.flags.writeable = False  # a pickled or parsed column arrives writeable
+        return self.err_to_final
 
 
 def _decrease_excess(value, reference, rel_slack=0.0, coef=0.0, step=0.0):

@@ -402,20 +402,15 @@ def sgep_brute_force_optimum(
     and supports on which the A-energy vanishes (lambda_max(W) = 0) admit no
     feasible point, so they are skipped.  Guarded to n <= 16 and r <= 4; the
     enumeration is exponential and this routine exists as ground truth for
-    tests, not as a solver.
+    tests, not as a solver.  A, B and r are checked and stored by SgepProblem.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise InvalidProblemError("A and B must be square with identical shapes")
-    n = a.shape[0]
-    if not 1 <= r <= n:
-        raise InvalidProblemError(f"need 1 <= r <= {n}, got r = {r}")
-    if n > BRUTE_FORCE_MAX_N or r > BRUTE_FORCE_MAX_R:
+    if len(a) > BRUTE_FORCE_MAX_N or r > BRUTE_FORCE_MAX_R:  # before any decomposition
         raise SizeGuardError(
-            f"refusing exhaustive enumeration for n = {n}, r = {r} "
+            f"refusing exhaustive enumeration for n = {len(a)}, r = {r} "
             f"(limits: n <= {BRUTE_FORCE_MAX_N}, r <= {BRUTE_FORCE_MAX_R})"
         )
+    problem = SgepProblem(matrix_a=a, matrix_b=b, sparsity=r)
+    a, b, n = problem.matrix_a, problem.matrix_b, problem.dim
     best_value = math.inf
     best_point: np.ndarray | None = None
     for size in range(1, r + 1):
@@ -423,7 +418,7 @@ def sgep_brute_force_optimum(
             idx = np.asarray(support)
             sub_b = b[np.ix_(idx, idx)]
             eigvals_b, eigvecs_b = np.linalg.eigh(sub_b)
-            if float(eigvals_b[0]) <= 0.0:
+            if float(eigvals_b[0]) <= 0.0:  # every support, not SgepProblem's sample
                 raise InvalidProblemError(
                     f"B restricted to support {support} is not positive definite"
                 )

@@ -628,6 +628,7 @@ def test_bench_custom_sgep_mismatched_matrices_is_dimension_error(tmp_path, caps
     cfg = _custom_sgep_config(tmp_path, a_path, b_path)
     assert run_cli("bench", "--config", cfg, "--out-dir", tmp_path / "out") == 4
     assert "shape" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["solve", "bench", "verify"])
@@ -660,6 +661,8 @@ def test_sgep_file_that_is_not_symmetric_is_validation_error(
         argv = ["verify", "--trace", trace, "--problem", "sgep", *files]
     assert run_cli(*argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    if command == "bench":  # rejected before any output is written
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from fracopt import (
     PgsaConfig,
     SgepProblem,
     audit_trace,
+    fit_linear_rate,
     gen_dct_matrix,
     gen_ground_truth,
     penalty_start_point,
@@ -110,7 +111,7 @@ def test_trace_round_trip_preserves_audited_columns(tmp_path):
     assert np.array_equal(loaded.g_value, trace.g_value)
     assert np.array_equal(loaded.alpha, trace.alpha)
     assert np.array_equal(loaded.step_norm, trace.step_norm)
-    assert errors is not None
+    assert errors is not None and loaded.err_to_final is errors
     assert np.array_equal(errors, trace.errors_to_final())
     # A reloaded trace still audits cleanly with its problem.
     report = audit_trace(loaded, problem)
@@ -165,6 +166,29 @@ def test_reloaded_trace_keeps_params_certificate_and_audit(tmp_path, family, sol
     assert reloaded.checks_run == live.checks_run
     assert reloaded.violations == live.violations
     assert live.ok != tamper
+
+
+@pytest.mark.parametrize("record_trace", [False, True])
+@pytest.mark.parametrize("family", ["sgep", "l1l2"])
+@pytest.mark.parametrize("solver", ["pgsa", "pgsa_ml", "pgsa_nl"])
+def test_reloaded_trace_rewrites_to_its_own_bytes(tmp_path, family, solver, record_trace):
+    # The reloaded trace carries its err_to_final column, so nothing is dropped.
+    _, trace = _tiny_run(family, solver, record_trace)
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    write_trace_csv(first, trace)
+    write_trace_csv(second, load_trace_csv(first)[0])
+    assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("solver", ["pgsa", "pgsa_ml", "pgsa_nl"])
+def test_reloaded_trace_gives_the_live_rate_fit(tmp_path, solver):
+    _, trace = _tiny_run("l1l2", solver, record_trace=True)
+    assert trace.iterations >= 30
+    path = tmp_path / "trace.csv"
+    write_trace_csv(path, trace)
+    loaded, _ = load_trace_csv(path)
+    assert loaded.iterates is None
+    assert fit_linear_rate(loaded) == fit_linear_rate(trace)
 
 
 # A params and certificate line that load_trace_csv accepts.

@@ -235,27 +235,34 @@ def test_errors_to_final_matches_row_norms(rows, columns):
     expected = np.linalg.norm(iterates - iterates[-1], axis=1)
     errors = traced.errors_to_final()
     assert errors.tobytes() == expected.tobytes()
-    # Computed once for this iterates array, and read-only so no caller can edit the cached copy.
+    # Computed once and stored read-only, so no caller can edit the trace's column.
     assert traced.errors_to_final() is errors
     assert not errors.flags.writeable
 
 
-def test_errors_to_final_is_recomputed_for_a_new_iterates_array():
+def test_err_to_final_is_computed_once_and_kept_like_recorded_data():
     problem = diag_pair_problem()
     trace = run_pgsa(problem, np.array([0.6, 0.8]), PgsaConfig(max_iter=5, record_trace=True))
-    assert trace.iterates.shape[0] >= 2
+    assert trace.iterates.shape[0] >= 2 and trace.err_to_final is None
     first = trace.errors_to_final()
+    assert trace.err_to_final is first and trace.errors_to_final() is first
     with pytest.raises(ValueError):
         first[0] = 1.0
+    # New iterates keep the column, as they keep objective; clearing it recomputes.
     tampered = trace.iterates.copy()
     tampered[0] += 1.0
-    fresh = np.linalg.norm(tampered - tampered[-1], axis=1)
-    replaced = dataclasses.replace(trace, iterates=tampered)
-    assert replaced.errors_to_final().tobytes() == fresh.tobytes()
-    assert trace.errors_to_final() is first
     trace.iterates = tampered
-    assert trace.errors_to_final() is not first
-    assert trace.errors_to_final().tobytes() == fresh.tobytes()
+    assert trace.errors_to_final() is first
+    assert dataclasses.replace(trace, iterates=tampered).errors_to_final() is first
+    fresh = np.linalg.norm(tampered - tampered[-1], axis=1)
+    replaced = dataclasses.replace(trace, iterates=tampered, err_to_final=None)
+    assert replaced.errors_to_final().tobytes() == fresh.tobytes()
+    # A column given without iterates, writeable as a parsed one arrives, is returned read-only.
+    given = fresh.copy()
+    bare = dataclasses.replace(trace, iterates=None, err_to_final=given)
+    assert bare.errors_to_final() is given and not given.flags.writeable
+    with pytest.raises(ValueError, match="without iterates"):
+        dataclasses.replace(bare, err_to_final=None).errors_to_final()
 
 
 ANCHOR_NAN = "NaN in step anchor (gradient or subgradient callback)"

@@ -46,3 +46,18 @@ def test_import_leaves_the_worker_pool_modules_unloaded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    # numpy is the one declared dependency; scipy or hypothesis may be
+    # installed where the tests run, but the package must not need them.
+    allowed = set(sys.stdlib_module_names) | {"numpy", "fracopt"}
+    found = []
+    for source in sorted((ROOT / "src" / "fracopt").glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.Import):
+                found.extend((source.name, alias.name) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.append((source.name, node.module))
+    assert found
+    assert [(name, module) for name, module in found if module.split(".")[0] not in allowed] == []

@@ -400,10 +400,13 @@ def test_brute_force_size_guard_and_validation():
     small = np.eye(8)
     with pytest.raises(SizeGuardError):
         sgep_brute_force_optimum(small, small, 5)
-    with pytest.raises(InvalidProblemError):
+    # The data checks are SgepProblem's, with its error classes and messages.
+    with pytest.raises(DimensionMismatchError):
         sgep_brute_force_optimum(np.eye(3), np.eye(4), 1)
-    with pytest.raises(InvalidProblemError):
+    with pytest.raises(InvalidProblemError, match="need 1 <= r <= 3"):
         sgep_brute_force_optimum(np.eye(3), np.eye(3), 0)
+    with pytest.raises(InvalidProblemError, match="A is not symmetric"):
+        sgep_brute_force_optimum(np.array([[2.0, 1.5], [0.5, 2.0]]), np.eye(2), 1)
     # B restricted to {1} is the zero block: no PD reduction exists there.
     with pytest.raises(InvalidProblemError):
         sgep_brute_force_optimum(np.eye(2), np.diag([1.0, 0.0]), 1)
