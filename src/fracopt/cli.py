@@ -36,10 +36,10 @@ from .exceptions import (
 )
 from .experiments import (
     _SOLVER_FIELDS,
+    EXPERIMENTS,
     SOLVERS,
     ExperimentConfig,
     _instance,
-    _load_sgep,
     _solve_trial,
     _start,
     apply_env_overrides,
@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--trace", action="store_true", help="record and write per-run traces")
 
     gen = sub.add_parser("gen", help="write synthetic problem files")
-    gen.add_argument("experiment", choices=["sfda", "l1l2"])
+    gen.add_argument("experiment", choices=EXPERIMENTS)
     gen.add_argument("--out-dir", default=".")
     gen.add_argument("--seed", type=int, default=0)
     for size in GEN_SIZES:  # sizes left unset take ExperimentConfig's defaults
@@ -165,7 +165,9 @@ def _build_sgep(args: argparse.Namespace) -> SgepProblem:
         raise InvalidConfigError("sgep needs --matrix-b")
     if args.sparsity is None:
         raise InvalidConfigError("sgep needs a sparsity level -r")
-    return _load_sgep(args.matrix_a, args.matrix_b, args.sparsity)
+    # Each file is solved as written; SgepProblem checks it.
+    a, b = load_matrix_csv(args.matrix_a), load_matrix_csv(args.matrix_b)
+    return SgepProblem(matrix_a=a, matrix_b=b, sparsity=args.sparsity)
 
 
 def _build_l1l2(args: argparse.Namespace) -> L1L2PenaltyProblem:
@@ -203,13 +205,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
         raise InvalidConfigError(f"solver {args.solver} does not read: {', '.join(unknown)}")
     problem = _build_problem(args)
     x0 = _start_point(args, problem)
+    # stop_is_relative keys on the family alone, so sfda gives sgep its stop rule.
     exp_cfg = ExperimentConfig(
-        experiment="l1l2" if args.problem == "l1l2" else "custom_sgep",
+        experiment="l1l2" if args.problem == "l1l2" else "sfda",
         solver=args.solver,
         trials=1,
         write_traces=bool(args.trace),
-        matrix_a=args.matrix_a,
-        matrix_b=args.matrix_b,
         **cfg_fields,
     )
     result = _solve_trial(exp_cfg, 0, args.solver, (problem, x0, None))

@@ -33,7 +33,7 @@ from typing import Any
 import numpy as np
 
 from .exceptions import FracoptError, InvalidConfigError
-from .io import RESULT_COLUMNS, load_matrix_csv
+from .io import RESULT_COLUMNS
 from .l1l2 import (
     L1L2PenaltyProblem,
     RecoveryReport,
@@ -49,7 +49,7 @@ from .problem import FractionalProblem
 from .rand import philox_generator
 from .sgep import SfdaRecipe, SgepProblem, gen_sfda, sgep_default_init
 
-EXPERIMENTS = ("sfda", "l1l2", "custom_sgep")
+EXPERIMENTS = ("sfda", "l1l2")
 # The ExperimentConfig fields each solver reads; `fracopt solve` rejects any other.
 _STOPPING = ("step_tol", "max_iter", "relative_tol")
 _LINE_SEARCH = ("a", "eta", "alpha_lower", "alpha_upper", "alpha0", *_STOPPING)
@@ -105,9 +105,6 @@ class ExperimentConfig:
     step_tol: float | None = None
     max_iter: int | None = None
     relative_tol: bool | None = None
-    # file-backed eigenvalue problem
-    matrix_a: str | None = None
-    matrix_b: str | None = None
 
     def __post_init__(self) -> None:
         for spec in dataclass_fields(self):
@@ -128,8 +125,6 @@ class ExperimentConfig:
             raise InvalidConfigError("trials must be nonnegative")
         if self.threads is not None and self.threads < 1:
             raise InvalidConfigError("threads must be at least 1")
-        if self.experiment == "custom_sgep" and (not self.matrix_a or not self.matrix_b):
-            raise InvalidConfigError("custom_sgep needs matrix_a and matrix_b paths")
         if self.experiment == "sfda":  # the recipe's own checks reject impossible sizes
             SfdaRecipe(n=self.dimension, p1=self.p1, p2=self.p2, r=self.r)
         if self.experiment == "l1l2" and not 1 <= self.k <= self.dimension:
@@ -225,12 +220,6 @@ class TrialResult:
         return rec
 
 
-def _load_sgep(path_a: str, path_b: str, sparsity: int) -> SgepProblem:
-    """The SGEP in two matrix files, as written; SgepProblem checks them."""
-    a, b = load_matrix_csv(path_a), load_matrix_csv(path_b)
-    return SgepProblem(matrix_a=a, matrix_b=b, sparsity=sparsity)
-
-
 def _instance(
     cfg: ExperimentConfig, rng: np.random.Generator
 ) -> tuple[FractionalProblem, np.ndarray | None]:
@@ -258,14 +247,9 @@ def _start(problem: FractionalProblem) -> np.ndarray:
 
 
 def _build_trial(
-    cfg: ExperimentConfig,
-    trial: int,
-    shared_problem: tuple[SgepProblem, np.ndarray] | None,
+    cfg: ExperimentConfig, trial: int
 ) -> tuple[FractionalProblem, np.ndarray, np.ndarray | None]:
     """This trial's problem instance, start point and, for l1l2, ground truth."""
-    if cfg.experiment == "custom_sgep":
-        assert shared_problem is not None, "custom_sgep requires a preloaded problem"
-        return (*shared_problem, None)
     problem, truth = _instance(cfg, philox_generator(cfg.master_seed, trial))
     return problem, _start(problem), truth
 
@@ -295,13 +279,9 @@ def _solve_trial(
     )
 
 
-def run_trial(
-    cfg: ExperimentConfig,
-    trial: int,
-    shared_problem: tuple[SgepProblem, np.ndarray] | None = None,
-) -> list[TrialResult]:
+def run_trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
     """Run every configured solver on this trial's problem instance."""
-    instance = _build_trial(cfg, trial, shared_problem)
+    instance = _build_trial(cfg, trial)
     return [_solve_trial(cfg, trial, solver, instance) for solver in cfg.solver_names()]
 
 
@@ -332,9 +312,9 @@ def _pin_blas_to_one_thread() -> None:
                 return
 
 
-# The config, shared problem and iterate hand-off directory of the running
-# experiment, bound in each worker process by _init_worker.
-_worker_args: tuple[ExperimentConfig, tuple[SgepProblem, np.ndarray] | None, str | None]
+# The config and iterate hand-off directory of the running experiment, bound
+# in each worker process by _init_worker.
+_worker_args: tuple[ExperimentConfig, str | None]
 
 
 def _init_worker(*worker_args: Any) -> None:
@@ -359,9 +339,9 @@ def _failure(cfg: ExperimentConfig, index: int, solver: str, exc: FracoptError) 
 
 def _one_trial(index: int) -> list[TrialResult | dict[str, Any]]:
     """Trial ``index`` in a worker: each solver's result, or its failure record."""
-    cfg, shared, handoff = _worker_args
+    cfg, handoff = _worker_args
     try:
-        instance = _build_trial(cfg, index, shared)
+        instance = _build_trial(cfg, index)
     except FracoptError as exc:
         return [_failure(cfg, index, solver, exc) for solver in cfg.solver_names()]
     outcomes: list[TrialResult | dict[str, Any]] = []
@@ -397,11 +377,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
     import multiprocessing
     from concurrent.futures.process import ProcessPoolExecutor
 
-    shared = None
-    if cfg.experiment == "custom_sgep":
-        problem = _load_sgep(cfg.matrix_a, cfg.matrix_b, cfg.r)
-        shared = (problem, _start(problem))
-
     if hasattr(os, "sched_getaffinity"):
         usable = len(os.sched_getaffinity(0))
     else:
@@ -415,7 +390,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
         max_workers=workers,
         mp_context=multiprocessing.get_context(fork),
         initializer=_init_worker,
-        initargs=(cfg, shared, handoff),
+        initargs=(cfg, handoff),
     ) as pool:
         for outcome in itertools.chain.from_iterable(pool.map(_one_trial, range(cfg.trials))):
             if isinstance(outcome, dict):

@@ -9,7 +9,7 @@ import pytest
 
 from fracopt import ExperimentConfig, cli, exceptions
 from fracopt.cli import main
-from fracopt.io import RESULT_COLUMNS, save_matrix_csv, save_vector_csv
+from fracopt.io import RESULT_COLUMNS, load_trace_csv, save_matrix_csv, save_vector_csv
 
 
 @pytest.fixture()
@@ -598,40 +598,51 @@ def test_solve_infinite_box_is_validation_error(tmp_path, capsys):
     assert not (tmp_path / "trace.csv").exists()
 
 
-def _custom_sgep_config(tmp_path, a_path, b_path):
-    return _bench_config(
-        tmp_path, experiment="custom_sgep", matrix_a=str(a_path), matrix_b=str(b_path)
-    )
-
-
-def test_bench_custom_sgep_solves_the_files_once_per_trial(tmp_path, capsys):
-    data = tmp_path / "data"
-    assert run_cli(
-        "gen", "sfda", "--n", "50", "--p1", "60", "--p2", "60", "--r", "5", "--out-dir", data
-    ) == 0
-    cfg = _custom_sgep_config(tmp_path, data / "A.csv", data / "B.csv")
-    out_dir = tmp_path / "out"
-    assert run_cli("bench", "--config", cfg, "--out-dir", out_dir) == 0
-    capsys.readouterr()
-    records = [json.loads(line) for line in (out_dir / "runs.jsonl").read_text().splitlines()]
-    assert [record.pop("trial") for record in records] == [0, 1]
-    # Both trials solve the same instance from the same start.
-    assert records[0] == records[1]
-    assert records[0]["experiment"] == "custom_sgep"
-
-
-def test_bench_custom_sgep_mismatched_matrices_is_dimension_error(tmp_path, capsys):
-    a_path = tmp_path / "A.csv"
-    b_path = tmp_path / "B.csv"
-    save_matrix_csv(a_path, np.eye(2))
-    save_matrix_csv(b_path, np.eye(3))
-    cfg = _custom_sgep_config(tmp_path, a_path, b_path)
-    assert run_cli("bench", "--config", cfg, "--out-dir", tmp_path / "out") == 4
-    assert "shape" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"experiment": "custom_sgep"}, "unknown experiment 'custom_sgep'"),
+        ({"matrix_a": "A.csv"}, "unknown config keys: matrix_a"),
+    ],
+    ids=["custom_sgep", "matrix_a"],
+)
+def test_bench_config_for_a_file_backed_problem_is_validation_error(
+    extra, message, tmp_path, capsys
+):
+    # Every bench trial draws its own instance; files are for solve and verify.
+    cfg = _bench_config(tmp_path, **extra)
+    assert run_cli("bench", "--config", cfg, "--out-dir", tmp_path / "out") == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["solve", "bench", "verify"])
+@pytest.mark.parametrize(
+    "experiment, sizes, stop",
+    [
+        ("sfda", {"n": 50, "p1": 60, "p2": 60, "r": 5}, (1e-6, False)),
+        ("l1l2", {"n": 60, "m": 20, "k": 3}, (1e-8, True)),
+    ],
+    ids=["sfda", "l1l2"],
+)
+def test_solve_keeps_the_stop_rule_of_its_family(experiment, sizes, stop, tmp_path, capsys):
+    # solve records the (step_tol, relative_tol) a bench of the same family records.
+    data = tmp_path / "data"
+    gen_flags = [f"--{size}={value}" for size, value in sizes.items()]
+    assert run_cli("gen", experiment, "--out-dir", data, *gen_flags) == 0
+    if experiment == "sfda":
+        files = ["sgep", "--matrix-a", data / "A.csv", "--matrix-b", data / "B.csv", "-r", "5"]
+    else:
+        files = ["l1l2", "--matrix-a", data / "A.csv", "--vector-b", data / "b.csv"]
+    assert run_cli("solve", *files, "--trace", tmp_path / "solve.csv") == 0
+    cfg = _bench_config(tmp_path, experiment=experiment, trials=1, **sizes)
+    assert run_cli("bench", "--config", cfg, "--out-dir", tmp_path / "out", "--trace") == 0
+    capsys.readouterr()
+    for path in (tmp_path / "solve.csv", tmp_path / "out" / "traces" / "trace_pgsa_ml_0.csv"):
+        params = load_trace_csv(path)[0].params
+        assert (params["step_tol"], params["relative_tol"]) == stop
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
 @pytest.mark.parametrize(
     "matrix, message",
     [
@@ -650,9 +661,6 @@ def test_sgep_file_that_is_not_symmetric_is_validation_error(
     files = ["--matrix-a", a_path, "--matrix-b", b_path, "-r", "1"]
     if command == "solve":
         argv = ["solve", "sgep", *files]
-    elif command == "bench":
-        cfg = _custom_sgep_config(tmp_path, a_path, b_path)
-        argv = ["bench", "--config", cfg, "--out-dir", tmp_path / "out"]
     else:
         trace = tmp_path / "trace.csv"
         solve = ["solve", "sgep", "--matrix-a", good_a, "--matrix-b", b_path, "-r", "1"]
@@ -661,8 +669,6 @@ def test_sgep_file_that_is_not_symmetric_is_validation_error(
         argv = ["verify", "--trace", trace, "--problem", "sgep", *files]
     assert run_cli(*argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
-    if command == "bench":  # rejected before any output is written
-        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -50,7 +50,7 @@ def test_config_validation():
         ExperimentConfig(trials=-1)
     with pytest.raises(InvalidConfigError):
         ExperimentConfig(threads=0)
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(InvalidConfigError, match="unknown experiment"):
         ExperimentConfig(experiment="custom_sgep")
     for sizes in (dict(m=0), dict(k=0), dict(n=10, k=20), dict(dct_f=0.0)):
         with pytest.raises(InvalidConfigError):
@@ -110,8 +110,7 @@ def test_solver_run_config_routing():
 @pytest.mark.parametrize("solver", experiments.SOLVERS)
 def test_unset_knobs_keep_the_solver_config_defaults(experiment, solver):
     # Each default lives on the solver's config alone; pgsa_ml differs only by N = 0.
-    paths = {"matrix_a": "A.csv", "matrix_b": "B.csv"} if experiment == "custom_sgep" else {}
-    built = solver_run_config(ExperimentConfig(experiment=experiment, **paths), solver)
+    built = solver_run_config(ExperimentConfig(experiment=experiment), solver)
     relative = experiment == "l1l2"
     if solver == "pgsa":
         assert built == PgsaConfig(relative_tol=relative)
@@ -277,10 +276,10 @@ def test_failures_are_recorded_per_trial_and_solver(monkeypatch, threads):
 
     real_build_trial = experiments._build_trial
 
-    def build_trial(cfg, trial, shared_problem):
+    def build_trial(cfg, trial):
         if trial == 2:
             raise DegenerateInputError("instance cannot be built")
-        return real_build_trial(cfg, trial, shared_problem)
+        return real_build_trial(cfg, trial)
 
     monkeypatch.setattr(experiments, "_solve_trial", solve_trial)
     monkeypatch.setattr(experiments, "_build_trial", build_trial)
