@@ -39,7 +39,6 @@ from .l1l2 import (
     gen_dct_matrix,
     gen_ground_truth,
     l1_box_initializer,
-    l1l2_critical_residual,
     penalty_start_point,
     prox_l1_box,
     recovery_report,
@@ -72,7 +71,6 @@ from .sgep import (
     project_sparse_sphere,
     scatter_matrices,
     sgep_brute_force_optimum,
-    sgep_critical_residual,
     sgep_default_init,
 )
 
@@ -122,7 +120,6 @@ __all__ = [
     "gen_sfda",
     "gen_sfda_dataset",
     "l1_box_initializer",
-    "l1l2_critical_residual",
     "penalty_start_point",
     "philox_generator",
     "project_sparse_sphere",
@@ -135,7 +132,6 @@ __all__ = [
     "run_trial",
     "scatter_matrices",
     "sgep_brute_force_optimum",
-    "sgep_critical_residual",
     "sgep_default_init",
     "solver_run_config",
 ]

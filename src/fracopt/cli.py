@@ -20,8 +20,6 @@ import sys
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from .exceptions import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -35,7 +33,7 @@ from .exceptions import (
     SizeGuardError,
 )
 from .experiments import (
-    _SOLVER_FIELDS,
+    _SOLVER_KNOBS,
     EXPERIMENTS,
     SOLVERS,
     ExperimentConfig,
@@ -182,29 +180,15 @@ def _build_l1l2(args: argparse.Namespace) -> L1L2PenaltyProblem:
     )
 
 
-def _start_point(
-    args: argparse.Namespace, problem: SgepProblem | L1L2PenaltyProblem
-) -> np.ndarray:
-    if not args.x0:
-        return _start(problem)
-    x0 = load_vector_csv(args.x0)
-    if x0.shape[0] != problem.dim:
-        raise DimensionMismatchError(
-            f"x0 has length {x0.shape[0]}, problem dimension is {problem.dim}"
-        )
-    return x0
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
     cfg_fields = _load_json_object(args.config)
     for key in ("alpha", "step_tol", "max_iter", "relative_tol"):
         if getattr(args, key) is not None:
             cfg_fields[key] = getattr(args, key)
-    unknown = sorted(set(cfg_fields) - set(_SOLVER_FIELDS[args.solver]))
+    # Keys that are no solver knob at all; ExperimentConfig rejects the knobs this solver skips.
+    unknown = sorted(set(cfg_fields) - _SOLVER_KNOBS)
     if unknown:
         raise InvalidConfigError(f"solver {args.solver} does not read: {', '.join(unknown)}")
-    problem = _build_problem(args)
-    x0 = _start_point(args, problem)
     # stop_is_relative keys on the family alone, so sfda gives sgep its stop rule.
     exp_cfg = ExperimentConfig(
         experiment="l1l2" if args.problem == "l1l2" else "sfda",
@@ -213,6 +197,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         write_traces=bool(args.trace),
         **cfg_fields,
     )
+    problem = _build_problem(args)
+    x0 = load_vector_csv(args.x0) if args.x0 else _start(problem)
     result = _solve_trial(exp_cfg, 0, args.solver, (problem, x0, None))
     if args.trace:
         write_trace_csv(args.trace, result.trace)
@@ -298,18 +284,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"(magnitude {violation.magnitude:.3e}) {violation.detail}"
         )
     if args.rate_fit:
-        if trace.err_to_final is None:
-            print("rate fit: trace carries no err_to_final column")
+        try:
+            fit = fit_linear_rate(trace)
+        except InsufficientDataError as exc:
+            print(f"rate fit: {exc}")
         else:
-            try:
-                fit = fit_linear_rate(trace)
-            except InsufficientDataError as exc:
-                print(f"rate fit: {exc}")
-            else:
-                print(
-                    f"rate fit: slope {fit.slope:.6f}, r_squared {fit.r_squared:.4f}, "
-                    f"window {fit.window[0]}..{fit.window[1]} ({fit.n_points} points)"
-                )
+            print(
+                f"rate fit: slope {fit.slope:.6f}, r_squared {fit.r_squared:.4f}, "
+                f"window {fit.window[0]}..{fit.window[1]} ({fit.n_points} points)"
+            )
     if report.ok:
         print(f"audit ok: {report.checks_run} checks, zero violations")
         return EXIT_OK

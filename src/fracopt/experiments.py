@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import itertools
 import json
 import numbers
@@ -50,7 +51,7 @@ from .rand import philox_generator
 from .sgep import SfdaRecipe, SgepProblem, gen_sfda, sgep_default_init
 
 EXPERIMENTS = ("sfda", "l1l2")
-# The ExperimentConfig fields each solver reads; `fracopt solve` rejects any other.
+# The ExperimentConfig fields each solver reads; a config that sets another one is rejected.
 _STOPPING = ("step_tol", "max_iter", "relative_tol")
 _LINE_SEARCH = ("a", "eta", "alpha_lower", "alpha_upper", "alpha0", *_STOPPING)
 _SOLVER_FIELDS = {
@@ -59,6 +60,7 @@ _SOLVER_FIELDS = {
     "pgsa_nl": (*_LINE_SEARCH, "window"),
 }
 SOLVERS = tuple(_SOLVER_FIELDS)
+_SOLVER_KNOBS = frozenset().union(*_SOLVER_FIELDS.values())
 ENV_PREFIX = "FRACOPT_"
 # The values each ExperimentConfig field annotation admits; a bool is no number.
 FIELD_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real, "bool": bool}
@@ -68,11 +70,13 @@ FIELD_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real, "bool
 class ExperimentConfig:
     """Everything a benchmark run depends on.
 
-    JSON configuration files use exactly these field names as keys, and each
-    key can be overridden through an environment variable named
-    FRACOPT_<KEY-IN-UPPERCASE> (values parsed as JSON, bare strings allowed).
-    ``solver`` may be one of the solver names or "all".  Fields left at None
-    fall back to per-experiment defaults documented on the field.
+    JSON configuration files use exactly these field names as keys, and
+    ``fracopt bench`` (no other command) overrides each key through an
+    environment variable named FRACOPT_<KEY-IN-UPPERCASE> (values parsed as
+    JSON, bare strings allowed).  ``solver`` may be one of the solver names or
+    "all"; a solver knob that none of the configured solvers reads must stay
+    None.  Fields left at None fall back to per-experiment defaults
+    documented on the field.
     """
 
     experiment: str = "sfda"
@@ -121,6 +125,10 @@ class ExperimentConfig:
             )
         for solver in self.solver_names():  # each solver config checks its own knobs
             solver_run_config(self, solver)
+        read = set().union(*(_SOLVER_FIELDS[solver] for solver in self.solver_names()))
+        unread = sorted(name for name in _SOLVER_KNOBS - read if getattr(self, name) is not None)
+        if unread:
+            raise InvalidConfigError(f"solver {self.solver} does not read: {', '.join(unread)}")
         if self.trials < 0:
             raise InvalidConfigError("trials must be nonnegative")
         if self.threads is not None and self.threads < 1:
@@ -312,17 +320,6 @@ def _pin_blas_to_one_thread() -> None:
                 return
 
 
-# The config and iterate hand-off directory of the running experiment, bound
-# in each worker process by _init_worker.
-_worker_args: tuple[ExperimentConfig, str | None]
-
-
-def _init_worker(*worker_args: Any) -> None:
-    global _worker_args
-    _pin_blas_to_one_thread()
-    _worker_args = worker_args
-
-
 def _handoff_path(handoff: str, result: TrialResult) -> str:
     return os.path.join(handoff, f"{result.trial}_{result.solver}.npy")
 
@@ -337,9 +334,10 @@ def _failure(cfg: ExperimentConfig, index: int, solver: str, exc: FracoptError) 
     }
 
 
-def _one_trial(index: int) -> list[TrialResult | dict[str, Any]]:
+def _one_trial(
+    cfg: ExperimentConfig, handoff: str | None, index: int
+) -> list[TrialResult | dict[str, Any]]:
     """Trial ``index`` in a worker: each solver's result, or its failure record."""
-    cfg, handoff = _worker_args
     try:
         instance = _build_trial(cfg, index)
     except FracoptError as exc:
@@ -389,10 +387,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
     with traced as handoff, ProcessPoolExecutor(
         max_workers=workers,
         mp_context=multiprocessing.get_context(fork),
-        initializer=_init_worker,
-        initargs=(cfg, handoff),
+        initializer=_pin_blas_to_one_thread,
     ) as pool:
-        for outcome in itertools.chain.from_iterable(pool.map(_one_trial, range(cfg.trials))):
+        trials = pool.map(functools.partial(_one_trial, cfg, handoff), range(cfg.trials))
+        for outcome in itertools.chain.from_iterable(trials):
             if isinstance(outcome, dict):
                 failures.append(outcome)
                 continue

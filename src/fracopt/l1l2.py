@@ -196,48 +196,44 @@ class L1L2PenaltyProblem(FractionalProblem):
         return self._g_bound
 
     def critical_residual(self, x: np.ndarray) -> float:
-        return l1l2_critical_residual(self, x)
+        """Componentwise distance to the criticality condition, as an l2 norm.
 
+        At a critical point the vector u = F(x) * x / ||x|| - grad_h(x) belongs to
+        the subdifferential of f, which splits per coordinate into
 
-def l1l2_critical_residual(problem: L1L2PenaltyProblem, x: np.ndarray) -> float:
-    """Componentwise distance to the criticality condition, as an l2 norm.
+            lam * sign(x_j)        plus  {0}         strictly inside the box,
+            lam * sign(x_j)        plus  [0, +inf)   at the upper bound,
+            lam * sign(x_j)        plus  (-inf, 0]   at the lower bound,
+            [-lam, lam]            (at x_j = 0, interior)
 
-    At a critical point the vector u = F(x) * x / ||x|| - grad_h(x) belongs to
-    the subdifferential of f, which splits per coordinate into
+        with the obvious combinations when 0 sits on a bound.  Each coordinate
+        contributes its distance from u_j to the allowed interval; the residual is
+        the l2 norm of those distances.
+        """
+        x = np.asarray(x, dtype=float)
+        if x.shape[0] != self.dim:
+            raise DomainError(f"x has length {x.shape[0]}, problem dimension is {self.dim}")
+        norm = float(np.linalg.norm(x))
+        num = self.eval_f(x)
+        if norm <= domain_eps(num):
+            raise DomainError("criticality residual requested outside dom(F)")
+        ratio = (num + self.eval_h(x)) / norm
+        u = ratio * (x / norm) - self.grad_h(x)
 
-        lam * sign(x_j)        plus  {0}         strictly inside the box,
-        lam * sign(x_j)        plus  [0, +inf)   at the upper bound,
-        lam * sign(x_j)        plus  (-inf, 0]   at the lower bound,
-        [-lam, lam]            (at x_j = 0, interior)
+        lam = self.lam
+        tol = self._box_tol
+        at_lower = x <= self.lower + tol
+        at_upper = x >= self.upper - tol
+        positive = x > tol
+        negative = x < -tol
 
-    with the obvious combinations when 0 sits on a bound.  Each coordinate
-    contributes its distance from u_j to the allowed interval; the residual is
-    the l2 norm of those distances.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != problem.dim:
-        raise DomainError(f"x has length {x.shape[0]}, problem dimension is {problem.dim}")
-    norm = float(np.linalg.norm(x))
-    num = problem.eval_f(x)
-    if norm <= domain_eps(num):
-        raise DomainError("criticality residual requested outside dom(F)")
-    ratio = (num + problem.eval_h(x)) / norm
-    u = ratio * (x / norm) - problem.grad_h(x)
-
-    lam = problem.lam
-    tol = problem._box_tol
-    at_lower = x <= problem.lower + tol
-    at_upper = x >= problem.upper - tol
-    positive = x > tol
-    negative = x < -tol
-
-    # Allowed interval [lo_j, hi_j] for u_j, coordinate by coordinate.
-    lo = np.where(positive, lam, -lam)
-    hi = np.where(negative, -lam, lam)
-    lo = np.where(at_lower, -np.inf, lo)
-    hi = np.where(at_upper, np.inf, hi)
-    gaps = np.maximum(lo - u, 0.0) + np.maximum(u - hi, 0.0)
-    return float(np.linalg.norm(gaps))
+        # Allowed interval [lo_j, hi_j] for u_j, coordinate by coordinate.
+        lo = np.where(positive, lam, -lam)
+        hi = np.where(negative, -lam, lam)
+        lo = np.where(at_lower, -np.inf, lo)
+        hi = np.where(at_upper, np.inf, hi)
+        gaps = np.maximum(lo - u, 0.0) + np.maximum(u - hi, 0.0)
+        return float(np.linalg.norm(gaps))
 
 
 def gen_dct_matrix(
@@ -273,9 +269,7 @@ def gen_ground_truth(n: int, k: int, seed: int | np.random.Generator) -> np.ndar
     return x / norm
 
 
-def l1_box_initializer(
-    problem: L1L2PenaltyProblem, iterations: int = INITIALIZER_ITERATIONS
-) -> np.ndarray:
+def l1_box_initializer(problem: L1L2PenaltyProblem) -> np.ndarray:
     """Rough l1-penalized least-squares start point for the ratio solvers.
 
     Runs a fixed number of proximal-gradient iterations on
@@ -292,7 +286,7 @@ def l1_box_initializer(
     mu = INITIALIZER_PENALTY_SCALE * float(np.max(np.abs(a.T @ b)))
     step = 1.0 / problem.lipschitz_grad_h
     x = np.zeros(problem.dim)
-    for _ in range(iterations):
+    for _ in range(INITIALIZER_ITERATIONS):
         grad = a.T @ (a @ x - b)
         x = _shrink_clip(x - step * grad, step * mu, problem.lower, problem.upper)
     if float(np.linalg.norm(x)) <= ZERO_NORM_EPS:

@@ -105,7 +105,6 @@ def audit_trace(
     trace: SolverTrace,
     problem: FractionalProblem | None = None,
     mode: str | None = None,
-    rel_tol: float = AUDIT_REL_TOL,
 ) -> AuditReport:
     """Re-verify a recorded run against the guarantees of its mode.
 
@@ -127,7 +126,7 @@ def audit_trace(
     Each check is one array expression over all iterations (the window
     maxima are a sliding maximum over the objectives padded with -inf), so
     the violations come grouped by check, each group in iteration order.
-    Inequalities get slack rel_tol * (1 + |reference|); violations are
+    Inequalities get slack AUDIT_REL_TOL * (1 + |reference|); violations are
     collected, never raised, so a caller can report all of them at once.
     """
     params = trace.params
@@ -153,7 +152,7 @@ def audit_trace(
     hi = params["alpha_upper"]
 
     def slack(reference):
-        return rel_tol * (1.0 + np.abs(reference))
+        return AUDIT_REL_TOL * (1.0 + np.abs(reference))
 
     # NaN and inf objectives are data here, and the checks treat them exactly
     # as the scalar decrease test does, so their arithmetic warnings are noise.
@@ -171,10 +170,10 @@ def audit_trace(
             _flag(report, "step_bounds", "step above alpha_upper", above, alpha - hi)
             _flag(report, "step_bounds", "step at or above 1/L cap", alpha >= cap, alpha - cap)
             coef = _fixed_step_coef(alpha, lipschitz, convex_f, g_value[1 : iterations + 1])
-            excess = _decrease_excess(after, before, rel_tol, coef, step_norm)
+            excess = _decrease_excess(after, before, AUDIT_REL_TOL, coef, step_norm)
             detail = "decrease inequality fails from iterate {k} to {j}"
             _flag(report, "sufficient_decrease", detail, excess, shift=1)
-            excess = _decrease_excess(after, before, rel_tol)
+            excess = _decrease_excess(after, before, AUDIT_REL_TOL)
             detail = "objective increased from iterate {k} to {j}"
             _flag(report, "monotonicity", detail, excess, shift=1)
         else:
@@ -186,15 +185,15 @@ def audit_trace(
             window_max = maxima[:-1]
 
             report.checks_run += 3 * iterations
-            excess = _decrease_excess(after, window_max, rel_tol, 0.5 * a, step_norm)
+            excess = _decrease_excess(after, window_max, AUDIT_REL_TOL, 0.5 * a, step_norm)
             detail = "acceptance inequality fails at iterate {j}"
             _flag(report, "acceptance", detail, excess, shift=1)
             above = alpha > hi + slack(hi)
             _flag(report, "step_bounds", "step above alpha_upper", above, alpha - hi)
-            excess = _decrease_excess(after, objective[0], rel_tol)
+            excess = _decrease_excess(after, objective[0], AUDIT_REL_TOL)
             _flag(report, "level_set", "objective left the initial level set", excess, shift=1)
             # Windowed maxima over accepted values must never increase.
-            excess = _decrease_excess(maxima[1:], window_max, rel_tol)
+            excess = _decrease_excess(maxima[1:], window_max, AUDIT_REL_TOL)
             detail = "windowed objective maximum increased"
             _flag(report, "window_monotonicity", detail, excess, shift=1)
 
@@ -295,6 +294,4 @@ def fit_rate_from_errors(errors: Sequence[float]) -> RateFit:
 
 def fit_linear_rate(trace: SolverTrace) -> RateFit:
     """Rate fit for a recorded run; requires iterates or an err_to_final column."""
-    if trace.iterates is None and trace.err_to_final is None:
-        raise InsufficientDataError("trace has no iterates; rerun with record_trace")
     return fit_rate_from_errors(trace.errors_to_final()[:-1])

@@ -24,7 +24,13 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .exceptions import DomainError, InvalidConfigError, NumericsError
+from .exceptions import (
+    DimensionMismatchError,
+    DomainError,
+    InsufficientDataError,
+    InvalidConfigError,
+    NumericsError,
+)
 from .problem import Certificate, ExtendedObjective, FractionalProblem, _norm, eval_objective
 
 logger = logging.getLogger(__name__)
@@ -99,6 +105,8 @@ class SolverTrace:
     def errors_to_final(self) -> np.ndarray:
         """``err_to_final``, read-only; computed once from ``iterates`` if unset.
 
+        Raises InsufficientDataError when the trace has neither.
+
         One pass over blocks of 64 rows through one reused scratch buffer, so
         no temporary as large as ``iterates`` is made, bit-identical to
         ``np.linalg.norm(iterates - iterates[-1], axis=1)``.  Kept, like ``objective``,
@@ -106,7 +114,7 @@ class SolverTrace:
         """
         if self.err_to_final is None:
             if self.iterates is None:
-                raise ValueError("trace was recorded without iterates")
+                raise InsufficientDataError("trace has no iterates and no err_to_final column")
             iterates, rows = self.iterates, 64
             errors = np.empty(iterates.shape[0])
             scratch = np.empty((rows,) + iterates.shape[1:])
@@ -209,7 +217,7 @@ def _solve(
     x = np.asarray(x0, dtype=float).copy()
     n = x.shape[0]
     if n != problem.dim:
-        raise InvalidConfigError(f"x0 has length {n}, problem dimension is {problem.dim}")
+        raise DimensionMismatchError(f"x0 has length {n}, problem dimension is {problem.dim}")
     max_iter = cfg.max_iter if cfg.max_iter is not None else (10 * n if cfg.relative_tol else 2 * n)
     step_tol = cfg.step_tol if cfg.step_tol is not None else (1e-8 if cfg.relative_tol else 1e-6)
     ext = _start_point(problem, x)
@@ -245,13 +253,9 @@ def _solve(
 
     if iterates is not None:
         iterates.resize((len(alphas) + 1, n), refcheck=False)
-    try:
-        residual = problem.critical_residual(x)
-    except NotImplementedError:
-        residual = None
     cert = Certificate(
         objective=ext.value,
-        criticality_residual=residual,
+        criticality_residual=problem.critical_residual(x),
         iterations=len(alphas),
         converged_reason=reason,
     )

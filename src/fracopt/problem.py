@@ -130,11 +130,9 @@ class FractionalProblem(abc.ABC):
         """
         return None
 
-    def critical_residual(self, x: np.ndarray) -> float:
-        """Problem-specific distance-to-criticality measure (l2)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not provide a criticality residual"
-        )
+    def critical_residual(self, x: np.ndarray) -> float | None:
+        """Problem-specific distance-to-criticality measure (l2); None when there is none."""
+        return None
 
 
 def eval_objective(problem: FractionalProblem, x: np.ndarray) -> ExtendedObjective:

@@ -218,56 +218,52 @@ class SgepProblem(FractionalProblem):
         return num / den
 
     def critical_residual(self, x: np.ndarray) -> float:
-        return sgep_critical_residual(self, x)
+        """Distance-to-criticality measure for the sparse eigenvalue problem.
 
+        With G(x) the ratio value and support taken as the entries above
+        1e-12 * ||x||_inf, a critical point satisfies
 
-def sgep_critical_residual(problem: SgepProblem, x: np.ndarray) -> float:
-    """Distance-to-criticality measure for the sparse eigenvalue problem.
+            ||B x - G(x) A x||_2 = 0                 when the support is smaller
+                                                     than r (the full-space test),
+            ||B_S x_S - G(x) A_S x_S||_2 = 0         when it has exactly r entries
+                                                     (restricted to the support S).
 
-    With G(x) the ratio value and support taken as the entries above
-    1e-12 * ||x||_inf, a critical point satisfies
+        Entries within a factor 10 of the support threshold make the
+        classification ambiguous; in that case both applicable residuals are
+        computed and the larger one is returned, so a small result never hinges
+        on the thresholding.
+        """
+        a = self.matrix_a
+        b = self.matrix_b
+        r = self.sparsity
+        x = np.asarray(x, dtype=float)
+        if x.shape[0] != self.dim:
+            raise DomainError(f"x has length {x.shape[0]}, problem dimension is {self.dim}")
+        if abs(float(np.linalg.norm(x)) - 1.0) > 1e-8:
+            raise DomainError("x must lie on the unit sphere")
+        magnitude = np.abs(x)
+        threshold = SUPPORT_REL_THRESHOLD * float(magnitude.max())
+        support = magnitude > threshold
+        if int(support.sum()) > r:
+            raise DomainError(f"x has {int(support.sum())} active entries, more than r = {r}")
+        ratio = self.ratio_value(x)
 
-        ||B x - G(x) A x||_2 = 0                 when the support is smaller
-                                                 than r (the full-space test),
-        ||B_S x_S - G(x) A_S x_S||_2 = 0         when it has exactly r entries
-                                                 (restricted to the support S).
+        def residual_for(mask: np.ndarray) -> float:
+            if int(mask.sum()) == r:
+                idx = np.flatnonzero(mask)
+                xs = x[idx]
+                vec = b[np.ix_(idx, idx)] @ xs - ratio * (a[np.ix_(idx, idx)] @ xs)
+            else:
+                vec = b @ x - ratio * (a @ x)
+            return float(np.linalg.norm(vec))
 
-    Entries within a factor 10 of the support threshold make the
-    classification ambiguous; in that case both applicable residuals are
-    computed and the larger one is returned, so a small result never hinges
-    on the thresholding.
-    """
-    a = problem.matrix_a
-    b = problem.matrix_b
-    r = problem.sparsity
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != problem.dim:
-        raise DomainError(f"x has length {x.shape[0]}, problem dimension is {problem.dim}")
-    if abs(float(np.linalg.norm(x)) - 1.0) > 1e-8:
-        raise DomainError("x must lie on the unit sphere")
-    magnitude = np.abs(x)
-    threshold = SUPPORT_REL_THRESHOLD * float(magnitude.max())
-    support = magnitude > threshold
-    if int(support.sum()) > r:
-        raise DomainError(f"x has {int(support.sum())} active entries, more than r = {r}")
-    ratio = problem.ratio_value(x)
-
-    def residual_for(mask: np.ndarray) -> float:
-        if int(mask.sum()) == r:
-            idx = np.flatnonzero(mask)
-            xs = x[idx]
-            vec = b[np.ix_(idx, idx)] @ xs - ratio * (a[np.ix_(idx, idx)] @ xs)
-        else:
-            vec = b @ x - ratio * (a @ x)
-        return float(np.linalg.norm(vec))
-
-    result = residual_for(support)
-    borderline = (magnitude > threshold) & (magnitude <= 10.0 * threshold)
-    if borderline.any():
-        strict = magnitude > 10.0 * threshold
-        if int(strict.sum()) != int(support.sum()):
-            result = max(result, residual_for(strict))
-    return result
+        result = residual_for(support)
+        borderline = (magnitude > threshold) & (magnitude <= 10.0 * threshold)
+        if borderline.any():
+            strict = magnitude > 10.0 * threshold
+            if int(strict.sum()) != int(support.sum()):
+                result = max(result, residual_for(strict))
+        return result
 
 
 def sgep_default_init(n: int, r: int) -> np.ndarray:

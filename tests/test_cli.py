@@ -9,7 +9,13 @@ import pytest
 
 from fracopt import ExperimentConfig, cli, exceptions
 from fracopt.cli import main
-from fracopt.io import RESULT_COLUMNS, load_trace_csv, save_matrix_csv, save_vector_csv
+from fracopt.io import (
+    RESULT_COLUMNS,
+    TRACE_COLUMNS,
+    load_trace_csv,
+    save_matrix_csv,
+    save_vector_csv,
+)
 
 
 @pytest.fixture()
@@ -90,6 +96,34 @@ def test_verify_flags_corrupted_trace(sgep_files, tmp_path, capsys):
     assert code == 1
     assert "violation at iteration 1" in out
     assert "audit failed" in out
+
+
+@pytest.mark.parametrize("raised, code", [(0.0, 0), (10.0, 1)], ids=["clean", "corrupted"])
+def test_verify_rate_fit_without_err_to_final_says_why(raised, code, sgep_files, tmp_path, capsys):
+    # A trace with a blank err_to_final column (and no iterates) cannot be
+    # fitted; verify says so and still exits with the audit's code.
+    a_path, b_path = sgep_files
+    trace_path = tmp_path / "trace.csv"
+    run_cli(
+        "solve", "sgep",
+        "--matrix-a", a_path, "--matrix-b", b_path, "-r", "2",
+        "--x0", _write_vector(tmp_path, "x0.csv", [0.6, 0.8]),
+        "--solver", "pgsa", "--trace", trace_path,
+    )
+    capsys.readouterr()
+    lines = trace_path.read_text().splitlines()
+    for row in range(2, len(lines)):
+        cells = lines[row].split(",")
+        cells[TRACE_COLUMNS.index("err_to_final")] = ""
+        if row == 3:  # the k=1 objective, raised above the start in the corrupted case
+            cells[1] = repr(float(cells[1]) + raised)
+        lines[row] = ",".join(cells)
+    trace_path.write_text("\n".join(lines) + "\n")
+    assert load_trace_csv(trace_path)[1] is None
+    assert run_cli("verify", "--trace", trace_path, "--rate-fit") == code
+    out = capsys.readouterr().out
+    assert "rate fit: trace has no iterates and no err_to_final column\n" in out
+    assert ("audit ok" if code == 0 else "audit failed") in out
 
 
 def test_default_solve_then_default_verify_is_clean(tmp_path, capsys):
@@ -218,6 +252,17 @@ def test_solve_mismatched_matrices_is_dimension_error(tmp_path, capsys):
     )
     assert code == 4
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("solver", ["pgsa", "pgsa_ml", "pgsa_nl"])
+def test_solve_start_of_the_wrong_length_is_dimension_error(solver, sgep_files, tmp_path, capsys):
+    a_path, b_path = sgep_files
+    code = run_cli(
+        "solve", "sgep", "--matrix-a", a_path, "--matrix-b", b_path, "-r", "1",
+        "--solver", solver, "--x0", _write_vector(tmp_path, "x3.csv", [1.0, 0.0, 0.0]),
+    )
+    assert code == 4
+    assert capsys.readouterr().err == "error: x0 has length 3, problem dimension is 2\n"
 
 
 def test_solve_l1l2_dimension_mismatch(tmp_path, capsys):
@@ -536,10 +581,14 @@ def test_bench_bad_sfda_sizes_is_validation_error(sizes, message, tmp_path, caps
         ("sgep", "pgsa_nl", {"alpha0": 5.0, "alpha_lower": 0.1, "alpha_upper": 1.0}),
         ("l1l2", "pgsa_ml", {"lam": -1}),
         ("l1l2", "pgsa_ml", {"box_lower": 0.5}),
+        ("sgep", "pgsa_ml", {"alpha": 0.5}),
+        ("sgep", "pgsa", {"window": 3}),
+        ("sgep", "pgsa_ml", {"window": 3}),
     ],
     ids=[
         "eta", "window", "a-zero", "a-nan", "alpha", "step_tol", "max_iter",
-        "interval", "alpha0", "lam", "box",
+        "interval", "alpha0", "lam", "box", "ml-alpha-unread", "pgsa-window-unread",
+        "ml-window-unread",
     ],
 )
 def test_solve_and_bench_reject_a_bad_run_parameter_alike(

@@ -90,7 +90,7 @@ def test_env_overrides_parse_json_and_bare_strings():
 
 
 def test_solver_run_config_routing():
-    cfg = small_sfda_config(step_tol=1e-7, max_iter=123, window=6)
+    cfg = small_sfda_config(solver="all", step_tol=1e-7, max_iter=123, window=6)
     fixed = solver_run_config(cfg, "pgsa")
     assert isinstance(fixed, PgsaConfig)
     assert fixed.step_tol == 1e-7
@@ -138,7 +138,7 @@ SOLVER_KNOBS = {
 def test_solver_table_matches_the_configs_built_from_it(solver, tmp_path, capsys):
     table = experiments._SOLVER_FIELDS
     assert set().union(*table.values()) == set(SOLVER_KNOBS)
-    cfg = small_sfda_config()
+    cfg = small_sfda_config(solver="all")
     base = solver_run_config(cfg, solver)
     reached = set()
     for name, value in SOLVER_KNOBS.items():

@@ -14,7 +14,6 @@ from fracopt import (
     gen_dct_matrix,
     gen_ground_truth,
     l1_box_initializer,
-    l1l2_critical_residual,
     penalty_start_point,
     prox_l1_box,
     recovery_report,
@@ -186,7 +185,7 @@ def test_initializer_nearly_interpolates_the_data():
 
 def test_residual_interior_coordinate_exact_membership():
     problem = one_d_penalty(observation=0.5)
-    assert l1l2_critical_residual(problem, np.array([0.5])) <= 1e-15
+    assert problem.critical_residual(np.array([0.5])) <= 1e-15
 
 
 def test_residual_active_upper_bound_absorbs_excess():
@@ -197,10 +196,10 @@ def test_residual_active_upper_bound_absorbs_excess():
     norm = 1.0
     u = (problem.eval_f(x) + problem.eval_h(x)) / norm - float(problem.grad_h(x)[0])
     assert abs(u - (0.1 + 5.0)) <= 1e-12
-    assert l1l2_critical_residual(problem, x) <= 1e-12
+    assert problem.critical_residual(x) <= 1e-12
     # The same u strictly inside the box is a genuine violation.
     interior = np.array([0.9])
-    assert l1l2_critical_residual(problem, interior) > 0.1
+    assert problem.critical_residual(interior) > 0.1
 
 
 def test_residual_solver_consistency():
@@ -220,15 +219,15 @@ def test_residual_solver_consistency():
         start,
         LineSearchConfig(N=0, step_tol=1e-12, relative_tol=True, max_iter=5000),
     )
-    assert l1l2_critical_residual(problem, trace.final_x) <= 1e-8
+    assert problem.critical_residual(trace.final_x) <= 1e-8
 
 
 def test_residual_rejects_points_outside_domain():
     problem = one_d_penalty(observation=0.5)
     with pytest.raises(DomainError):
-        l1l2_critical_residual(problem, np.zeros(1))
+        problem.critical_residual(np.zeros(1))
     with pytest.raises(DomainError):
-        l1l2_critical_residual(problem, np.zeros(2))
+        problem.critical_residual(np.zeros(2))
 
 
 def test_objective_equivalence_at_interpolating_sparse_point():

@@ -20,7 +20,7 @@ from fracopt import (
     run_pgsa_ls,
     sgep_default_init,
 )
-from fracopt.exceptions import DomainError, InvalidConfigError
+from fracopt.exceptions import DimensionMismatchError, DomainError, InvalidConfigError
 from fracopt.rand import philox_generator
 
 
@@ -213,7 +213,7 @@ def test_run_pgsa_ls_validation_errors():
         run_pgsa_ls(problem, x0, LineSearchConfig(alpha_lower=2.0, alpha_upper=1.0))
     with pytest.raises(InvalidConfigError):
         run_pgsa_ls(problem, x0, LineSearchConfig(alpha0=1e9))
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(DimensionMismatchError):
         run_pgsa_ls(problem, np.array([1.0, 0.0, 0.0]), LineSearchConfig())
 
 

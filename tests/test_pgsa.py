@@ -10,6 +10,7 @@ import pytest
 from conftest import CallCounter
 
 from fracopt import (
+    FractionalProblem,
     L1L2PenaltyProblem,
     LineSearchConfig,
     PgsaConfig,
@@ -24,7 +25,13 @@ from fracopt import (
     run_pgsa_ls,
     sgep_default_init,
 )
-from fracopt.exceptions import DomainError, InvalidConfigError, NumericsError
+from fracopt.exceptions import (
+    DimensionMismatchError,
+    DomainError,
+    InsufficientDataError,
+    InvalidConfigError,
+    NumericsError,
+)
 from fracopt.rand import philox_generator
 
 
@@ -178,7 +185,7 @@ def test_run_pgsa_rejects_bad_start():
     bad = np.array([1.0, 1.0]) / math.sqrt(2.0)
     with pytest.raises(DomainError):
         run_pgsa(problem, bad, PgsaConfig())
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(DimensionMismatchError, match="x0 has length 3, problem dimension is 2"):
         run_pgsa(problem, np.array([1.0, 0.0, 0.0]), PgsaConfig())
 
 
@@ -223,6 +230,47 @@ def test_trace_objective_equals_certificate_objective():
     assert trace.certificate.iterations == len(trace.alpha)
 
 
+class _NoResidual(FractionalProblem):
+    """0.5 * ||x - 1||^2 over the constant 1; it keeps the base critical_residual."""
+
+    dim = 2
+    lipschitz_grad_h = 1.0
+
+    def eval_f(self, x):
+        return 0.0
+
+    def eval_h(self, x):
+        return 0.5 * float((x - 1.0) @ (x - 1.0))
+
+    def grad_h(self, x):
+        return x - 1.0
+
+    def eval_g(self, x):
+        return 1.0
+
+    def subgrad_g(self, x):
+        return np.zeros(2)
+
+    def prox_f(self, alpha, z):
+        return z
+
+
+@pytest.mark.parametrize(
+    "solve, config",
+    [
+        (run_pgsa, PgsaConfig(max_iter=100)),
+        (run_pgsa_ls, LineSearchConfig(N=0, max_iter=100)),
+        (run_pgsa_ls, LineSearchConfig(max_iter=100)),
+    ],
+    ids=["pgsa", "pgsa_ml", "pgsa_nl"],
+)
+def test_problem_without_a_criticality_residual_certifies_none(solve, config):
+    trace = solve(_NoResidual(), np.zeros(2), config)
+    assert trace.certificate.criticality_residual is None
+    assert trace.certificate.converged_reason == "step_tol"
+    assert trace.certificate.objective <= 1e-10
+
+
 @pytest.mark.parametrize("columns", [37, 1024])
 @pytest.mark.parametrize("rows", [1, 63, 64, 65, 4000])
 def test_errors_to_final_matches_row_norms(rows, columns):
@@ -261,7 +309,7 @@ def test_err_to_final_is_computed_once_and_kept_like_recorded_data():
     given = fresh.copy()
     bare = dataclasses.replace(trace, iterates=None, err_to_final=given)
     assert bare.errors_to_final() is given and not given.flags.writeable
-    with pytest.raises(ValueError, match="without iterates"):
+    with pytest.raises(InsufficientDataError, match="no iterates and no err_to_final column"):
         dataclasses.replace(bare, err_to_final=None).errors_to_final()
 
 

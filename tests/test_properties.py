@@ -13,11 +13,9 @@ from fracopt import (
     SgepProblem,
     eval_objective,
     fd_gradient_check,
-    l1l2_critical_residual,
     project_sparse_sphere,
     prox_l1_box,
     sgep_brute_force_optimum,
-    sgep_critical_residual,
 )
 from fracopt.rand import philox_generator
 
@@ -138,7 +136,7 @@ def test_l1l2_residual_matches_finite_difference_subdifferential():
         lo, hi = _one_sided_differences(problem.eval_f, x, step)
         gaps = np.maximum(lo - u, 0.0) + np.maximum(u - hi, 0.0)
         reference = float(np.linalg.norm(gaps))
-        residual = l1l2_critical_residual(problem, x)
+        residual = problem.critical_residual(x)
         assert abs(residual - reference) <= 1e-5 * (1.0 + reference)
 
 
@@ -172,7 +170,7 @@ def test_sgep_residual_matches_finite_difference_ratio_gradient():
         if size == r:
             grad = grad[np.sort(support)]
         reference = problem.eval_g(x) * float(np.linalg.norm(grad))
-        residual = sgep_critical_residual(problem, x)
+        residual = problem.critical_residual(x)
         assert abs(residual - reference) <= 1e-6 * (1.0 + reference)
 
 
@@ -184,4 +182,4 @@ def test_sgep_residual_vanishes_at_the_brute_force_optimum():
         problem = _random_sgep(rng, n, r)
         value, point = sgep_brute_force_optimum(problem.matrix_a, problem.matrix_b, r)
         assert abs(problem.ratio_value(point) - value) <= 1e-10 * value
-        assert sgep_critical_residual(problem, point) <= 1e-9
+        assert problem.critical_residual(point) <= 1e-9

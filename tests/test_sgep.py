@@ -23,7 +23,6 @@ from fracopt import (
     run_pgsa_ls,
     scatter_matrices,
     sgep_brute_force_optimum,
-    sgep_critical_residual,
     sgep_default_init,
 )
 from fracopt.exceptions import (
@@ -197,28 +196,28 @@ def test_prox_ignores_step_size_bitwise():
 
 def test_residual_zero_at_full_space_eigenvector():
     problem = diag_pair_problem()
-    assert sgep_critical_residual(problem, np.array([0.0, 1.0])) == 0.0
+    assert problem.critical_residual(np.array([0.0, 1.0])) == 0.0
 
 
 def test_residual_zero_at_single_coordinate_support():
     problem = diag_pair_problem(r=1)
-    assert sgep_critical_residual(problem, np.array([1.0, 0.0])) == 0.0
+    assert problem.critical_residual(np.array([1.0, 0.0])) == 0.0
 
 
 def test_residual_one_at_balanced_non_critical_point():
     problem = diag_pair_problem()
     x = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    assert abs(sgep_critical_residual(problem, x) - 1.0) <= 1e-12
+    assert abs(problem.critical_residual(x) - 1.0) <= 1e-12
 
 
 def test_residual_rejects_infeasible_points():
     problem = diag_pair_problem(r=1)
     with pytest.raises(DomainError):
-        sgep_critical_residual(problem, np.array([1.0, 1.0]) / math.sqrt(2.0))
+        problem.critical_residual(np.array([1.0, 1.0]) / math.sqrt(2.0))
     with pytest.raises(DomainError):
-        sgep_critical_residual(diag_pair_problem(), np.array([2.0, 0.0]))
+        diag_pair_problem().critical_residual(np.array([2.0, 0.0]))
     with pytest.raises(DomainError):
-        sgep_critical_residual(diag_pair_problem(), np.array([1.0, 0.0, 0.0]))
+        diag_pair_problem().critical_residual(np.array([1.0, 0.0, 0.0]))
 
 
 def test_residual_borderline_support_takes_worse_reading():
@@ -231,8 +230,8 @@ def test_residual_borderline_support_takes_worse_reading():
     tiny = 5e-12
     x = np.array([1.0, tiny, 0.0])
     x = x / np.linalg.norm(x)
-    with_border = sgep_critical_residual(problem, x)
-    strict = sgep_critical_residual(problem, np.array([1.0, 0.0, 0.0]))
+    with_border = problem.critical_residual(x)
+    strict = problem.critical_residual(np.array([1.0, 0.0, 0.0]))
     assert with_border >= strict
     ratio = problem.ratio_value(x)
     full = np.linalg.norm(problem.matrix_b @ x - ratio * (problem.matrix_a @ x))
