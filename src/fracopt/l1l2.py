@@ -103,6 +103,7 @@ class L1L2PenaltyProblem(FractionalProblem):
     L = ||A||_2^2 comes from the spectrum of the smaller Gram matrix.  The
     box is stored read-only, since its tolerance, the tolerance-widened
     bounds that ``eval_f`` tests against, and M are computed once.
+    ``eval_h`` keeps A x - b, keyed by the bytes of x, for ``grad_h`` there.
     """
 
     sensing: np.ndarray
@@ -115,6 +116,7 @@ class L1L2PenaltyProblem(FractionalProblem):
     _lower_tol: np.ndarray = field(init=False, repr=False)
     _upper_tol: np.ndarray = field(init=False, repr=False)
     _g_bound: float = field(init=False, repr=False)
+    _residual: tuple = field(init=False, repr=False, default=(None, None))
 
     def __post_init__(self) -> None:
         a = np.asarray(self.sensing, dtype=float)
@@ -169,10 +171,14 @@ class L1L2PenaltyProblem(FractionalProblem):
 
     def eval_h(self, x: np.ndarray) -> float:
         residual = self.sensing @ x - self.observation
+        object.__setattr__(self, "_residual", (x.tobytes(), residual))
         return 0.5 * float(residual @ residual)
 
     def grad_h(self, x: np.ndarray) -> np.ndarray:
-        return self.sensing.T @ (self.sensing @ x - self.observation)
+        key, residual = self._residual
+        if key != x.tobytes():
+            residual = self.sensing @ x - self.observation
+        return self.sensing.T @ residual
 
     def eval_g(self, x: np.ndarray) -> float:
         return _norm(x)

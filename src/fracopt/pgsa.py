@@ -82,9 +82,9 @@ class SolverTrace:
     map.  ``err_to_final``, ||x_k - x_K|| per iterate, is filled once from them
     or read from a trace file, so a reloaded trace keeps it.  ``params`` holds the
     resolved step rule ("mode", the step bounds and, for the line search, "a",
-    "eta" and "N") with the problem's "lipschitz", "f_is_convex" and
-    "g_sup_bound"; the trace file carries it, so an audit reads every
-    parameter from here and never guesses one.
+    "eta" and "N") and stop rule ("max_iter", "step_tol", "relative_tol") with
+    the problem's "lipschitz", "f_is_convex" and "g_sup_bound"; the trace file
+    carries it, so an audit reads every parameter from here and never guesses one.
     """
 
     objective: np.ndarray
@@ -268,6 +268,7 @@ def _solve(
         certificate=cert,
         params={
             **params,
+            "max_iter": max_iter,
             "step_tol": step_tol,
             "relative_tol": cfg.relative_tol,
             "lipschitz": problem.lipschitz_grad_h,

@@ -9,8 +9,11 @@ vectors with at most r nonzeros.  In the ratio template this is
 so the halving cancels and the objective equals the raw ratio.  The prox of f
 is Euclidean projection onto C: keep the r largest magnitudes, zero the rest,
 normalize.  The standing assumptions additionally require every r x r
-principal submatrix of B to be positive definite, which construction checks
-on a sample of supports.
+principal submatrix of B to be positive definite: Cauchy interlacing (Horn
+& Johnson, 4.3) gives it when lambda_min(B) > 1e-10 lambda_max(B), and a B
+closer to singular is checked on a sample of supports.  L = lambda_max(B)
+comes from a dense eigensolve of B, M >= lambda_max(A) / 2 from a pivoted
+Cholesky factor of A (O(n^2 k) at rank k <= 8), else from a dense eigensolve.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ BRUTE_FORCE_MAX_N = 16
 BRUTE_FORCE_MAX_R = 4
 # Number of random supports sampled for the submatrix PD check.
 SUBMATRIX_CHECK_SAMPLES = 50
+# Most rows of A's factor: SFDA's A has rank 2; a full-rank A pays O(n) per row.
+_FACTOR_RANK_CAP = 8
 # Tolerance on | ||x||_2 - 1 | for membership in the constraint set.
 UNIT_NORM_TOL = 1e-9
 
@@ -85,6 +90,38 @@ def project_sparse_sphere(x: np.ndarray, r: int) -> np.ndarray:
     return y / _norm(y)
 
 
+def _psd_spectrum(m: np.ndarray, name: str) -> np.ndarray:
+    """Ascending eigenvalues of m; InvalidProblemError below the PSD floor."""
+    eigs = np.linalg.eigvalsh(m)
+    if float(eigs[0]) < PSD_EIG_FLOOR * max(1.0, float(eigs[-1])):
+        raise InvalidProblemError(f"{name} is not PSD: smallest eigenvalue {eigs[0]:.3e}")
+    return eigs
+
+
+def _factor_g_bound(a: np.ndarray) -> float | None:
+    """M >= lambda_max(A) / 2 from a pivoted Cholesky factor F of A, or None.
+
+    By Weyl, A's eigenvalues lie within ||A - F.T F||_F of F.T F's, all >= 0.
+    """
+    if a.shape[0] <= _FACTOR_RANK_CAP:
+        return None
+    remaining = np.diag(a).copy()  # the diagonal of A - F.T F
+    factor = np.empty((0, a.shape[0]))
+    tol = -PSD_EIG_FLOOR * max(1.0, float(remaining.max()))
+    while factor.shape[0] < _FACTOR_RANK_CAP:
+        p = int(np.argmax(remaining))
+        if remaining[p] <= tol:
+            break
+        row = (a[p] - factor[:, p] @ factor) / math.sqrt(remaining[p])
+        factor = np.vstack((factor, row))
+        remaining -= row * row
+    if float(np.abs(remaining).max()) > tol:  # |E_ii| <= ||E||_F
+        return None
+    top = float(np.linalg.eigvalsh(factor @ factor.T)[-1]) if factor.size else 0.0
+    residual = float(np.linalg.norm(a - factor.T @ factor))
+    return 0.5 * (top + residual) if residual <= -PSD_EIG_FLOOR * max(1.0, top) else None
+
+
 @dataclass(frozen=True, eq=False)
 class SgepProblem(FractionalProblem):
     """Ratio-structured sparse generalized eigenvalue instance.
@@ -94,13 +131,13 @@ class SgepProblem(FractionalProblem):
     private copies, in copies and unpickled problems too, and checks those
     copies: equal shapes (else DimensionMismatchError), PSD (smallest
     eigenvalue no lower than -1e-10 relative to the largest) and B positive
-    definite on min(50, C(n, r)) supports of size r, exhaustively when that
-    enumeration is small enough.  L = lambda_max(B) and M = lambda_max(A) / 2
-    are read off the spectra of that PSD check.  The callbacks work over the
-    support S of x, O(|S| n) per product (B x is x_S @ B[S]), and keep the
-    operands last gathered, keyed by S: the S x S blocks, read at every
-    trial point, and the rows A[S], B[S], read at accepted points.  S rarely
-    changes between iterates, and read-only data keeps a gather fresh.
+    definite on every r x r block, read off B's spectrum (L = lambda_max(B))
+    or checked on min(50, C(n, r)) supports, as the module docstring says; M
+    likewise.  The callbacks work over the support S of x, O(|S| n) per
+    product (B x is x_S @ B[S]), and keep the operands last gathered, keyed
+    by S: the S x S blocks, read at every trial point, and the rows A[S],
+    B[S], read at accepted points.  S rarely changes between iterates, and
+    read-only data keeps a gather fresh.
     """
 
     matrix_a: np.ndarray
@@ -123,18 +160,14 @@ class SgepProblem(FractionalProblem):
         n = a.shape[0]
         if not 1 <= self.sparsity <= n:
             raise InvalidProblemError(f"need 1 <= r <= {n}, got r = {self.sparsity}")
-        lambda_max = {}
-        for name, m in (("A", a), ("B", b)):
-            eigs = np.linalg.eigvalsh(m)
-            floor = PSD_EIG_FLOOR * max(1.0, float(eigs[-1]))
-            if float(eigs[0]) < floor:
-                raise InvalidProblemError(
-                    f"{name} is not PSD: smallest eigenvalue {eigs[0]:.3e}"
-                )
-            lambda_max[name] = float(eigs[-1])
-        self._check_submatrices(b, n)
-        object.__setattr__(self, "_lipschitz", lambda_max["B"])
-        object.__setattr__(self, "_g_bound", 0.5 * lambda_max["A"])
+        g_bound = _factor_g_bound(a)
+        if g_bound is None:
+            g_bound = 0.5 * float(_psd_spectrum(a, "A")[-1])
+        eigs = _psd_spectrum(b, "B")
+        if not eigs[0] > -PSD_EIG_FLOOR * eigs[-1]:
+            self._check_submatrices(b, n)
+        object.__setattr__(self, "_lipschitz", float(eigs[-1]))
+        object.__setattr__(self, "_g_bound", g_bound)
 
     def __setstate__(self, state: dict) -> None:
         for name in ("matrix_a", "matrix_b"):

@@ -191,6 +191,41 @@ def test_reloaded_trace_gives_the_live_rate_fit(tmp_path, solver):
     assert fit_linear_rate(loaded) == fit_linear_rate(trace)
 
 
+@pytest.mark.parametrize(
+    "config, max_iter",
+    [
+        (PgsaConfig(), 2 * 60),
+        (PgsaConfig(relative_tol=True), 10 * 60),
+        (PgsaConfig(max_iter=7), 7),
+        (LineSearchConfig(N=0, max_iter=9), 9),
+    ],
+)
+def test_trace_records_the_resolved_max_iter(tmp_path, config, max_iter):
+    # 2n by default and 10n with relative_tol (n = 60), else the value set.
+    problem = _tiny_l1l2()
+    run = run_pgsa if isinstance(config, PgsaConfig) else run_pgsa_ls
+    trace = run(problem, penalty_start_point(problem), config)
+    assert trace.params["max_iter"] == max_iter
+    path = tmp_path / "trace.csv"
+    write_trace_csv(path, trace)
+    assert load_trace_csv(path)[0].params["max_iter"] == max_iter
+
+
+def test_trace_without_max_iter_still_loads(tmp_path):
+    problem, trace = _tiny_run("l1l2", "pgsa_ml")
+    path = tmp_path / "trace.csv"
+    write_trace_csv(path, trace)
+    first, rest = path.read_text().split("\n", 1)
+    meta = json.loads(first[2:])
+    del meta["params"]["max_iter"]
+    path.write_text("# " + json.dumps(meta) + "\n" + rest)
+    loaded, _ = load_trace_csv(path)
+    assert "max_iter" not in loaded.params
+    assert loaded.certificate == trace.certificate
+    live, reloaded = audit_trace(trace, problem), audit_trace(loaded)
+    assert reloaded.ok and reloaded.checks_run == live.checks_run
+
+
 # A params and certificate line that load_trace_csv accepts.
 META_LINE = (
     '# {"certificate": {"converged_reason": "step_tol", "criticality_residual": null, '

@@ -396,6 +396,46 @@ def test_callbacks_match_their_numpy_wrapper_forms_bitwise():
     assert min(seen.values()) >= 20, seen
 
 
+class _UnmemoizedPenalty(L1L2PenaltyProblem):
+    """grad_h by the plain formula, never reading the residual eval_h kept."""
+
+    def grad_h(self, x):
+        return self.sensing.T @ (self.sensing @ x - self.observation)
+
+
+def test_residual_memo_matches_the_plain_formula_bitwise():
+    # grad_h reuses A x - b only at the bytes eval_h saw last: a walk of
+    # accepted points, rejected trials and an x edited in place.
+    rng = philox_generator(269)
+    n = 30
+    args = dict(
+        sensing=rng.standard_normal((8, n)), observation=rng.standard_normal(8),
+        lam=0.3, lower=-2.0, upper=2.0,
+    )
+    problem, plain = L1L2PenaltyProblem(**args), _UnmemoizedPenalty(**args)
+    x = rng.uniform(-1.0, 1.0, size=n)
+    for step in range(40):
+        trial = x + rng.normal(scale=0.1, size=n)
+        assert _bits(problem.eval_h(trial)) == _bits(plain.eval_h(trial))
+        if step % 3:  # accepted: the next gradient is at the point eval_h saw last
+            x = trial
+        assert _bits(problem.grad_h(x)) == _bits(plain.grad_h(x))
+    problem.eval_h(x)
+    x[::2] *= -1.0
+    x[1] = 0.0
+    assert _bits(problem.grad_h(x)) == _bits(plain.grad_h(x))
+    problem.eval_h(x)
+    x[1] = -0.0
+    assert _bits(problem.grad_h(x)) == _bits(plain.grad_h(x))
+    # The memo moves no iterate of a solve.
+    x0 = penalty_start_point(problem)
+    cfg = LineSearchConfig(N=4, max_iter=300)
+    memo, direct = run_pgsa_ls(problem, x0, cfg), run_pgsa_ls(plain, x0, cfg)
+    assert direct.iterations >= 50
+    for name in ("objective", "g_value", "alpha", "step_norm", "backtracks", "final_x"):
+        assert _bits(getattr(memo, name)) == _bits(getattr(direct, name)), name
+
+
 def test_problem_box_is_read_only():
     problem = one_d_penalty(0.5)
     for bound in (problem.lower, problem.upper):

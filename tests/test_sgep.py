@@ -32,6 +32,7 @@ from fracopt.exceptions import (
     InvalidProblemError,
     SizeGuardError,
 )
+from fracopt import sgep as sgep_module
 from fracopt.rand import as_generator, philox_generator
 from fracopt.sgep import check_symmetric
 
@@ -260,6 +261,91 @@ def test_paper_size_draw_with_close_top_eigenvalues_builds():
     problem = gen_sfda(recipe)
     assert problem.lipschitz_grad_h == np.linalg.eigvalsh(problem.matrix_b)[-1]
     assert problem.g_sup_bound == 0.5 * np.linalg.eigvalsh(problem.matrix_a)[-1]
+
+
+@pytest.fixture
+def eigvalsh_shapes(monkeypatch):
+    """Shapes of the matrices np.linalg.eigvalsh is called on, in call order."""
+    shapes, original = [], np.linalg.eigvalsh
+
+    def spy(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return original(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return shapes
+
+
+@pytest.fixture
+def factor_bounds(monkeypatch):
+    """What each construction's low-rank factor route returned (None: declined)."""
+    bounds, original = [], sgep_module._factor_g_bound
+
+    def spy(a):
+        bounds.append(original(a))
+        return bounds[-1]
+
+    monkeypatch.setattr(sgep_module, "_factor_g_bound", spy)
+    return bounds
+
+
+@pytest.mark.parametrize("rank", [1, 2, "sfda"])
+def test_low_rank_a_takes_the_factor_route(rank, eigvalsh_shapes, factor_bounds):
+    if rank == "sfda":
+        # The between-class scatter has rank 2.
+        problem = gen_sfda(SfdaRecipe(n=1000, p1=500, p2=500, r=50, seed=philox_generator(105, 2)))
+        rank = 2
+    else:
+        rng = philox_generator(109, rank)
+        half = rng.standard_normal((rank, 20))
+        b = wishart(rng, 40, 20) + 0.5 * np.eye(20)
+        problem = SgepProblem(matrix_a=half.T @ half, matrix_b=b, sparsity=3)
+    n = problem.dim
+    # A k x k eigensolve for M and one dense eigensolve, of B; a PD B skips
+    # the stacked eigensolve of the sampled blocks.
+    assert eigvalsh_shapes == [(rank, rank), (n, n)]
+    assert factor_bounds == [problem.g_sup_bound]
+    top = 0.5 * np.linalg.eigvalsh(problem.matrix_a)[-1]
+    assert abs(problem.g_sup_bound - top) <= 1e-12 * top
+    assert problem.lipschitz_grad_h == np.linalg.eigvalsh(problem.matrix_b)[-1]
+
+
+def test_indefinite_low_rank_a_keeps_the_dense_error(factor_bounds):
+    rng = philox_generator(113)
+    u, v = rng.standard_normal(20), rng.standard_normal(20)
+    a = np.outer(u, u) - np.outer(v, v)
+    smallest = np.linalg.eigvalsh(a)[0]
+    with pytest.raises(InvalidProblemError) as err:
+        SgepProblem(matrix_a=a, matrix_b=np.eye(20), sparsity=3)
+    assert str(err.value) == f"A is not PSD: smallest eigenvalue {smallest:.3e}"
+    assert factor_bounds == [None]
+
+
+def test_full_rank_a_keeps_the_dense_bound_bitwise(factor_bounds):
+    rng = philox_generator(127)
+    a = wishart(rng, 1000, 1000)
+    b = a + 0.5 * np.eye(1000)
+    problem = SgepProblem(matrix_a=a, matrix_b=b, sparsity=50)
+    assert factor_bounds == [None]
+    assert problem.g_sup_bound == 0.5 * np.linalg.eigvalsh(problem.matrix_a)[-1]
+    assert problem.lipschitz_grad_h == np.linalg.eigvalsh(problem.matrix_b)[-1]
+
+
+@pytest.mark.parametrize("ridge", [0.5, 0.0])
+def test_sampled_block_check_runs_only_for_a_nearly_singular_b(monkeypatch, ridge):
+    # 10 samples in 20 dimensions: B has rank 10 unless ridged, while its
+    # 3 x 3 principal blocks stay positive definite either way.
+    calls, original = [], SgepProblem._check_submatrices
+
+    def spy(self, b, n):
+        calls.append(n)
+        return original(self, b, n)
+
+    monkeypatch.setattr(SgepProblem, "_check_submatrices", spy)
+    b = wishart(philox_generator(131), 10, 20) + ridge * np.eye(20)
+    problem = SgepProblem(matrix_a=np.eye(20), matrix_b=b, sparsity=3)
+    assert calls == ([] if ridge else [20])
+    assert problem.lipschitz_grad_h == np.linalg.eigvalsh(problem.matrix_b)[-1]
 
 
 def test_scatter_matrices_match_direct_formula():
