@@ -27,7 +27,6 @@ from .experiments import (
     ExperimentConfig,
     ExperimentOutcome,
     TrialResult,
-    apply_env_overrides,
     config_from_dict,
     run_experiment,
     run_trial,
@@ -105,7 +104,6 @@ __all__ = [
     "SizeGuardError",
     "SolverTrace",
     "TrialResult",
-    "apply_env_overrides",
     "as_generator",
     "audit_trace",
     "bb_initial_step",

@@ -40,7 +40,6 @@ from .experiments import (
     _instance,
     _solve_trial,
     _start,
-    apply_env_overrides,
     config_from_dict,
     run_experiment,
 )
@@ -208,7 +207,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    data = apply_env_overrides(_load_json_object(args.config))
+    data = _load_json_object(args.config)
     if args.seed is not None:
         data["master_seed"] = args.seed
     if args.trials is not None:
@@ -249,10 +248,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     sizes = {size: getattr(args, size) for size in GEN_SIZES if getattr(args, size) is not None}
-    cfg = ExperimentConfig(experiment=args.experiment, **sizes)
+    cfg = ExperimentConfig(experiment=args.experiment, master_seed=args.seed, **sizes)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    problem, truth = _instance(cfg, philox_generator(args.seed))
+    problem, truth = _instance(cfg, philox_generator(cfg.master_seed))
     meta: dict[str, Any] = {"experiment": args.experiment, "seed": args.seed, "n": cfg.dimension}
     if args.experiment == "sfda":
         save_matrix_csv(out_dir / "A.csv", problem.matrix_a)

@@ -40,7 +40,7 @@ class InsufficientDataError(FracoptError):
 
 
 class NumericsError(FracoptError):
-    """A numeric contract was violated (NaN from a callback, failed decrease check)."""
+    """A numeric contract was violated (NaN from a callback)."""
 
 
 class ParseError(FracoptError):

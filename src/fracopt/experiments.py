@@ -22,7 +22,6 @@ import contextlib
 import ctypes
 import functools
 import itertools
-import json
 import numbers
 import os
 import tempfile
@@ -61,7 +60,6 @@ _SOLVER_FIELDS = {
 }
 SOLVERS = tuple(_SOLVER_FIELDS)
 _SOLVER_KNOBS = frozenset().union(*_SOLVER_FIELDS.values())
-ENV_PREFIX = "FRACOPT_"
 # The values each ExperimentConfig field annotation admits; a bool is no number.
 FIELD_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real, "bool": bool}
 
@@ -70,13 +68,10 @@ FIELD_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real, "bool
 class ExperimentConfig:
     """Everything a benchmark run depends on.
 
-    JSON configuration files use exactly these field names as keys, and
-    ``fracopt bench`` (no other command) overrides each key through an
-    environment variable named FRACOPT_<KEY-IN-UPPERCASE> (values parsed as
-    JSON, bare strings allowed).  ``solver`` may be one of the solver names or
-    "all"; a solver knob that none of the configured solvers reads must stay
-    None.  Fields left at None fall back to per-experiment defaults
-    documented on the field.
+    JSON configuration files use exactly these field names as keys.
+    ``solver`` may be one of the solver names or "all"; a solver knob that
+    none of the configured solvers reads must stay None.  Fields left at None
+    fall back to per-experiment defaults documented on the field.
     """
 
     experiment: str = "sfda"
@@ -131,6 +126,8 @@ class ExperimentConfig:
             raise InvalidConfigError(f"solver {self.solver} does not read: {', '.join(unread)}")
         if self.trials < 0:
             raise InvalidConfigError("trials must be nonnegative")
+        if self.master_seed < 0:
+            raise InvalidConfigError(f"master_seed must be nonnegative, got {self.master_seed}")
         if self.threads is not None and self.threads < 1:
             raise InvalidConfigError("threads must be at least 1")
         if self.experiment == "sfda":  # the recipe's own checks reject impossible sizes
@@ -165,23 +162,6 @@ def config_from_dict(data: dict[str, Any]) -> ExperimentConfig:
     if unknown:
         raise InvalidConfigError(f"unknown config keys: {', '.join(unknown)}")
     return ExperimentConfig(**data)
-
-
-def apply_env_overrides(
-    data: dict[str, Any], environ: dict[str, str] | None = None
-) -> dict[str, Any]:
-    """Overlay FRACOPT_* environment variables onto a config dictionary."""
-    env = os.environ if environ is None else environ
-    result = dict(data)
-    for field in dataclass_fields(ExperimentConfig):
-        raw = env.get(ENV_PREFIX + field.name.upper())
-        if raw is None:
-            continue
-        try:
-            result[field.name] = json.loads(raw)
-        except json.JSONDecodeError:
-            result[field.name] = raw
-    return result
 
 
 def solver_run_config(cfg: ExperimentConfig, solver: str) -> PgsaConfig | LineSearchConfig:

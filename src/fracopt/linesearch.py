@@ -70,11 +70,15 @@ class LineSearchConfig:
         if self.N < 0:
             raise InvalidConfigError("window memory N must be nonnegative")
         # The ends that are set; run_pgsa_ls checks again once 0.99/L fills the rest.
-        lo, hi, seed = self.alpha_lower, self.alpha_upper, self.alpha0
-        if not (0.0 < hi and (lo is None or 0.0 < lo <= hi)):
-            raise InvalidConfigError(f"need 0 < alpha_lower <= alpha_upper, got [{lo}, {hi}]")
-        if seed is not None and not (0.0 < seed <= hi and (lo is None or lo <= seed)):
-            raise InvalidConfigError("alpha0 must lie within [alpha_lower, alpha_upper]")
+        _check_step_interval(self.alpha_lower, self.alpha_upper, self.alpha0)
+
+
+def _check_step_interval(lo: float | None, hi: float, seed: float | None) -> None:
+    """Reject unless 0 < lo <= seed <= hi, leaving out an unset lo or seed."""
+    if not (0.0 < hi and (lo is None or 0.0 < lo <= hi)):
+        raise InvalidConfigError(f"need 0 < alpha_lower <= alpha_upper, got [{lo}, {hi}]")
+    if seed is not None and not (0.0 < seed <= hi and (lo is None or lo <= seed)):
+        raise InvalidConfigError("alpha0 must lie within [alpha_lower, alpha_upper]")
 
 
 def bb_initial_step(
@@ -146,11 +150,8 @@ def run_pgsa_ls(
     cfg = config or LineSearchConfig()
     lo = cfg.alpha_lower if cfg.alpha_lower is not None else _default_step(problem)
     hi = float(cfg.alpha_upper)
-    if not (0.0 < lo <= hi):
-        raise InvalidConfigError(f"need 0 < alpha_lower <= alpha_upper, got [{lo}, {hi}]")
     alpha_seed = cfg.alpha0 if cfg.alpha0 is not None else lo
-    if not (lo <= alpha_seed <= hi):
-        raise InvalidConfigError("alpha0 must lie within [alpha_lower, alpha_upper]")
+    _check_step_interval(lo, hi, alpha_seed)
     seed, last = alpha_seed, (None, None)
     window: deque[float] = deque(maxlen=cfg.N + 1)
 

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import InsufficientDataError
-from .pgsa import SolverTrace, _decrease_excess, _fixed_step_coef
+from .pgsa import SolverTrace, _decrease_excess
 from .problem import FractionalProblem, eval_objective
 
 AUDIT_REL_TOL = 1e-10
@@ -26,6 +26,16 @@ AUDIT_REL_TOL = 1e-10
 # at machine-noise level and log(error) is meaningless.
 RATE_FIT_TAIL_EXCLUSION = 5
 RATE_FIT_MIN_LENGTH = 30
+
+
+def _fixed_step_coef(alpha, lipschitz: float, f_is_convex: bool, denominator):
+    """Fixed-step decrease coefficient: (1/alpha - L)/2, or 1/alpha - L/2 for convex f, over g.
+
+    ``alpha`` and ``denominator`` may be floats or numpy arrays.
+    """
+    if f_is_convex:
+        return (1.0 / alpha - lipschitz / 2.0) / denominator
+    return (1.0 / alpha - lipschitz) / (2.0 * denominator)
 
 
 def fd_gradient_check(

@@ -458,34 +458,33 @@ def test_bench_bad_json_is_io_error(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_bench_env_override_changes_trials(tmp_path, capsys, monkeypatch):
+def test_bench_ignores_fracopt_environment_variables(tmp_path, capsys, monkeypatch):
+    # A run is fixed by its config file and flags; no FRACOPT_* variable changes it.
     cfg = _bench_config(tmp_path, trials=1)
+    run_cli("bench", "--config", cfg, "--out-dir", tmp_path / "plain")
     monkeypatch.setenv("FRACOPT_TRIALS", "3")
-    out_dir = tmp_path / "out"
-    code = run_cli("bench", "--config", cfg, "--out-dir", out_dir)
+    monkeypatch.setenv("FRACOPT_STEP_TOL", "1e-3")
+    code = run_cli("bench", "--config", cfg, "--out-dir", tmp_path / "env")
     assert code == 0
     capsys.readouterr()
-    records = (out_dir / "runs.jsonl").read_text().splitlines()
-    assert len(records) == 3
+    plain = (tmp_path / "plain" / "runs.jsonl").read_bytes()
+    assert (tmp_path / "env" / "runs.jsonl").read_bytes() == plain
+    assert len(plain.splitlines()) == 1
 
 
 @pytest.mark.parametrize(
-    "command, config, env",
+    "command, config",
     [
-        ("bench", {}, {"FRACOPT_TRIALS": "abc"}),
-        ("bench", {}, {"FRACOPT_N": "abc"}),
-        ("bench", {"trials": "3"}, {}),
-        ("bench", {"threads": "2"}, {}),
-        ("bench", {"trials": True}, {}),
-        ("solve", {"max_iter": "5"}, {}),
+        ("bench", {"trials": "3"}),
+        ("bench", {"threads": "2"}),
+        ("bench", {"trials": True}),
+        ("solve", {"max_iter": "5"}),
     ],
-    ids=["env-trials", "env-n", "trials-str", "threads-str", "trials-bool", "solve-max-iter-str"],
+    ids=["trials-str", "threads-str", "trials-bool", "solve-max-iter-str"],
 )
 def test_wrong_typed_config_value_is_validation_error(
-    command, config, env, sgep_files, tmp_path, capsys, monkeypatch
+    command, config, sgep_files, tmp_path, capsys
 ):
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
     if command == "bench":
         argv = ["bench", "--config", _bench_config(tmp_path, **config)]
         argv += ["--out-dir", tmp_path / "out"]
@@ -497,6 +496,20 @@ def test_wrong_typed_config_value_is_validation_error(
         argv += ["--config", path]
     assert run_cli(*argv) == 2
     assert "must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["gen-flag", "bench-flag", "bench-config"])
+def test_negative_seed_is_validation_error_before_any_output(where, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    if where == "gen-flag":
+        argv = ["gen", "sfda", "--n", "10", "--p1", "5", "--p2", "5", "--r", "2", "--seed", "-1"]
+    elif where == "bench-flag":
+        argv = ["bench", "--config", _bench_config(tmp_path), "--seed", "-1"]
+    else:
+        argv = ["bench", "--config", _bench_config(tmp_path, master_seed=-1)]
+    assert run_cli(*argv, "--out-dir", out_dir) == 2
+    assert "master_seed must be nonnegative, got -1" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_gen_sfda_round_trips_through_solve(tmp_path, capsys):

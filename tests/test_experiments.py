@@ -1,4 +1,4 @@
-"""Experiment driver: config parsing, env overrides, aggregation, worker processes."""
+"""Experiment driver: config parsing, aggregation, worker processes."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from fracopt import (
     SgepProblem,
     LineSearchConfig,
     PgsaConfig,
-    apply_env_overrides,
     config_from_dict,
     run_experiment,
     run_trial,
@@ -50,6 +49,8 @@ def test_config_validation():
         ExperimentConfig(trials=-1)
     with pytest.raises(InvalidConfigError):
         ExperimentConfig(threads=0)
+    with pytest.raises(InvalidConfigError, match="master_seed must be nonnegative, got -3"):
+        ExperimentConfig(master_seed=-3)
     with pytest.raises(InvalidConfigError, match="unknown experiment"):
         ExperimentConfig(experiment="custom_sgep")
     for sizes in (dict(m=0), dict(k=0), dict(n=10, k=20), dict(dct_f=0.0)):
@@ -67,26 +68,6 @@ def test_config_defaults_depend_on_experiment():
     assert ExperimentConfig(experiment="sfda", relative_tol=True).stop_is_relative
     assert sfda.solver_names() == ("pgsa", "pgsa_ml", "pgsa_nl")
     assert ExperimentConfig(solver="pgsa").solver_names() == ("pgsa",)
-
-
-def test_env_overrides_parse_json_and_bare_strings():
-    data = {"experiment": "sfda", "trials": 1}
-    env = {
-        "FRACOPT_TRIALS": "7",
-        "FRACOPT_RELATIVE_TOL": "true",
-        "FRACOPT_SOLVER": "pgsa_nl",
-        "FRACOPT_STEP_TOL": "1e-9",
-        "HOME": "/somewhere",
-    }
-    merged = apply_env_overrides(data, environ=env)
-    assert merged["trials"] == 7
-    assert merged["relative_tol"] is True
-    assert merged["solver"] == "pgsa_nl"
-    assert merged["step_tol"] == 1e-9
-    assert merged["experiment"] == "sfda"
-    assert "HOME" not in merged
-    # Without matching variables the dictionary passes through unchanged.
-    assert apply_env_overrides(data, environ={}) == data
 
 
 def test_solver_run_config_routing():
