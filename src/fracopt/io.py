@@ -146,7 +146,8 @@ def load_trace_csv(path: str | Path) -> tuple[SolverTrace, np.ndarray | None]:
     else; there are no iterates.  A file without that line is a ParseError naming line 1.
 
     The rows must line up with the certificate, or the file is a ParseError
-    naming the offending line: there are ``iterations + 1`` of them; every
+    naming the offending line: there are ``iterations + 1`` of them, with k
+    reading 0, 1, ..., iterations as ``write_trace_csv`` writes it; every
     row but the last fills alpha, step_norm and, in a line-search trace,
     backtracks, and a fixed-step trace leaves backtracks empty; the last row
     leaves those three empty; err_to_final is filled in every row or in none.
@@ -206,6 +207,10 @@ def load_trace_csv(path: str | Path) -> tuple[SolverTrace, np.ndarray | None]:
             f"trace ends after {len(rows)} rows, but its certificate counts "
             f"{cert.iterations} iterations",
         )
+    counter = tuple(map(str, range(len(rows))))
+    if columns["k"] != counter:
+        index = next(k for k, cell in enumerate(columns["k"]) if cell != counter[k])
+        raise parse_error(index, f"k must read {index}, found {columns['k'][index]!r}")
 
     def parse(name: str, count: int = len(rows), kind: type = float) -> np.ndarray:
         cells = columns[name][:count]

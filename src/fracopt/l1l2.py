@@ -17,13 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import (
-    DegenerateInputError,
-    DimensionMismatchError,
-    DomainError,
-    InvalidProblemError,
-)
-from .problem import FractionalProblem, _norm, domain_eps
+from .exceptions import DegenerateInputError, DimensionMismatchError, InvalidProblemError
+from .problem import FractionalProblem, _feasible_objective, _norm
 from .rand import as_generator
 
 # ||x||_2 at or below this counts as the origin for the l2 subgradient.
@@ -100,10 +95,10 @@ class L1L2PenaltyProblem(FractionalProblem):
     Construction requires finite data, a finite nonempty box containing the origin
     (otherwise the shrink-then-clip prox would be inexact) and a positive
     penalty weight.
-    L = ||A||_2^2 comes from the spectrum of the smaller Gram matrix.  The
-    box is stored read-only, since its tolerance, the tolerance-widened
-    bounds that ``eval_f`` tests against, and M are computed once.
-    ``eval_h`` keeps A x - b, keyed by the bytes of x, for ``grad_h`` there.
+    L = ||A||_2^2 comes from the spectrum of the smaller Gram matrix.  A, b
+    and the box are stored as read-only private copies, since L, M and the
+    box tolerances are computed once from them.  ``eval_h`` keeps A x - b,
+    keyed by the bytes of x, for ``grad_h`` there.
     """
 
     sensing: np.ndarray
@@ -119,8 +114,8 @@ class L1L2PenaltyProblem(FractionalProblem):
     _residual: tuple = field(init=False, repr=False, default=(None, None))
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.sensing, dtype=float)
-        b = np.asarray(self.observation, dtype=float)
+        a = np.array(self.sensing, dtype=float)  # a copy in the given layout: products round alike
+        b = np.array(self.observation, dtype=float)
         if a.ndim != 2:
             raise InvalidProblemError("sensing matrix must be 2-D")
         if b.ndim != 1:
@@ -135,30 +130,18 @@ class L1L2PenaltyProblem(FractionalProblem):
         lower = np.broadcast_to(np.asarray(self.lower, dtype=float), (n,)).copy()
         upper = np.broadcast_to(np.asarray(self.upper, dtype=float), (n,)).copy()
         _check_penalty(self.lam, lower, upper)
-        lower.flags.writeable = upper.flags.writeable = False
-        object.__setattr__(self, "sensing", a)
-        object.__setattr__(self, "observation", b)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
         # L is the top eigenvalue of the smaller Gram matrix, A A.T or A.T A.
         gram = a @ a.T if a.shape[0] <= n else a.T @ a
         lipschitz = float(np.linalg.eigvalsh(gram)[-1])
         if lipschitz <= 0:
             raise InvalidProblemError("sensing matrix is zero")
         tol = BOX_TOL * (1.0 + float(np.max(np.abs(upper) + np.abs(lower))))
-        lower_tol, upper_tol = lower - tol, upper + tol
-        lower_tol.flags.writeable = upper_tol.flags.writeable = False
         # The denominator over the whole box never exceeds the norm of the
         # componentwise larger bound magnitude.
         bound = float(np.linalg.norm(np.maximum(np.abs(lower), np.abs(upper))))
-        for name, value in (
-            ("_lipschitz", lipschitz),
-            ("_box_tol", tol),
-            ("_lower_tol", lower_tol),
-            ("_upper_tol", upper_tol),
-            ("_g_bound", bound),
-        ):
-            object.__setattr__(self, name, value)
+        stored = dict(sensing=a, observation=b, lower=lower, upper=upper, _lipschitz=lipschitz)
+        stored.update(_box_tol=tol, _lower_tol=lower - tol, _upper_tol=upper + tol, _g_bound=bound)
+        self.__setstate__(stored)
 
     @property
     def dim(self) -> int:
@@ -214,17 +197,12 @@ class L1L2PenaltyProblem(FractionalProblem):
 
         with the obvious combinations when 0 sits on a bound.  Each coordinate
         contributes its distance from u_j to the allowed interval; the residual is
-        the l2 norm of those distances.
+        the l2 norm of those distances.  x must lie in dom(F) as ``eval_objective``
+        defines it, else DomainError (DimensionMismatchError on a wrong length).
         """
         x = np.asarray(x, dtype=float)
-        if x.shape[0] != self.dim:
-            raise DomainError(f"x has length {x.shape[0]}, problem dimension is {self.dim}")
-        norm = float(np.linalg.norm(x))
-        num = self.eval_f(x)
-        if norm <= domain_eps(num):
-            raise DomainError("criticality residual requested outside dom(F)")
-        ratio = (num + self.eval_h(x)) / norm
-        u = ratio * (x / norm) - self.grad_h(x)
+        ext = _feasible_objective(self, x)
+        u = ext.value * (x / ext.denominator) - self.grad_h(x)
 
         lam = self.lam
         tol = self._box_tol

@@ -23,14 +23,15 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .exceptions import (
-    DimensionMismatchError,
-    DomainError,
-    InsufficientDataError,
-    InvalidConfigError,
-    NumericsError,
+from .exceptions import InsufficientDataError, InvalidConfigError, NumericsError
+from .problem import (
+    Certificate,
+    ExtendedObjective,
+    FractionalProblem,
+    _feasible_objective,
+    _norm,
+    eval_objective,
 )
-from .problem import Certificate, ExtendedObjective, FractionalProblem, _norm, eval_objective
 
 
 @dataclass(frozen=True)
@@ -150,13 +151,6 @@ def _stop_metric(step: float, x_new: np.ndarray, relative: bool) -> float:
     return step / norm if norm > 0 else math.inf
 
 
-def _start_point(problem: FractionalProblem, x: np.ndarray) -> ExtendedObjective:
-    ext = eval_objective(problem, x)
-    if not ext.in_domain:
-        raise DomainError("starting point lies outside dom(F)")
-    return ext
-
-
 def _descent_direction(
     problem: FractionalProblem, x: np.ndarray, value: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -198,12 +192,10 @@ def _solve(
     out for correctly specified problems but corrupted callbacks can produce.
     """
     x = np.asarray(x0, dtype=float).copy()
+    ext = _feasible_objective(problem, x, "x0")
     n = x.shape[0]
-    if n != problem.dim:
-        raise DimensionMismatchError(f"x0 has length {n}, problem dimension is {problem.dim}")
     max_iter = cfg.max_iter if cfg.max_iter is not None else (10 * n if cfg.relative_tol else 2 * n)
     step_tol = cfg.step_tol if cfg.step_tol is not None else (1e-8 if cfg.relative_tol else 1e-6)
-    ext = _start_point(problem, x)
 
     objective = [ext.value]
     g_value = [ext.denominator]

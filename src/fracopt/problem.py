@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError, NumericsError
+from .exceptions import DimensionMismatchError, DomainError, NumericsError
 
 # Denominator values at or below this (scaled by the numerator magnitude) are
 # treated as a vanishing denominator, i.e. the point is outside dom(F).
@@ -134,6 +134,17 @@ class FractionalProblem(abc.ABC):
         """Problem-specific distance-to-criticality measure (l2); None when there is none."""
         return None
 
+    def __setstate__(self, state: dict) -> None:
+        """Set the attributes in ``state``, every array read-only.
+
+        Problems store their data through it, so it stays read-only in copies
+        and unpickled problems too, and a frozen dataclass can be set.
+        """
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        self.__dict__.update(state)
+
 
 def eval_objective(problem: FractionalProblem, x: np.ndarray) -> ExtendedObjective:
     """Evaluate the extended ratio objective F at x.
@@ -158,6 +169,20 @@ def eval_objective(problem: FractionalProblem, x: np.ndarray) -> ExtendedObjecti
     return ExtendedObjective(value=value, in_domain=in_domain, numerator=num, denominator=den)
 
 
+def _feasible_objective(
+    problem: FractionalProblem, x: np.ndarray, name: str = "x"
+) -> ExtendedObjective:
+    """F at x: DimensionMismatchError on a wrong length, DomainError outside dom(F)."""
+    if x.shape[0] != problem.dim:
+        raise DimensionMismatchError(
+            f"{name} has length {x.shape[0]}, problem dimension is {problem.dim}"
+        )
+    ext = eval_objective(problem, x)
+    if not ext.in_domain:
+        raise DomainError(f"{name} lies outside dom(F)")
+    return ext
+
+
 def quotient_frechet_residual(
     problem: FractionalProblem, x: np.ndarray, candidate_subgrad_f: np.ndarray
 ) -> float:
@@ -174,9 +199,7 @@ def quotient_frechet_residual(
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(candidate_subgrad_f, dtype=float)
-    ext = eval_objective(problem, x)
-    if not ext.in_domain:
-        raise DomainError("quotient residual requested outside dom(F)")
+    ext = _feasible_objective(problem, x)
     grad_g = problem.subgrad_g(x)
     vec = (ext.denominator * (v + problem.grad_h(x)) - ext.numerator * grad_g)
     vec /= ext.denominator**2

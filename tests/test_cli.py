@@ -177,6 +177,21 @@ def test_verify_blanked_step_cells_is_io_error(tmp_path, capsys, blanked):
     assert "line 8:" in capsys.readouterr().err
 
 
+def test_verify_renumbered_k_is_io_error(tmp_path, capsys):
+    # Edit the k cell of line 4 (row k = 1) of a bench trace from 1 to 7.
+    cfg = _bench_config(tmp_path, trials=1)
+    out_dir = tmp_path / "out"
+    assert run_cli("bench", "--config", cfg, "--out-dir", out_dir, "--trace") == 0
+    capsys.readouterr()
+    trace_path = out_dir / "traces" / "trace_pgsa_ml_0.csv"
+    lines = trace_path.read_text().splitlines()
+    assert lines[3].startswith("1,")
+    lines[3] = "7" + lines[3][1:]
+    trace_path.write_text("\n".join(lines) + "\n")
+    assert run_cli("verify", "--trace", trace_path) == 3
+    assert "line 4: k must read 1, found '7'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("edit", ["drop_line", "drop_keys"])
 def test_verify_trace_without_usable_params_line_is_io_error(edit, sgep_files, tmp_path, capsys):
     a_path, b_path = sgep_files

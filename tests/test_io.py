@@ -375,6 +375,8 @@ MISALIGNED = {
         "err_to_final must be filled in every row or in none",
     ),
     "dropped_row": (lambda rows: rows.pop(5), -1, COUNT_RULE),
+    "renumbered_k": (lambda rows: rows[1].__setitem__(0, "7"), 4, "k must read 1, found '7'"),
+    "swapped_k": (lambda rows: rows.insert(3, rows.pop(2)), 5, "k must read 2, found '3'"),
     "extra_row": (lambda rows: rows.insert(5, list(rows[5])), -1, COUNT_RULE),
     "bad_objective": (
         lambda rows: rows[6].__setitem__(1, "abc"), 9, "could not convert string to float"

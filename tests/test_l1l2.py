@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -226,7 +228,7 @@ def test_residual_rejects_points_outside_domain():
     problem = one_d_penalty(observation=0.5)
     with pytest.raises(DomainError):
         problem.critical_residual(np.zeros(1))
-    with pytest.raises(DomainError):
+    with pytest.raises(DimensionMismatchError, match="x has length 2, problem dimension is 1"):
         problem.critical_residual(np.zeros(2))
 
 
@@ -277,6 +279,31 @@ def test_problem_validation():
             sensing=np.array([[0.0]]), observation=np.array([1.0]),
             lam=0.1, lower=box[0], upper=box[1],
         )
+
+
+def test_stored_data_are_read_only_private_copies():
+    rng = philox_generator(0, 0)
+    sensing = gen_dct_matrix(64, 256, 1.0, rng)
+    observation = sensing @ gen_ground_truth(256, 8, rng)
+    x = gen_ground_truth(256, 20, rng)
+    box = dict(lam=8e-5, lower=-1.0, upper=1.0)
+    for given in (sensing.copy(), np.asfortranarray(sensing)):  # stored in the given layout
+        obs = observation.copy()
+        problem = L1L2PenaltyProblem(sensing=given, observation=obs, **box)
+        assert problem.grad_h(x).tobytes() == (given.T @ (given @ x - obs)).tobytes()
+        before = [problem.eval_h(x), problem.grad_h(x), problem.lipschitz_grad_h]
+        for stored, original in ((problem.sensing, given), (problem.observation, obs)):
+            assert not np.shares_memory(stored, original)
+        for kept in (problem, copy.deepcopy(problem), pickle.loads(pickle.dumps(problem))):
+            for stored in (kept.sensing, kept.observation, kept.lower, kept.upper):
+                with pytest.raises(ValueError):
+                    stored[0] = 1.0
+        given *= 3.0
+        obs *= 3.0
+        after = [problem.eval_h(x), problem.grad_h(x), problem.lipschitz_grad_h]
+        assert [np.asarray(v).tobytes() for v in after] == [
+            np.asarray(v).tobytes() for v in before
+        ]
 
 
 def test_observation_length_mismatch_is_a_dimension_mismatch():

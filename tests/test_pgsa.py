@@ -183,7 +183,7 @@ def test_solver_configs_reject_bad_stopping_fields(config_class, bad):
 def test_run_pgsa_rejects_bad_start():
     problem = diag_pair_problem(r=1)
     bad = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"x0 lies outside dom\(F\)"):
         run_pgsa(problem, bad, PgsaConfig())
     with pytest.raises(DimensionMismatchError, match="x0 has length 3, problem dimension is 2"):
         run_pgsa(problem, np.array([1.0, 0.0, 0.0]), PgsaConfig())

@@ -15,7 +15,7 @@ from fracopt import (
     eval_objective,
     quotient_frechet_residual,
 )
-from fracopt.exceptions import DomainError, NumericsError
+from fracopt.exceptions import DimensionMismatchError, DomainError, NumericsError
 from fracopt.problem import FractionalProblem
 from fracopt.rand import philox_generator
 
@@ -154,6 +154,35 @@ def test_quotient_residual_two_formulas_agree():
 def test_quotient_residual_outside_domain_raises():
     with pytest.raises(DomainError):
         quotient_frechet_residual(one_d_penalty(), np.array([0.0]), np.zeros(1))
+    with pytest.raises(DimensionMismatchError, match="x has length 2, problem dimension is 1"):
+        quotient_frechet_residual(one_d_penalty(), np.array([1.0, 0.0]), np.zeros(2))
+
+
+# Points just outside dom(F) as eval_objective defines it: off the unit sphere
+# by more than UNIT_NORM_TOL, two nonzeros at r = 1, and ||x||_2 below the
+# domain threshold of f + h.
+OUTSIDE_DOM_F = {
+    "sgep_off_sphere": ("sgep", [1.0 + 5e-9, 0.0, 0.0]),
+    "sgep_two_nonzeros": ("sgep", [1.0, 1e-13, 0.0]),
+    "l1l2_vanishing_norm": ("l1l2", [1e-13, 0.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTSIDE_DOM_F))
+def test_critical_residuals_reject_points_outside_dom_f(case):
+    family, point = OUTSIDE_DOM_F[case]
+    if family == "sgep":
+        problem = SgepProblem(
+            matrix_a=np.diag([2.0, 1.0, 0.5]), matrix_b=np.diag([1.0, 4.0, 2.0]), sparsity=1
+        )
+    else:
+        problem = L1L2PenaltyProblem(
+            sensing=np.eye(2), observation=np.array([10.0, 0.0]), lam=0.1, lower=-1.0, upper=1.0
+        )
+    x = np.array(point)
+    assert not eval_objective(problem, x).in_domain
+    with pytest.raises(DomainError, match=r"x lies outside dom\(F\)"):
+        problem.critical_residual(x)
 
 
 def test_critical_point_check_full_support_eigenvector():

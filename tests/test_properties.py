@@ -181,5 +181,5 @@ def test_sgep_residual_vanishes_at_the_brute_force_optimum():
         r = int(rng.integers(1, min(n, 4) + 1))
         problem = _random_sgep(rng, n, r)
         value, point = sgep_brute_force_optimum(problem.matrix_a, problem.matrix_b, r)
-        assert abs(problem.ratio_value(point) - value) <= 1e-10 * value
+        assert abs(eval_objective(problem, point).value - value) <= 1e-10 * value
         assert problem.critical_residual(point) <= 1e-9
