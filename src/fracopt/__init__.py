@@ -39,10 +39,9 @@ from .l1l2 import (
     gen_ground_truth,
     l1_box_initializer,
     penalty_start_point,
-    prox_l1_box,
     recovery_report,
 )
-from .linesearch import LineSearchConfig, bb_initial_step, run_pgsa_ls
+from .linesearch import LineSearchConfig, run_pgsa_ls
 from .oracle import (
     AuditReport,
     AuditViolation,
@@ -57,9 +56,7 @@ from .problem import (
     Certificate,
     ExtendedObjective,
     FractionalProblem,
-    domain_eps,
     eval_objective,
-    quotient_frechet_residual,
 )
 from .rand import as_generator, philox_generator
 from .sgep import (
@@ -106,9 +103,7 @@ __all__ = [
     "TrialResult",
     "as_generator",
     "audit_trace",
-    "bb_initial_step",
     "config_from_dict",
-    "domain_eps",
     "eval_objective",
     "fd_gradient_check",
     "fit_linear_rate",
@@ -121,8 +116,6 @@ __all__ = [
     "penalty_start_point",
     "philox_generator",
     "project_sparse_sphere",
-    "prox_l1_box",
-    "quotient_frechet_residual",
     "recovery_report",
     "run_experiment",
     "run_pgsa",

@@ -29,7 +29,7 @@ INITIALIZER_ITERATIONS = 2000
 INITIALIZER_PENALTY_SCALE = 1e-6
 
 
-def prox_l1_box(
+def _shrink_clip(
     z: np.ndarray, threshold: float, lower: np.ndarray, upper: np.ndarray
 ) -> np.ndarray:
     """Soft-threshold by ``threshold``, then clip into [lower, upper].
@@ -37,23 +37,8 @@ def prox_l1_box(
     This is the exact prox of threshold * ||.||_1 + indicator of the box
     whenever the box contains the origin componentwise (clipping commutes
     with shrinkage toward an interior zero).  Outside that regime it is still
-    the shrink-then-clip map, just not a prox.  This wrapper validates;
-    loops over a box validated once call the kernel _shrink_clip directly.
-    """
-    z = np.asarray(z, dtype=float)
-    lower = np.broadcast_to(np.asarray(lower, dtype=float), z.shape)
-    upper = np.broadcast_to(np.asarray(upper, dtype=float), z.shape)
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
-    if np.any(lower > upper):
-        raise InvalidProblemError("box is empty: lower > upper somewhere")
-    return _shrink_clip(z, threshold, lower, upper)
-
-
-def _shrink_clip(
-    z: np.ndarray, threshold: float, lower: np.ndarray, upper: np.ndarray
-) -> np.ndarray:
-    """Unchecked prox_l1_box; the caller ensures threshold >= 0 and lower <= upper.
+    the shrink-then-clip map, just not a prox.  Unchecked: the caller ensures
+    threshold >= 0 and lower <= upper.
 
     The clip is spelled as a maximum then a minimum, which gives the very
     values of ``np.clip`` (NaN and signed zeros included) at under half the
@@ -198,7 +183,7 @@ class L1L2PenaltyProblem(FractionalProblem):
         with the obvious combinations when 0 sits on a bound.  Each coordinate
         contributes its distance from u_j to the allowed interval; the residual is
         the l2 norm of those distances.  x must lie in dom(F) as ``eval_objective``
-        defines it, else DomainError (DimensionMismatchError on a wrong length).
+        defines it, else DomainError (DimensionMismatchError on a wrong shape).
         """
         x = np.asarray(x, dtype=float)
         ext = _feasible_objective(self, x)

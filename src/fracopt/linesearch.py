@@ -87,10 +87,9 @@ def bb_initial_step(
     """Spectral trial step from the last iterate and gradient differences.
 
     Returns ||dx||^2 / |<dx, dgrad>| clamped into [alpha_lower, alpha_upper],
-    or alpha_upper when the inner product vanishes.
+    or alpha_upper when the inner product vanishes.  The caller has checked
+    the interval once, through _check_step_interval.
     """
-    if not (0.0 < alpha_lower <= alpha_upper):
-        raise InvalidConfigError("need 0 < alpha_lower <= alpha_upper")
     inner = float(np.dot(dx, dgrad))
     if inner == 0.0:
         return alpha_upper

@@ -88,9 +88,6 @@ class AuditReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def flagged_iterations(self) -> set[int]:
-        return {v.iteration for v in self.violations}
-
 
 def _flag(
     report: AuditReport,

@@ -172,38 +172,11 @@ def eval_objective(problem: FractionalProblem, x: np.ndarray) -> ExtendedObjecti
 def _feasible_objective(
     problem: FractionalProblem, x: np.ndarray, name: str = "x"
 ) -> ExtendedObjective:
-    """F at x: DimensionMismatchError on a wrong length, DomainError outside dom(F)."""
-    if x.shape[0] != problem.dim:
-        raise DimensionMismatchError(
-            f"{name} has length {x.shape[0]}, problem dimension is {problem.dim}"
-        )
+    """F at x: DimensionMismatchError on a wrong shape, DomainError outside dom(F)."""
+    if x.shape != (problem.dim,):
+        got = f"length {x.shape[0]}" if x.ndim == 1 else f"shape {x.shape}"
+        raise DimensionMismatchError(f"{name} has {got}, problem dimension is {problem.dim}")
     ext = eval_objective(problem, x)
     if not ext.in_domain:
         raise DomainError(f"{name} lies outside dom(F)")
     return ext
-
-
-def quotient_frechet_residual(
-    problem: FractionalProblem, x: np.ndarray, candidate_subgrad_f: np.ndarray
-) -> float:
-    """Norm of the ratio's quotient-rule subdifferential member at x.
-
-    For g differentiable at x (which the caller asserts), the quotient rule
-    gives the candidate
-
-        (g(x) * (v + grad_h(x)) - (f(x) + h(x)) * grad_g(x)) / g(x)^2
-
-    for v a candidate subgradient of f.  The returned value is the l2 norm of
-    that vector; zero certifies x as a critical point of the ratio for this
-    particular v.
-    """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(candidate_subgrad_f, dtype=float)
-    ext = _feasible_objective(problem, x)
-    grad_g = problem.subgrad_g(x)
-    vec = (ext.denominator * (v + problem.grad_h(x)) - ext.numerator * grad_g)
-    vec /= ext.denominator**2
-    if np.isnan(vec).any():
-        raise NumericsError("NaN from problem callback in quotient residual")
-    return float(np.linalg.norm(vec))
-

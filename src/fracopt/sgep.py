@@ -240,7 +240,7 @@ class SgepProblem(FractionalProblem):
         """Distance-to-criticality measure for the sparse eigenvalue problem.
 
         x must lie in dom(F) as ``eval_objective`` defines it, else DomainError
-        (DimensionMismatchError on a wrong length).  With G(x) = x.T B x / x.T A x
+        (DimensionMismatchError on a wrong shape).  With G(x) = x.T B x / x.T A x
         and support taken as the entries above 1e-12 * ||x||_inf, a critical
         point satisfies
 

@@ -14,13 +14,13 @@ from fracopt import (
     SfdaRecipe,
     SgepProblem,
     audit_trace,
-    bb_initial_step,
     gen_sfda,
     run_pgsa,
     run_pgsa_ls,
     sgep_default_init,
 )
 from fracopt.exceptions import DimensionMismatchError, DomainError, InvalidConfigError
+from fracopt.linesearch import bb_initial_step
 from fracopt.rand import philox_generator
 
 
@@ -51,13 +51,6 @@ def test_bb_initial_step_clamped_to_upper():
 def test_bb_initial_step_vanishing_inner_product():
     alpha = bb_initial_step(np.array([1.0, 0.0]), np.array([0.0, 3.0]), 0.1, 10.0)
     assert alpha == 10.0
-
-
-def test_bb_initial_step_rejects_bad_bounds():
-    with pytest.raises(InvalidConfigError):
-        bb_initial_step(np.array([1.0]), np.array([1.0]), 0.0, 1.0)
-    with pytest.raises(InvalidConfigError):
-        bb_initial_step(np.array([1.0]), np.array([1.0]), 2.0, 1.0)
 
 
 def test_line_search_step_accepts_immediately_below_guarantee():

@@ -78,7 +78,7 @@ def test_audit_passes_clean_fixed_step_run():
     assert report.ok
     assert report.mode == "pgsa"
     assert report.checks_run > trace.certificate.iterations
-    assert report.flagged_iterations() == set()
+    assert {v.iteration for v in report.violations} == set()
 
 
 def test_audit_flags_exactly_the_corrupted_index():
@@ -91,7 +91,7 @@ def test_audit_flags_exactly_the_corrupted_index():
     tampered = dataclasses.replace(trace, objective=corrupted)
     report = audit_trace(tampered, problem, mode="pgsa")
     assert not report.ok
-    assert report.flagged_iterations() == {j}
+    assert {v.iteration for v in report.violations} == {j}
     kinds = {v.kind for v in report.violations}
     assert kinds <= {"sufficient_decrease", "monotonicity"}
 
@@ -115,7 +115,7 @@ def test_audit_flags_window_violation_when_injected():
     tampered = dataclasses.replace(trace, objective=corrupted)
     report = audit_trace(tampered, problem)
     assert not report.ok
-    assert j in report.flagged_iterations()
+    assert j in {v.iteration for v in report.violations}
     kinds = {v.kind for v in report.violations}
     assert "level_set" in kinds or "acceptance" in kinds
 

@@ -1,4 +1,4 @@
-"""Extended-value objective evaluation, quotient residuals, certificates."""
+"""Extended-value objective evaluation, the dom(F) guard, certificates."""
 
 from __future__ import annotations
 
@@ -7,16 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from fracopt import (
-    Certificate,
-    L1L2PenaltyProblem,
-    SgepProblem,
-    domain_eps,
-    eval_objective,
-    quotient_frechet_residual,
-)
+from fracopt import Certificate, L1L2PenaltyProblem, SgepProblem, eval_objective, run_pgsa
 from fracopt.exceptions import DimensionMismatchError, DomainError, NumericsError
-from fracopt.problem import FractionalProblem
+from fracopt.problem import FractionalProblem, domain_eps
 from fracopt.rand import philox_generator
 
 
@@ -98,29 +91,16 @@ def test_nan_from_callback_is_a_hard_error():
         eval_objective(_NanNumerator(), np.array([1.0]))
 
 
-def test_quotient_residual_zero_at_constructed_stationarity():
-    problem = diag_pair_problem()
-    rng = philox_generator(5)
-    x = rng.standard_normal(2)
-    x /= np.linalg.norm(x)
-    ext = eval_objective(problem, x)
-    v = ext.value * problem.subgrad_g(x) - problem.grad_h(x)
-    assert quotient_frechet_residual(problem, x, v) <= 1e-12
-
-
-def test_quotient_residual_zero_at_eigenvector():
-    problem = diag_pair_problem()
-    assert quotient_frechet_residual(problem, np.array([0.0, 1.0]), np.zeros(2)) <= 1e-14
-
-
 def test_quotient_residual_matches_finite_differences():
+    # With full support (r = n), grad (x.T B x / x.T A x) = 2 (B x - G(x) A x) / x.T A x,
+    # and critical_residual is ||B x - G(x) A x||.
     a = np.diag([1.0, 2.0, 3.0])
     b = np.diag([3.0, 2.0, 1.0])
     problem = SgepProblem(matrix_a=a, matrix_b=b, sparsity=3)
     rng = philox_generator(17)
     x = rng.standard_normal(3)
     x /= np.linalg.norm(x)
-    residual = quotient_frechet_residual(problem, x, np.zeros(3))
+    gradient_norm = 2.0 * problem.critical_residual(x) / float(x @ a @ x)
 
     def raw_ratio(point: np.ndarray) -> float:
         return float(point @ b @ point) / float(point @ a @ point)
@@ -131,31 +111,26 @@ def test_quotient_residual_matches_finite_differences():
         bump = np.zeros(3)
         bump[i] = step
         fd[i] = (raw_ratio(x + bump) - raw_ratio(x - bump)) / (2.0 * step)
-    assert abs(residual - np.linalg.norm(fd)) <= 1e-6
+    assert abs(gradient_norm - np.linalg.norm(fd)) <= 1e-6
 
 
-def test_quotient_residual_two_formulas_agree():
+WRONG_RANK = {
+    "start_2d": ("x0", [[1.0, 0.0]], r"x0 has shape \(1, 2\), problem dimension is 2"),
+    "start_0d": ("x0", 5.0, r"x0 has shape \(\), problem dimension is 2"),
+    "residual_2d": ("x", np.ones((2, 2)), r"x has shape \(2, 2\), problem dimension is 2"),
+    "residual_0d": ("x", 1.0, r"x has shape \(\), problem dimension is 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_RANK))
+def test_a_point_of_the_wrong_rank_is_a_dimension_mismatch(case):
+    name, point, message = WRONG_RANK[case]
     problem = diag_pair_problem()
-    rng = philox_generator(23)
-    for _ in range(20):
-        x = rng.standard_normal(2)
-        x /= np.linalg.norm(x)
-        v = rng.standard_normal(2)
-        ext = eval_objective(problem, x)
-        via_op = quotient_frechet_residual(problem, x, v)
-        g = ext.denominator
-        grad_g = problem.subgrad_g(x)
-        direct = (
-            np.linalg.norm(g * (v + problem.grad_h(x)) - ext.numerator * grad_g) / g**2
-        )
-        assert abs(via_op - direct) <= 1e-12 * (1.0 + direct)
-
-
-def test_quotient_residual_outside_domain_raises():
-    with pytest.raises(DomainError):
-        quotient_frechet_residual(one_d_penalty(), np.array([0.0]), np.zeros(1))
-    with pytest.raises(DimensionMismatchError, match="x has length 2, problem dimension is 1"):
-        quotient_frechet_residual(one_d_penalty(), np.array([1.0, 0.0]), np.zeros(2))
+    with pytest.raises(DimensionMismatchError, match=message):
+        if name == "x0":
+            run_pgsa(problem, point)
+        else:
+            problem.critical_residual(point)
 
 
 # Points just outside dom(F) as eval_objective defines it: off the unit sphere

@@ -14,9 +14,9 @@ from fracopt import (
     eval_objective,
     fd_gradient_check,
     project_sparse_sphere,
-    prox_l1_box,
     sgep_brute_force_optimum,
 )
+from fracopt.l1l2 import _shrink_clip
 from fracopt.rand import philox_generator
 
 
@@ -36,7 +36,7 @@ def test_prox_l1_box_matches_per_coordinate_grid_minimiser():
         lower, upper = _random_box(rng, n)
         threshold = 0.0 if rng.random() < 0.1 else float(rng.uniform(0.0, 1.5))
         z = rng.uniform(-3.0, 3.0, size=n)
-        prox = prox_l1_box(z, threshold, lower, upper)
+        prox = _shrink_clip(z, threshold, lower, upper)
         for j in range(n):
             # The grid holds both bounds and the origin, where the minimiser
             # sits whenever a bound or the threshold is active.
