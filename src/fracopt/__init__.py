@@ -37,7 +37,6 @@ from .l1l2 import (
     RecoveryReport,
     gen_dct_matrix,
     gen_ground_truth,
-    l1_box_initializer,
     penalty_start_point,
     recovery_report,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "gen_ground_truth",
     "gen_sfda",
     "gen_sfda_dataset",
-    "l1_box_initializer",
     "penalty_start_point",
     "philox_generator",
     "project_sparse_sphere",

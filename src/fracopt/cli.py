@@ -275,7 +275,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     problem = _build_problem(args) if args.problem else None
     try:
         report = audit_trace(trace, problem)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{args.trace}: line 1: unusable params: {exc!r}") from None
     for violation in report.violations:
         print(

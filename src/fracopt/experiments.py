@@ -402,10 +402,8 @@ def aggregate_row(
     row["mean_time_s"] = float(np.mean([res.wall_time_s for res in mine]))
     row["mean_iterations"] = float(np.mean([res.trace.certificate.iterations for res in mine]))
     if cfg.experiment == "l1l2":
-        reports = [res.report for res in mine if res.report is not None]
-        successes = [rep for rep in reports if rep.success]
-        if reports:
-            row["success_rate"] = len(successes) / len(reports)
+        successes = [res.report for res in mine if res.report.success]
+        row["success_rate"] = len(successes) / len(mine)
         if successes:
             row["mean_objective"] = float(np.mean([rep.objective for rep in successes]))
     else:

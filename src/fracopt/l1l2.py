@@ -48,19 +48,6 @@ def _shrink_clip(
     return np.minimum(np.maximum(shrunk, lower), upper)
 
 
-def l2_subgradient(x: np.ndarray) -> np.ndarray:
-    """x / ||x||_2 away from the origin, 0 at the origin.
-
-    0 is a valid subgradient of the l2 norm at 0 (the norm's subdifferential
-    there is the whole unit ball).
-    """
-    x = np.asarray(x, dtype=float)
-    norm = _norm(x)
-    if norm <= ZERO_NORM_EPS:
-        return np.zeros_like(x)
-    return x / norm
-
-
 def _check_penalty(lam: float, lower: float | np.ndarray, upper: float | np.ndarray) -> None:
     """Require lam > 0 and a finite, nonempty box around the origin; bounds may be scalars."""
     if not lam > 0:
@@ -152,7 +139,16 @@ class L1L2PenaltyProblem(FractionalProblem):
         return _norm(x)
 
     def subgrad_g(self, x: np.ndarray) -> np.ndarray:
-        return l2_subgradient(x)
+        """x / ||x||_2 away from the origin, 0 at the origin.
+
+        0 is a valid subgradient of the l2 norm at 0 (the norm's subdifferential
+        there is the whole unit ball).
+        """
+        x = np.asarray(x, dtype=float)
+        norm = _norm(x)
+        if norm <= ZERO_NORM_EPS:
+            return np.zeros_like(x)
+        return x / norm
 
     def prox_f(self, alpha: float, z: np.ndarray) -> np.ndarray:
         return _shrink_clip(z, alpha * self.lam, self.lower, self.upper)
@@ -238,7 +234,7 @@ def gen_ground_truth(n: int, k: int, seed: int | np.random.Generator) -> np.ndar
     return x / norm
 
 
-def l1_box_initializer(problem: L1L2PenaltyProblem) -> np.ndarray:
+def penalty_start_point(problem: L1L2PenaltyProblem) -> np.ndarray:
     """Rough l1-penalized least-squares start point for the ratio solvers.
 
     Runs a fixed number of proximal-gradient iterations on
@@ -248,42 +244,27 @@ def l1_box_initializer(problem: L1L2PenaltyProblem) -> np.ndarray:
 
     from the origin with step 1 / L, over the problem's sensing matrix A,
     observation b, validated box and L = ||A||_2^2.  The result is feasible
-    by construction; a zero result raises DegenerateInputError so the caller
-    can fall back to the clipped normalized correlation A.T b / ||A.T b||.
+    by construction.  If it is zero, the start is A.T b scaled to unit norm
+    and clipped to the box instead; if that is zero too (b = 0, say), there
+    is no sensible start and DegenerateInputError is raised.
     """
     a, b = problem.sensing, problem.observation
-    mu = INITIALIZER_PENALTY_SCALE * float(np.max(np.abs(a.T @ b)))
+    correlation = a.T @ b
+    mu = INITIALIZER_PENALTY_SCALE * float(np.max(np.abs(correlation)))
     step = 1.0 / problem.lipschitz_grad_h
     x = np.zeros(problem.dim)
     for _ in range(INITIALIZER_ITERATIONS):
         grad = a.T @ (a @ x - b)
         x = _shrink_clip(x - step * grad, step * mu, problem.lower, problem.upper)
-    if float(np.linalg.norm(x)) <= ZERO_NORM_EPS:
-        raise DegenerateInputError("initializer collapsed to the zero vector")
-    return x
-
-
-def penalty_start_point(problem: L1L2PenaltyProblem) -> np.ndarray:
-    """Initializer plus its documented fallback, as one call.
-
-    Tries l1_box_initializer first; on a degenerate (zero) result falls back
-    to A.T b scaled to unit norm and clipped to the box.  If the fallback is
-    degenerate too (b = 0, say), there is no sensible start and the error
-    propagates.
-    """
-    try:
-        return l1_box_initializer(problem)
-    except DegenerateInputError:
-        correlation = problem.sensing.T @ problem.observation
-        norm = float(np.linalg.norm(correlation))
-        if norm <= ZERO_NORM_EPS:
-            raise DegenerateInputError(
-                "initializer and its correlation fallback are both zero"
-            ) from None
-        fallback = np.clip(correlation / norm, problem.lower, problem.upper)
-        if float(np.linalg.norm(fallback)) <= ZERO_NORM_EPS:
-            raise DegenerateInputError("correlation fallback clipped to zero") from None
-        return fallback
+    if float(np.linalg.norm(x)) > ZERO_NORM_EPS:
+        return x
+    norm = float(np.linalg.norm(correlation))
+    if norm <= ZERO_NORM_EPS:
+        raise DegenerateInputError("initializer and its correlation fallback are both zero")
+    fallback = np.clip(correlation / norm, problem.lower, problem.upper)
+    if float(np.linalg.norm(fallback)) <= ZERO_NORM_EPS:
+        raise DegenerateInputError("correlation fallback clipped to zero")
+    return fallback
 
 
 @dataclass(frozen=True)

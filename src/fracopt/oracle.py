@@ -28,16 +28,6 @@ RATE_FIT_TAIL_EXCLUSION = 5
 RATE_FIT_MIN_LENGTH = 30
 
 
-def _fixed_step_coef(alpha, lipschitz: float, f_is_convex: bool, denominator):
-    """Fixed-step decrease coefficient: (1/alpha - L)/2, or 1/alpha - L/2 for convex f, over g.
-
-    ``alpha`` and ``denominator`` may be floats or numpy arrays.
-    """
-    if f_is_convex:
-        return (1.0 / alpha - lipschitz / 2.0) / denominator
-    return (1.0 / alpha - lipschitz) / (2.0 * denominator)
-
-
 def fd_gradient_check(
     eval_fn: Callable[[np.ndarray], float],
     grad_fn: Callable[[np.ndarray], np.ndarray],
@@ -176,7 +166,11 @@ def audit_trace(
             _flag(report, "step_bounds", "step below alpha_lower", below, lo - alpha)
             _flag(report, "step_bounds", "step above alpha_upper", above, alpha - hi)
             _flag(report, "step_bounds", "step at or above 1/L cap", alpha >= cap, alpha - cap)
-            coef = _fixed_step_coef(alpha, lipschitz, convex_f, g_value[1 : iterations + 1])
+            denominator = g_value[1 : iterations + 1]
+            if convex_f:
+                coef = (1.0 / alpha - lipschitz / 2.0) / denominator
+            else:
+                coef = (1.0 / alpha - lipschitz) / (2.0 * denominator)
             excess = _decrease_excess(after, before, AUDIT_REL_TOL, coef, step_norm)
             detail = "decrease inequality fails from iterate {k} to {j}"
             _flag(report, "sufficient_decrease", detail, excess, shift=1)

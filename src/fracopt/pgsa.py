@@ -151,14 +151,6 @@ def _stop_metric(step: float, x_new: np.ndarray, relative: bool) -> float:
     return step / norm if norm > 0 else math.inf
 
 
-def _descent_direction(
-    problem: FractionalProblem, x: np.ndarray, value: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """grad_h(x) and the step direction value * subgrad_g(x) - grad_h(x)."""
-    grad = problem.grad_h(x)
-    return grad, value * problem.subgrad_g(x) - grad
-
-
 def _trial_point(
     problem: FractionalProblem, x: np.ndarray, direction: np.ndarray, alpha: float
 ) -> tuple[np.ndarray, ExtendedObjective]:
@@ -206,7 +198,8 @@ def _solve(
     reason = "max_iter"
 
     for k in range(max_iter):
-        grad, direction = _descent_direction(problem, x, ext.value)
+        grad = problem.grad_h(x)
+        direction = ext.value * problem.subgrad_g(x) - grad
         x_new, new_ext, alpha, step, m = step_rule(k, x, ext, grad, direction)
         if not new_ext.in_domain:
             reason = "domain_error"

@@ -37,9 +37,7 @@ def _norm(v: np.ndarray) -> float:
 
 
 def domain_eps(numerator: float) -> float:
-    """Threshold below which the denominator counts as zero at this point."""
-    if not math.isfinite(numerator):
-        return math.inf
+    """Threshold below which the denominator counts as zero at a finite numerator."""
     return DOMAIN_EPS_BASE * (1.0 + abs(numerator))
 
 

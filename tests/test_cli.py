@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from fracopt import ExperimentConfig, cli, exceptions
+from fracopt import ExperimentConfig, cli, exceptions, fit_linear_rate
 from fracopt.cli import main
 from fracopt.io import (
     RESULT_COLUMNS,
@@ -192,22 +192,32 @@ def test_verify_renumbered_k_is_io_error(tmp_path, capsys):
     assert "line 4: k must read 1, found '7'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("edit", ["drop_line", "drop_keys"])
+@pytest.mark.parametrize(
+    "edit", ["drop_line", "drop_keys", "zero_lipschitz_pgsa", "zero_bounds_pgsa_ml"]
+)
 def test_verify_trace_without_usable_params_line_is_io_error(edit, sgep_files, tmp_path, capsys):
     a_path, b_path = sgep_files
     trace_path = tmp_path / "trace.csv"
+    solver = "pgsa" if edit == "zero_lipschitz_pgsa" else "pgsa_ml"
     run_cli(
         "solve", "sgep", "--matrix-a", a_path, "--matrix-b", b_path, "-r", "1",
-        "--trace", trace_path,
+        "--solver", solver, "--trace", trace_path,
     )
     capsys.readouterr()
     lines = trace_path.read_text().splitlines()
+    header = json.loads(lines[0][2:])
     if edit == "drop_line":
         del lines[0]
-    else:
+    elif edit == "drop_keys":
         # A pgsa_ml audit needs a, eta, N and more than the mode.
-        certificate = json.loads(lines[0][2:])["certificate"]
-        lines[0] = "# " + json.dumps({"certificate": certificate, "params": {"mode": "pgsa_ml"}})
+        header["params"] = {"mode": "pgsa_ml"}
+    else:
+        # The 1/L step cap and the a*M + L backtracking floor divide by zero.
+        header["params"]["lipschitz"] = 0
+        if solver == "pgsa_ml":
+            header["params"]["g_sup_bound"] = 0
+    if edit != "drop_line":
+        lines[0] = "# " + json.dumps(header)
     trace_path.write_text("\n".join(lines) + "\n")
     code = run_cli("verify", "--trace", trace_path)
     assert code == 3
@@ -445,6 +455,44 @@ def test_bench_l1l2_reports_success_rate(tmp_path, capsys):
         for line in (out_dir / "runs.jsonl").read_text().splitlines()
     ]
     assert all("relative_error" in record for record in records)
+
+
+def test_bench_writes_one_failure_line_per_failed_trial(tmp_path, capsys):
+    # alpha_upper below each trial's resolved alpha_lower fails every trial.
+    cfg = _bench_config(tmp_path, n=20, p1=20, p2=20, r=3, alpha_upper=1e-9)
+    out_dir = tmp_path / "out"
+    assert run_cli("bench", "--config", cfg, "--out-dir", out_dir) == 0
+    assert "failures.jsonl" in capsys.readouterr().out
+    failures = [
+        json.loads(line)
+        for line in (out_dir / "failures.jsonl").read_text().splitlines()
+    ]
+    assert [(fail["trial"], fail["solver"]) for fail in failures] == [
+        (0, "pgsa_ml"),
+        (1, "pgsa_ml"),
+    ]
+    assert all(fail["error"] == "InvalidConfigError" for fail in failures)
+    assert all(fail["master_seed"] == 0 for fail in failures)
+    assert all("alpha_upper" in fail["message"] for fail in failures)
+    assert (out_dir / "runs.jsonl").read_text() == ""
+
+
+def test_verify_rate_fit_prints_the_fit(tmp_path, capsys):
+    cfg = _bench_config(tmp_path, experiment="l1l2", trials=1, n=60, m=20, k=3)
+    out_dir = tmp_path / "out"
+    assert run_cli("bench", "--config", cfg, "--out-dir", out_dir, "--trace") == 0
+    capsys.readouterr()
+    trace_path = out_dir / "traces" / "trace_pgsa_ml_0.csv"
+    assert run_cli("verify", "--trace", trace_path, "--rate-fit") == 0
+    out = capsys.readouterr().out
+    fit = fit_linear_rate(load_trace_csv(trace_path)[0])
+    assert fit.slope < 0
+    expected = (
+        f"rate fit: slope {fit.slope:.6f}, r_squared {fit.r_squared:.4f}, "
+        f"window {fit.window[0]}..{fit.window[1]} ({fit.n_points} points)\n"
+    )
+    assert expected in out
+    assert "audit ok" in out
 
 
 def test_bench_trace_flag_writes_trace_files(tmp_path, capsys):

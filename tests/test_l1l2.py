@@ -15,7 +15,6 @@ from fracopt import (
     eval_objective,
     gen_dct_matrix,
     gen_ground_truth,
-    l1_box_initializer,
     penalty_start_point,
     recovery_report,
     run_pgsa_ls,
@@ -26,7 +25,7 @@ from fracopt.exceptions import (
     DomainError,
     InvalidProblemError,
 )
-from fracopt.l1l2 import _shrink_clip, l2_subgradient
+from fracopt.l1l2 import _shrink_clip
 from fracopt.rand import philox_generator
 
 
@@ -85,10 +84,17 @@ def test_prox_is_nonexpansive():
 
 
 def test_l2_subgradient_examples():
-    assert np.allclose(l2_subgradient(np.array([3.0, 4.0])), [0.6, 0.8], atol=1e-15)
-    assert np.array_equal(l2_subgradient(np.zeros(4)), np.zeros(4))
+    def subgrad_g(x):
+        n = x.shape[0]
+        problem = L1L2PenaltyProblem(
+            sensing=np.eye(n), observation=np.ones(n), lam=0.1, lower=-1.0, upper=1.0
+        )
+        return problem.subgrad_g(x)
+
+    assert np.allclose(subgrad_g(np.array([3.0, 4.0])), [0.6, 0.8], atol=1e-15)
+    assert np.array_equal(subgrad_g(np.zeros(4)), np.zeros(4))
     unit = np.array([0.0, 1.0, 0.0])
-    assert np.array_equal(l2_subgradient(unit), unit)
+    assert np.array_equal(subgrad_g(unit), unit)
 
 
 def test_dct_matrix_entry_bounds_and_shape():
@@ -142,15 +148,29 @@ def test_ground_truth_examples():
 def test_initializer_zero_data_falls_back_then_errors():
     problem = one_d_penalty(observation=1.0)
     zero_data = one_d_penalty(observation=0.0)
-    with pytest.raises(DegenerateInputError):
-        l1_box_initializer(zero_data)
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(DegenerateInputError, match="both zero"):
         penalty_start_point(zero_data)
     assert penalty_start_point(problem).shape == (1,)
 
 
+def test_initializer_zero_result_takes_the_clipped_correlation():
+    # Shrinkage by mu = 1e-6 and the clip at 0 send both ISTA coordinates to 0.
+    def problem(second):
+        return L1L2PenaltyProblem(
+            sensing=np.eye(2), observation=np.array([-1.0, second]), lam=0.1,
+            lower=0.0, upper=1.0,
+        )
+
+    start = penalty_start_point(problem(1e-9))
+    assert np.array_equal(start, [0.0, 1e-9])
+    trace = run_pgsa_ls(problem(1e-9), start, LineSearchConfig(N=0))
+    assert trace.certificate.converged_reason == "step_tol"
+    with pytest.raises(DegenerateInputError, match="correlation fallback clipped to zero"):
+        penalty_start_point(problem(0.0))
+
+
 def test_initializer_scalar_fixed_point():
-    out = l1_box_initializer(one_d_penalty(observation=0.5))
+    out = penalty_start_point(one_d_penalty(observation=0.5))
     mu = 1e-6 * 0.5
     assert abs(out[0] - (0.5 - mu)) <= 1e-6
 
@@ -170,7 +190,7 @@ def test_initializer_nearly_interpolates_the_data():
         problem = L1L2PenaltyProblem(
             sensing=sensing, observation=observation, lam=8e-5, lower=-1.0, upper=1.0
         )
-        start = l1_box_initializer(problem)
+        start = penalty_start_point(problem)
         assert np.all(start >= -1.0) and np.all(start <= 1.0)
         assert np.linalg.norm(start) > 0.0
         residual = np.linalg.norm(sensing @ start - observation)
@@ -382,7 +402,7 @@ def _bits(value):
 
 
 def test_callbacks_match_their_numpy_wrapper_forms_bitwise():
-    # eval_f, eval_g, l2_subgradient and the prox kernel must give the very
+    # eval_f, eval_g, subgrad_g and the prox kernel must give the very
     # bits of the np.any / np.linalg.norm / np.clip forms they replace.
     rng = philox_generator(263)
     n = 40
@@ -405,7 +425,7 @@ def test_callbacks_match_their_numpy_wrapper_forms_bitwise():
             norm = float(np.linalg.norm(x))
             assert _bits(problem.eval_g(x)) == _bits(norm)
             expected_y = np.zeros_like(x) if norm <= 1e-14 else x / norm
-            assert _bits(l2_subgradient(x)) == _bits(expected_y)
+            assert _bits(problem.subgrad_g(x)) == _bits(expected_y)
             alpha = float(rng.choice([0.0, 1e-3, 2.0]))
             threshold = alpha * problem.lam
             shrunk = np.sign(x) * np.maximum(np.abs(x) - threshold, 0.0)
