@@ -40,7 +40,6 @@ from .l1l2 import (
     penalty_start_point,
     recovery_report,
 )
-from .linesearch import LineSearchConfig, run_pgsa_ls
 from .oracle import (
     AuditReport,
     AuditViolation,
@@ -50,7 +49,7 @@ from .oracle import (
     fit_linear_rate,
     fit_rate_from_errors,
 )
-from .pgsa import PgsaConfig, SolverTrace, run_pgsa
+from .pgsa import LineSearchConfig, PgsaConfig, SolverTrace, run_pgsa, run_pgsa_ls
 from .problem import (
     Certificate,
     ExtendedObjective,

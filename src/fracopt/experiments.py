@@ -43,8 +43,7 @@ from .l1l2 import (
     penalty_start_point,
     recovery_report,
 )
-from .linesearch import LineSearchConfig, run_pgsa_ls
-from .pgsa import PgsaConfig, SolverTrace, run_pgsa
+from .pgsa import LineSearchConfig, PgsaConfig, SolverTrace, run_pgsa, run_pgsa_ls
 from .problem import FractionalProblem
 from .rand import philox_generator
 from .sgep import SfdaRecipe, SgepProblem, gen_sfda, sgep_default_init

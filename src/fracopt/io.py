@@ -19,8 +19,8 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from .exceptions import ParseError
-from .pgsa import SolverTrace
+from .exceptions import InvalidConfigError, ParseError
+from .pgsa import LineSearchConfig, PgsaConfig, SolverTrace
 from .problem import Certificate
 
 RESULT_COLUMNS = [
@@ -137,13 +137,19 @@ def write_trace_csv(path: str | Path, trace: SolverTrace) -> None:
         handle.write("\r\n".join(map(",".join, zip_longest(*columns, fillvalue=""))) + "\r\n")
 
 
+def _reject_constant(name: str) -> None:
+    raise ValueError(f"{name} is not a finite number")
+
+
 def load_trace_csv(path: str | Path) -> tuple[SolverTrace, np.ndarray | None]:
     """Rebuild a trace from its CSV form.
 
     Returns the trace and its ``err_to_final`` (None when that column was
     empty).  The first line gives back ``params`` and the certificate, so
     ``audit_trace``, ``fit_linear_rate`` and ``write_trace_csv`` need nothing
-    else; there are no iterates.  A file without that line is a ParseError naming line 1.
+    else; there are no iterates.  A file without that line is a ParseError naming line 1,
+    as is a line holding NaN or +-Infinity, or a step rule parameter that the
+    run's own PgsaConfig or LineSearchConfig rejects.
 
     The rows must line up with the certificate, or the file is a ParseError
     naming the offending line: there are ``iterations + 1`` of them, with k
@@ -158,9 +164,13 @@ def load_trace_csv(path: str | Path) -> tuple[SolverTrace, np.ndarray | None]:
         try:
             if not line.startswith("# "):
                 raise ValueError("expected a '# {json}' line with params and certificate")
-            meta = json.loads(line[2:])
+            meta = json.loads(line[2:], parse_constant=_reject_constant)
             params, cert = dict(meta["params"]), Certificate(**meta["certificate"])
-        except (ValueError, KeyError, TypeError) as exc:
+            line_search = params.get("mode") in ("pgsa_ml", "pgsa_nl")
+            config = LineSearchConfig if line_search else PgsaConfig
+            fields = {field.name for field in dataclasses.fields(config)}
+            config(**{key: value for key, value in params.items() if key in fields})
+        except (ValueError, KeyError, TypeError, InvalidConfigError) as exc:
             raise ParseError(f"{path}: line 1: {exc}") from None
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -181,7 +191,6 @@ def load_trace_csv(path: str | Path) -> tuple[SolverTrace, np.ndarray | None]:
         raise parse_error(index, f"expected {width} columns, found {len(rows[index])}")
     columns = dict(zip(TRACE_COLUMNS, zip(*rows)))
     last = len(rows) - 1
-    line_search = params.get("mode") in ("pgsa_ml", "pgsa_nl")
     with_errors = rows[0][4] != ""
     # Which rows fill err_to_final, alpha, step_norm and backtracks, against
     # which rows write_trace_csv fills: all or none for err_to_final, every

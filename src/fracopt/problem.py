@@ -9,7 +9,7 @@ where ``f`` is proper, lower semicontinuous and bounded below on its domain,
 finite and positive on the feasible set.  Outside dom(f), or where the
 denominator vanishes, F takes the value +inf.  A problem instance supplies
 the pieces through the FractionalProblem interface below; the solvers in
-``pgsa`` and ``linesearch`` only ever talk to that interface.
+``pgsa`` only ever talk to that interface.
 """
 
 from __future__ import annotations
@@ -46,13 +46,11 @@ class ExtendedObjective:
     """Value of the extended ratio objective at one point.
 
     ``value`` is numerator/denominator when the point is feasible and +inf
-    otherwise.  The raw numerator and denominator are kept so callers can
-    reuse them (the solvers cache them to avoid re-evaluating f, h, g).
+    otherwise.  The raw denominator is kept for the trace's g_value column.
     """
 
     value: float
     in_domain: bool
-    numerator: float
     denominator: float
 
 
@@ -164,7 +162,7 @@ def eval_objective(problem: FractionalProblem, x: np.ndarray) -> ExtendedObjecti
             raise NumericsError("NaN from problem callback in objective evaluation")
     in_domain = math.isfinite(num) and den > domain_eps(num)
     value = num / den if in_domain else math.inf
-    return ExtendedObjective(value=value, in_domain=in_domain, numerator=num, denominator=den)
+    return ExtendedObjective(value=value, in_domain=in_domain, denominator=den)
 
 
 def _feasible_objective(

@@ -193,12 +193,20 @@ def test_verify_renumbered_k_is_io_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "edit", ["drop_line", "drop_keys", "zero_lipschitz_pgsa", "zero_bounds_pgsa_ml"]
+    "edit",
+    [
+        "drop_line",
+        "drop_keys",
+        "zero_lipschitz_pgsa",
+        "zero_bounds_pgsa_ml",
+        "nan_lipschitz_pgsa",
+        "infinite_lipschitz_pgsa",
+    ],
 )
 def test_verify_trace_without_usable_params_line_is_io_error(edit, sgep_files, tmp_path, capsys):
     a_path, b_path = sgep_files
     trace_path = tmp_path / "trace.csv"
-    solver = "pgsa" if edit == "zero_lipschitz_pgsa" else "pgsa_ml"
+    solver = "pgsa" if edit.endswith("_pgsa") else "pgsa_ml"
     run_cli(
         "solve", "sgep", "--matrix-a", a_path, "--matrix-b", b_path, "-r", "1",
         "--solver", solver, "--trace", trace_path,
@@ -211,6 +219,10 @@ def test_verify_trace_without_usable_params_line_is_io_error(edit, sgep_files, t
     elif edit == "drop_keys":
         # A pgsa_ml audit needs a, eta, N and more than the mode.
         header["params"] = {"mode": "pgsa_ml"}
+    elif edit.startswith(("nan", "infinite")):
+        # json.dumps writes NaN and Infinity, which JSON lacks.  A NaN L made
+        # every check against it pass, an infinite one every step fail.
+        header["params"]["lipschitz"] = float("nan" if edit.startswith("nan") else "inf")
     else:
         # The 1/L step cap and the a*M + L backtracking floor divide by zero.
         header["params"]["lipschitz"] = 0
@@ -350,6 +362,24 @@ def test_solve_passes_window_to_the_nonmonotone_solver(sgep_files, tmp_path, cap
     capsys.readouterr()
     params = json.loads(trace_path.read_text().splitlines()[0][2:])["params"]
     assert params["N"] == 7 and params["eta"] == 0.4
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["sgep", "--matrix-b", "B", "-r", "1"], 2, "sgep needs --matrix-a"),
+        (["sgep", "--matrix-a", "A", "-r", "1"], 2, "sgep needs --matrix-b"),
+        (["sgep", "--matrix-a", "A", "--matrix-b", "B"], 2, "sgep needs a sparsity level -r"),
+        (["l1l2", "--matrix-a", "A"], 2, "l1l2 needs --vector-b"),
+        (["sgep", "--config", "array.json"], 3, "array.json: expected a JSON object"),
+    ],
+)
+def test_solve_missing_input_is_reported(argv, code, message, tmp_path, capsys, monkeypatch):
+    # Each is reported before any data file is read.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "array.json").write_text("[1, 2]")
+    assert run_cli("solve", *argv) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_solve_config_with_bad_json_is_io_error(sgep_files, tmp_path, capsys):
@@ -612,6 +642,18 @@ def test_gen_l1l2_round_trips_through_solve(tmp_path, capsys):
     assert payload["objective"] > 0.0
     truth = np.loadtxt(out_dir / "xtrue.csv")
     assert truth.shape == (60,)
+
+
+@pytest.mark.parametrize("solver, checks", [("pgsa", 2401), ("pgsa_ml", 3601), ("pgsa_nl", 3601)])
+def test_gen_l1l2_solve_trace_then_verify_with_the_problem(solver, checks, tmp_path, capsys):
+    data = tmp_path / "gen"
+    run_cli("gen", "l1l2", "--out-dir", data, "--n", "60", "--m", "20", "--k", "3")
+    files = ("--matrix-a", data / "A.csv", "--vector-b", data / "b.csv")
+    trace_path = tmp_path / "trace.csv"
+    assert run_cli("solve", "l1l2", *files, "--solver", solver, "--trace", trace_path) == 0
+    capsys.readouterr()
+    assert run_cli("verify", "--trace", trace_path, "--problem", "l1l2", *files) == 0
+    assert capsys.readouterr().out == f"audit ok: {checks} checks, zero violations\n"
 
 
 @pytest.mark.parametrize(

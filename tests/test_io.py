@@ -243,6 +243,27 @@ def test_trace_params_line_is_validated(tmp_path):
         assert "line 1" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "solver, key, value",
+    [
+        ("pgsa", "alpha", -1.0),
+        ("pgsa", "step_tol", -1.0),
+        ("pgsa_ml", "max_iter", -1),
+        ("pgsa_ml", "a", 0.0),
+        ("pgsa_ml", "eta", 2.0),
+        ("pgsa_nl", "N", -1),
+        ("pgsa_nl", "alpha_lower", 1e9),
+    ],
+)
+def test_trace_params_the_run_config_rejects_are_a_parse_error(tmp_path, solver, key, value):
+    # The params line is checked by the run's own PgsaConfig or LineSearchConfig.
+    _, trace = _tiny_run("sgep", solver)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(path, dataclasses.replace(trace, params={**trace.params, key: value}))
+    with pytest.raises(ParseError, match="line 1"):
+        load_trace_csv(path)
+
+
 def test_trace_header_is_validated(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text(f"{META_LINE}\nsomething,else\n0,1.0\n")

@@ -20,7 +20,7 @@ from fracopt import (
     sgep_default_init,
 )
 from fracopt.exceptions import DimensionMismatchError, DomainError, InvalidConfigError
-from fracopt.linesearch import bb_initial_step
+from fracopt.pgsa import bb_initial_step
 from fracopt.rand import philox_generator
 
 

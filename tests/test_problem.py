@@ -30,7 +30,6 @@ def one_d_penalty() -> L1L2PenaltyProblem:
 def test_eval_objective_scalar_ratio():
     problem = SgepProblem(matrix_a=np.eye(2), matrix_b=2.0 * np.eye(2), sparsity=2)
     ext = eval_objective(problem, np.array([1.0, 0.0]))
-    assert ext.numerator == 1.0
     assert ext.denominator == 0.5
     assert ext.value == 2.0
     assert ext.in_domain
