@@ -45,7 +45,6 @@ from .oracle import (
     AuditViolation,
     RateFit,
     audit_trace,
-    fd_gradient_check,
     fit_linear_rate,
     fit_rate_from_errors,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "audit_trace",
     "config_from_dict",
     "eval_objective",
-    "fd_gradient_check",
     "fit_linear_rate",
     "fit_rate_from_errors",
     "gen_dct_matrix",

@@ -48,7 +48,6 @@ from .io import (
     load_trace_csv,
     load_vector_csv,
     save_matrix_csv,
-    save_vector_csv,
     write_jsonl,
     write_result_rows,
     write_trace_csv,
@@ -154,20 +153,14 @@ def _load_json_object(path: str | None) -> dict[str, Any]:
 def _build_problem(args: argparse.Namespace) -> SgepProblem | L1L2PenaltyProblem:
     if not args.matrix_a:
         raise InvalidConfigError(f"{args.problem} needs --matrix-a")
-    return _build_sgep(args) if args.problem == "sgep" else _build_l1l2(args)
-
-
-def _build_sgep(args: argparse.Namespace) -> SgepProblem:
-    if not args.matrix_b:
-        raise InvalidConfigError("sgep needs --matrix-b")
-    if args.sparsity is None:
-        raise InvalidConfigError("sgep needs a sparsity level -r")
-    # Each file is solved as written; SgepProblem checks it.
-    a, b = load_matrix_csv(args.matrix_a), load_matrix_csv(args.matrix_b)
-    return SgepProblem(matrix_a=a, matrix_b=b, sparsity=args.sparsity)
-
-
-def _build_l1l2(args: argparse.Namespace) -> L1L2PenaltyProblem:
+    if args.problem == "sgep":
+        if not args.matrix_b:
+            raise InvalidConfigError("sgep needs --matrix-b")
+        if args.sparsity is None:
+            raise InvalidConfigError("sgep needs a sparsity level -r")
+        # Each file is solved as written; SgepProblem checks it.
+        a, b = load_matrix_csv(args.matrix_a), load_matrix_csv(args.matrix_b)
+        return SgepProblem(matrix_a=a, matrix_b=b, sparsity=args.sparsity)
     if not args.vector_b:
         raise InvalidConfigError("l1l2 needs --vector-b")
     return L1L2PenaltyProblem(
@@ -260,8 +253,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
         written = ["A.csv", "B.csv"]
     else:
         save_matrix_csv(out_dir / "A.csv", problem.sensing)
-        save_vector_csv(out_dir / "b.csv", problem.observation)
-        save_vector_csv(out_dir / "xtrue.csv", truth)
+        save_matrix_csv(out_dir / "b.csv", problem.observation[:, None])
+        save_matrix_csv(out_dir / "xtrue.csv", truth[:, None])
         meta.update(m=cfg.m, k=cfg.k, dct_f=cfg.dct_f)
         written = ["A.csv", "b.csv", "xtrue.csv"]
     with open(out_dir / "meta.json", "w") as handle:

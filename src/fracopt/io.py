@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 from itertools import compress, count, zip_longest
 from pathlib import Path
 from typing import Any, Callable, Iterable
@@ -76,17 +77,11 @@ def load_vector_csv(path: str | Path) -> np.ndarray:
 
 
 def save_matrix_csv(path: str | Path, matrix: np.ndarray) -> None:
+    """One row per line, each float by ``repr``; ``v[:, None]`` writes a vector one per line."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     with open(path, "w", newline="") as handle:
         for row in matrix:
             handle.write(",".join(repr(float(v)) for v in row))
-            handle.write("\n")
-
-
-def save_vector_csv(path: str | Path, vector: np.ndarray) -> None:
-    with open(path, "w", newline="") as handle:
-        for value in np.asarray(vector, dtype=float).ravel():
-            handle.write(repr(float(value)))
             handle.write("\n")
 
 
@@ -137,8 +132,12 @@ def write_trace_csv(path: str | Path, trace: SolverTrace) -> None:
         handle.write("\r\n".join(map(",".join, zip_longest(*columns, fillvalue=""))) + "\r\n")
 
 
-def _reject_constant(name: str) -> None:
-    raise ValueError(f"{name} is not a finite number")
+def _finite_float(text: str) -> float:
+    """json's float hook: ``1e400`` as much as ``NaN`` or ``Infinity`` is an error."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
 
 
 def load_trace_csv(path: str | Path) -> tuple[SolverTrace, np.ndarray | None]:
@@ -148,8 +147,9 @@ def load_trace_csv(path: str | Path) -> tuple[SolverTrace, np.ndarray | None]:
     empty).  The first line gives back ``params`` and the certificate, so
     ``audit_trace``, ``fit_linear_rate`` and ``write_trace_csv`` need nothing
     else; there are no iterates.  A file without that line is a ParseError naming line 1,
-    as is a line holding NaN or +-Infinity, or a step rule parameter that the
-    run's own PgsaConfig or LineSearchConfig rejects.
+    as is a line holding NaN, +-Infinity or a number that overflows to one, a step
+    rule parameter that the run's own PgsaConfig or LineSearchConfig rejects, or a
+    line-search mode other than the one run_pgsa_ls writes for N (pgsa_ml iff N = 0).
 
     The rows must line up with the certificate, or the file is a ParseError
     naming the offending line: there are ``iterations + 1`` of them, with k
@@ -164,12 +164,15 @@ def load_trace_csv(path: str | Path) -> tuple[SolverTrace, np.ndarray | None]:
         try:
             if not line.startswith("# "):
                 raise ValueError("expected a '# {json}' line with params and certificate")
-            meta = json.loads(line[2:], parse_constant=_reject_constant)
+            meta = json.loads(line[2:], parse_constant=_finite_float, parse_float=_finite_float)
             params, cert = dict(meta["params"]), Certificate(**meta["certificate"])
             line_search = params.get("mode") in ("pgsa_ml", "pgsa_nl")
             config = LineSearchConfig if line_search else PgsaConfig
             fields = {field.name for field in dataclasses.fields(config)}
             config(**{key: value for key, value in params.items() if key in fields})
+            mode = "pgsa_ml" if params.get("N") == 0 else "pgsa_nl"  # as run_pgsa_ls names it
+            if line_search and params["mode"] != mode:
+                raise ValueError(f"mode {params['mode']!r} contradicts N = {params.get('N')!r}")
         except (ValueError, KeyError, TypeError, InvalidConfigError) as exc:
             raise ParseError(f"{path}: line 1: {exc}") from None
         reader = csv.reader(handle)

@@ -1,4 +1,4 @@
-"""Independent verification: gradient probes, trace audits, rate fitting.
+"""Independent verification: trace audits and rate fitting.
 
 Nothing here is needed to run a solver.  These routines re-check, from the
 recorded evidence alone, that a run actually behaved the way the convergence
@@ -26,34 +26,6 @@ AUDIT_REL_TOL = 1e-10
 # at machine-noise level and log(error) is meaningless.
 RATE_FIT_TAIL_EXCLUSION = 5
 RATE_FIT_MIN_LENGTH = 30
-
-
-def fd_gradient_check(
-    eval_fn: Callable[[np.ndarray], float],
-    grad_fn: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    step: float | None = None,
-) -> float:
-    """Largest relative gap between grad_fn and central differences at x.
-
-    The default step is 1e-5 * (1 + ||x||_inf), a reasonable compromise
-    between truncation and cancellation for double precision.  Returns
-    max_i |cd_i - g_i| / (1 + |g_i|); values around 1e-7 or below mean the
-    gradient matches, values above 1e-3 reliably expose a wrong gradient.
-    """
-    x = np.asarray(x, dtype=float)
-    if step is None:
-        scale = float(np.max(np.abs(x))) if x.size else 0.0
-        step = 1e-5 * (1.0 + scale)
-    grad = np.asarray(grad_fn(x), dtype=float)
-    worst = 0.0
-    for i in range(x.shape[0]):
-        bump = np.zeros_like(x)
-        bump[i] = step
-        central = (eval_fn(x + bump) - eval_fn(x - bump)) / (2.0 * step)
-        gap = abs(central - grad[i]) / (1.0 + abs(grad[i]))
-        worst = max(worst, gap)
-    return worst
 
 
 @dataclass(frozen=True)

@@ -66,7 +66,8 @@ class PgsaConfig:
     ``alpha`` > 0 is the constant step size; None picks 0.99/L, or 1.99/L
     when f is convex.  ``max_iter`` >= 0 defaults to 2n, or 10n when
     ``relative_tol`` is set; ``step_tol`` >= 0 defaults to 1e-6 absolute, or
-    1e-8 relative to the iterate norm.  Construction checks these signs.
+    1e-8 relative to the iterate norm.  Construction checks these signs and
+    that each set value is finite.
     """
 
     alpha: float | None = None
@@ -77,15 +78,17 @@ class PgsaConfig:
 
     def __post_init__(self) -> None:
         _check_stop(self)
-        if self.alpha is not None and not self.alpha > 0.0:
-            raise InvalidConfigError(f"step size alpha must be positive, got {float(self.alpha)}")
+        if self.alpha is not None and not 0.0 < self.alpha < math.inf:
+            raise InvalidConfigError(
+                f"step size alpha must be positive and finite, got {float(self.alpha)}"
+            )
 
 
 def _check_stop(cfg: Any) -> None:
-    """Reject a negative or NaN max_iter or step_tol; both solver configs call this."""
+    """Reject a negative or non-finite max_iter or step_tol; both solver configs call this."""
     for name, value in (("max_iter", cfg.max_iter), ("step_tol", cfg.step_tol)):
-        if value is not None and not value >= 0:
-            raise InvalidConfigError(f"{name} must be nonnegative, got {value}")
+        if value is not None and not 0 <= value < math.inf:
+            raise InvalidConfigError(f"{name} must be nonnegative and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -96,7 +99,8 @@ class LineSearchConfig:
     backtracking factor and ``N`` >= 0 the nonmonotone memory (0 = monotone);
     ``max_iter`` and ``step_tol`` default and are checked as in PgsaConfig.
     run_pgsa_ls clamps trial steps into [alpha_lower, alpha_upper], whose lower
-    end and the first seed ``alpha0`` default to 0.99/L (1.99/L for convex f).
+    end and the first seed ``alpha0`` default to 0.99/L (1.99/L for convex f);
+    ``a`` and the step ends must be finite.
     """
 
     a: float = 1e-3
@@ -112,8 +116,8 @@ class LineSearchConfig:
 
     def __post_init__(self) -> None:
         _check_stop(self)
-        if not self.a > 0:
-            raise InvalidConfigError("decrease coefficient a must be positive")
+        if not 0.0 < self.a < math.inf:
+            raise InvalidConfigError("decrease coefficient a must be positive and finite")
         if not (0.0 < self.eta < 1.0):
             raise InvalidConfigError("backtracking factor eta must lie in (0, 1)")
         if self.N < 0:
@@ -123,9 +127,9 @@ class LineSearchConfig:
 
 
 def _check_step_interval(lo: float | None, hi: float, seed: float | None) -> None:
-    """Reject unless 0 < lo <= seed <= hi, leaving out an unset lo or seed."""
-    if not (0.0 < hi and (lo is None or 0.0 < lo <= hi)):
-        raise InvalidConfigError(f"need 0 < alpha_lower <= alpha_upper, got [{lo}, {hi}]")
+    """Reject unless 0 < lo <= seed <= hi < inf, leaving out an unset lo or seed."""
+    if not (0.0 < hi < math.inf and (lo is None or 0.0 < lo <= hi)):
+        raise InvalidConfigError(f"need 0 < alpha_lower <= alpha_upper < inf, got [{lo}, {hi}]")
     if seed is not None and not (0.0 < seed <= hi and (lo is None or lo <= seed)):
         raise InvalidConfigError("alpha0 must lie within [alpha_lower, alpha_upper]")
 

@@ -274,10 +274,8 @@ class SgepProblem(FractionalProblem):
 
         result = residual_for(support)
         borderline = (magnitude > threshold) & (magnitude <= 10.0 * threshold)
-        if borderline.any():
-            strict = magnitude > 10.0 * threshold
-            if int(strict.sum()) != int(support.sum()):
-                result = max(result, residual_for(strict))
+        if borderline.any():  # then the strict support is smaller
+            result = max(result, residual_for(magnitude > 10.0 * threshold))
         return result
 
 

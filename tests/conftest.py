@@ -83,6 +83,16 @@ def wishart(rng: np.random.Generator, samples: int, dim: int) -> np.ndarray:
     return g.T @ g / samples
 
 
+def central_gradient(fn, x: np.ndarray, step: float) -> np.ndarray:
+    """Central differences (fn(x + step e_i) - fn(x - step e_i)) / (2 step), one per coordinate."""
+    grad = np.empty_like(x)
+    for i in range(x.shape[0]):
+        bump = np.zeros_like(x)
+        bump[i] = step
+        grad[i] = (fn(x + bump) - fn(x - bump)) / (2.0 * step)
+    return grad
+
+
 def spiked_ratio_pair(rng: np.random.Generator, dim: int = 10):
     """A PSD pair whose global sparse solution has a wide basin.
 

@@ -14,7 +14,6 @@ from fracopt.io import (
     TRACE_COLUMNS,
     load_trace_csv,
     save_matrix_csv,
-    save_vector_csv,
 )
 
 
@@ -67,7 +66,7 @@ def test_solve_then_verify_round_trip(sgep_files, tmp_path, capsys):
 
 def _write_vector(tmp_path, name, values):
     path = tmp_path / name
-    save_vector_csv(path, np.asarray(values, dtype=float))
+    save_matrix_csv(path, np.asarray(values, dtype=float)[:, None])
     return path
 
 
@@ -201,6 +200,8 @@ def test_verify_renumbered_k_is_io_error(tmp_path, capsys):
         "zero_bounds_pgsa_ml",
         "nan_lipschitz_pgsa",
         "infinite_lipschitz_pgsa",
+        "overflowing_lipschitz_pgsa",
+        "overflowing_step_tol_pgsa_ml",
     ],
 )
 def test_verify_trace_without_usable_params_line_is_io_error(edit, sgep_files, tmp_path, capsys):
@@ -223,17 +224,45 @@ def test_verify_trace_without_usable_params_line_is_io_error(edit, sgep_files, t
         # json.dumps writes NaN and Infinity, which JSON lacks.  A NaN L made
         # every check against it pass, an infinite one every step fail.
         header["params"]["lipschitz"] = float("nan" if edit.startswith("nan") else "inf")
+    elif edit.startswith("overflowing"):
+        # json reads 1e400 as inf through parse_float, never through parse_constant.
+        header["params"]["step_tol" if "step_tol" in edit else "lipschitz"] = "1e400"
     else:
         # The 1/L step cap and the a*M + L backtracking floor divide by zero.
         header["params"]["lipschitz"] = 0
         if solver == "pgsa_ml":
             header["params"]["g_sup_bound"] = 0
     if edit != "drop_line":
-        lines[0] = "# " + json.dumps(header)
+        lines[0] = "# " + json.dumps(header).replace('"1e400"', "1e400")
     trace_path.write_text("\n".join(lines) + "\n")
     code = run_cli("verify", "--trace", trace_path)
     assert code == 3
     assert "line 1" in capsys.readouterr().err
+
+
+def test_verify_trace_whose_mode_contradicts_its_window_is_io_error(tmp_path, capsys):
+    # Raise row k = 3 of a pgsa_ml bench trace just above row k = 2: the
+    # monotone audit flags it.  Claiming N = 4 would make it a legal
+    # nonmonotone step, so a header whose N contradicts its mode is refused.
+    cfg = _bench_config(tmp_path, trials=1)
+    out_dir = tmp_path / "out"
+    assert run_cli("bench", "--config", cfg, "--out-dir", out_dir, "--trace") == 0
+    trace_path = out_dir / "traces" / "trace_pgsa_ml_0.csv"
+    lines = trace_path.read_text().splitlines()
+    rows = [line.split(",") for line in lines[2:]]
+    rows[3][1] = repr(float(rows[2][1]) + 1e-6)
+    lines[2:] = map(",".join, rows)
+    trace_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("verify", "--trace", trace_path) == 1
+    out = capsys.readouterr().out.splitlines()
+    kinds = {line.split()[4] for line in out if "iteration 3:" in line}
+    assert kinds == {"acceptance", "window_monotonicity"}
+    assert '"N": 0' in lines[0]
+    lines[0] = lines[0].replace('"N": 0', '"N": 4')
+    trace_path.write_text("\n".join(lines) + "\n")
+    assert run_cli("verify", "--trace", trace_path) == 3
+    assert "line 1: mode 'pgsa_ml' contradicts N = 4" in capsys.readouterr().err
 
 
 def test_verify_missing_trace_file_is_io_error(sgep_files, tmp_path, capsys):
@@ -427,6 +456,15 @@ def test_bench_writes_results_and_records(tmp_path, capsys):
     assert all(record["solver"] == "pgsa_ml" for record in records)
     assert all("wall_time_s" not in record for record in records)
     assert "wrote:" in capsys.readouterr().out
+
+
+def test_bench_trials_flag_overrides_the_config(tmp_path, capsys):
+    cfg = _bench_config(tmp_path, trials=2)
+    out_dir = tmp_path / "out"
+    assert run_cli("bench", "--config", cfg, "--trials", "1", "--out-dir", out_dir) == 0
+    records = [json.loads(line) for line in (out_dir / "runs.jsonl").read_text().splitlines()]
+    assert [record["trial"] for record in records] == [0]
+    assert "solver=pgsa_ml, mean_objective=" in capsys.readouterr().out
 
 
 def test_bench_zero_trials_writes_header_only(tmp_path, capsys):
@@ -702,11 +740,15 @@ def test_bench_bad_sfda_sizes_is_validation_error(sizes, message, tmp_path, caps
         ("sgep", "pgsa_ml", {"alpha": 0.5}),
         ("sgep", "pgsa", {"window": 3}),
         ("sgep", "pgsa_ml", {"window": 3}),
+        ("sgep", "pgsa", {"alpha": float("inf")}),
+        ("sgep", "pgsa_nl", {"a": float("inf")}),
+        ("sgep", "pgsa", {"step_tol": float("inf")}),
+        ("sgep", "pgsa_ml", {"alpha_upper": float("inf")}),
     ],
     ids=[
         "eta", "window", "a-zero", "a-nan", "alpha", "step_tol", "max_iter",
         "interval", "alpha0", "lam", "box", "ml-alpha-unread", "pgsa-window-unread",
-        "ml-window-unread",
+        "ml-window-unread", "alpha-inf", "a-inf", "step_tol-inf", "alpha_upper-inf",
     ],
 )
 def test_solve_and_bench_reject_a_bad_run_parameter_alike(
@@ -729,6 +771,21 @@ def test_solve_and_bench_reject_a_bad_run_parameter_alike(
     assert capsys.readouterr().err == solve_err
     assert solve_err.startswith("error: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_solve_infinite_step_tol_flag_is_validation_error_before_any_output(
+    sgep_files, tmp_path, capsys
+):
+    # Its trace would hold "step_tol": Infinity, which verify refuses.
+    a_path, b_path = sgep_files
+    trace_path = tmp_path / "trace.csv"
+    code = run_cli(
+        "solve", "sgep", "--matrix-a", a_path, "--matrix-b", b_path, "-r", "1",
+        "--step-tol", "inf", "--trace", trace_path,
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: step_tol must be nonnegative and finite, got inf\n"
+    assert not trace_path.exists()
 
 
 def test_parser_problem_defaults_are_the_experiment_config_defaults():

@@ -31,7 +31,6 @@ from fracopt.io import (
     load_trace_csv,
     load_vector_csv,
     save_matrix_csv,
-    save_vector_csv,
     write_jsonl,
     write_result_rows,
     write_trace_csv,
@@ -51,7 +50,7 @@ def test_vector_round_trip_is_exact(tmp_path):
     rng = philox_generator(403)
     vector = rng.standard_normal(7)
     path = tmp_path / "v.csv"
-    save_vector_csv(path, vector)
+    save_matrix_csv(path, vector[:, None])
     assert np.array_equal(load_vector_csv(path), vector)
 
 

@@ -104,6 +104,8 @@ def test_line_search_step_rejects_bad_seed_and_start():
         dict(alpha0=0.0),
         dict(alpha0=5.0, alpha_upper=1.0),
         dict(alpha0=0.05, alpha_lower=0.1, alpha_upper=1.0),
+        dict(alpha_upper=math.inf),
+        dict(alpha_lower=1.0, alpha0=math.inf, alpha_upper=math.inf),
     ],
 )
 def test_config_rejects_a_bad_set_step_interval(ends):

@@ -171,14 +171,27 @@ def test_run_pgsa_step_size_cap_enforced():
 @pytest.mark.parametrize("config_class", [PgsaConfig, LineSearchConfig])
 @pytest.mark.parametrize(
     "bad",
-    [{"max_iter": -3}, {"step_tol": -1.0}, {"step_tol": math.nan}],
-    ids=["max_iter-negative", "step_tol-negative", "step_tol-nan"],
+    [
+        {"max_iter": -3},
+        {"max_iter": math.inf},
+        {"step_tol": -1.0},
+        {"step_tol": math.nan},
+        {"step_tol": math.inf},
+    ],
+    ids=["max_iter-negative", "max_iter-inf", "step_tol-negative", "step_tol-nan", "step_tol-inf"],
 )
 def test_solver_configs_reject_bad_stopping_fields(config_class, bad):
     # Checked at construction: a run would otherwise make no step or never stop early.
     with pytest.raises(InvalidConfigError, match=next(iter(bad))):
         config_class(**bad)
     assert config_class(max_iter=0, step_tol=0.0).max_iter == 0
+
+
+@pytest.mark.parametrize("config_class, key", [(PgsaConfig, "alpha"), (LineSearchConfig, "a")])
+def test_solver_configs_reject_an_infinite_step_parameter(config_class, key):
+    # A run would take it, and its trace line would then hold Infinity.
+    with pytest.raises(InvalidConfigError, match=f"{key} must be positive and finite"):
+        config_class(**{key: math.inf})
 
 
 def test_run_pgsa_rejects_bad_start():

@@ -90,6 +90,15 @@ def test_nan_from_callback_is_a_hard_error():
         eval_objective(_NanNumerator(), np.array([1.0]))
 
 
+@pytest.mark.parametrize("callback", ["eval_f", "eval_g"])
+def test_nan_from_f_or_g_is_a_hard_error(callback, monkeypatch):
+    problem = _NanNumerator()
+    monkeypatch.setattr(problem, callback, lambda x: math.nan)
+    monkeypatch.setattr(problem, "eval_h", lambda x: 0.0)  # so only the f and g test can fire
+    with pytest.raises(NumericsError, match="NaN from problem callback"):
+        eval_objective(problem, np.array([1.0]))
+
+
 def test_quotient_residual_matches_finite_differences():
     # With full support (r = n), grad (x.T B x / x.T A x) = 2 (B x - G(x) A x) / x.T A x,
     # and critical_residual is ||B x - G(x) A x||.

@@ -93,6 +93,11 @@ def test_projection_rejects_origin_and_bad_r():
         project_sparse_sphere(np.array([1.0, 0.0]), 3)
 
 
+def test_projection_rejects_a_matrix():
+    with pytest.raises(ValueError, match="expected a 1-D vector"):
+        project_sparse_sphere(np.eye(3), 1)
+
+
 def test_projection_matches_exhaustive_oracle():
     rng = philox_generator(101)
     for _ in range(200):
@@ -494,6 +499,12 @@ def test_brute_force_size_guard_and_validation():
     # B restricted to {1} is the zero block: no PD reduction exists there.
     with pytest.raises(InvalidProblemError):
         sgep_brute_force_optimum(np.eye(2), np.diag([1.0, 0.0]), 1)
+
+
+def test_brute_force_without_a_energy_is_degenerate():
+    # A = 0 is PSD, but no support admits a point with x.T A x > 0.
+    with pytest.raises(DegenerateInputError, match="the A-energy vanishes on every support"):
+        sgep_brute_force_optimum(np.zeros((3, 3)), np.eye(3), 2)
 
 
 def test_sgep_problem_validation():
