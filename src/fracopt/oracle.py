@@ -82,9 +82,10 @@ def audit_trace(
     "pgsa_ml" checks the monotone line-search acceptance with coefficient a/2;
     "pgsa_nl" checks acceptance against the running window maximum, that the
     windowed maxima never increase, and that no objective exceeds the starting
-    value.  All modes check finite objectives, step bounds, and, when the
-    denominator bound M is known, the guaranteed backtracking floor
-    eta/(a*M + L) - 1e-12 and the matching cap on backtrack counts.
+    value.  All modes check finite objectives, step bounds, the certificate
+    against the rows (``_audit_certificate``) and, when the denominator bound
+    M is known, the guaranteed backtracking floor eta/(a*M + L) - 1e-12 and
+    the matching cap on backtrack counts.
 
     The mode (unless ``mode`` overrides it), a, eta, N and the step bounds
     come from ``trace.params``.  L, the convexity of f and M are recomputed
@@ -207,7 +208,36 @@ def audit_trace(
             detail = "recorded step norm disagrees with iterates"
             _flag(report, "step_mismatch", detail, gap > slack(step_norm[:steps]), gap)
 
+    _audit_certificate(report, trace)
     return report
+
+
+def _audit_certificate(report: AuditReport, trace: SolverTrace) -> None:
+    """Check the certificate against the rows, as the solver decided it.
+
+    A relative stop needs ||x_K||, which the rows do not hold, and a
+    "domain_error" stop never records the point that left dom(F), so neither
+    is checked; a header without max_iter or step_tol skips their checks.
+    """
+    cert, params, steps = trace.certificate, trace.params, trace.step_norm
+    count, reason, last = cert.iterations, cert.converged_reason, float(trace.objective[-1])
+    cap, tol = params.get("max_iter"), params.get("step_tol")
+    detail = f"certificate objective {cert.objective!r} is not the last row's {last!r}"
+    claims = [(cert.objective != last, abs(cert.objective - last), detail)]
+    if cap is not None:
+        claims.append((count > cap, count - cap, f"{count} steps exceed max_iter"))
+        if reason == "max_iter":
+            claims.append((count != cap, abs(cap - count), f"max_iter stop after {count} steps"))
+    if tol is not None and not params.get("relative_tol", True):
+        gap = float(steps[-1]) - tol if len(steps) else math.inf
+        if reason == "step_tol":
+            claims.append((not gap <= 0.0, gap, "step_tol stop with the last step above step_tol"))
+        elif reason == "max_iter" and len(steps):
+            claims.append((gap <= 0.0, -gap, "max_iter stop with the last step within step_tol"))
+    report.checks_run += len(claims)
+    for failed, magnitude, detail in claims:
+        if failed:
+            report.violations.append(AuditViolation(count, "certificate", float(magnitude), detail))
 
 
 @dataclass(frozen=True)

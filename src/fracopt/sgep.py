@@ -73,6 +73,11 @@ def project_sparse_sphere(x: np.ndarray, r: int) -> np.ndarray:
     The projection is undefined at the origin, so a vector with norm at or
     below 1e-14 raises DegenerateInputError.
     """
+    return _projection(x, r)[0]
+
+
+def _projection(x: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """project_sparse_sphere(x, r) and its ascending support, np.flatnonzero of it."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("expected a 1-D vector")
@@ -81,13 +86,18 @@ def project_sparse_sphere(x: np.ndarray, r: int) -> np.ndarray:
         raise ValueError(f"need 1 <= r <= {n}, got r = {r}")
     if _norm(x) <= DOMAIN_EPS_BASE:
         raise DegenerateInputError("projection onto the sparse sphere is undefined at 0")
-    neg = -np.abs(x)
+    neg = -np.abs(x)  # NaN sorts last and never compares true, so it is never kept
     cut = np.partition(neg, r - 1)[r - 1]
-    # Fewer than r entries lie strictly above the cut; the lowest-index ties fill the rest.
-    keep = np.concatenate((np.flatnonzero(neg < cut), np.flatnonzero(neg == cut)))[:r]
-    y = np.zeros_like(x)
+    keep = (neg <= cut).nonzero()[0]
+    if keep.size != r:
+        # Fewer than r entries lie strictly above the cut; the lowest-index ties fill the rest.
+        keep = np.sort(np.concatenate((np.flatnonzero(neg < cut), np.flatnonzero(neg == cut)))[:r])
+    y = np.zeros(n)
     y[keep] = x[keep]
-    return y / _norm(y)
+    norm = _norm(y)
+    y /= norm
+    # A kept entry can be zero, or underflow to it; 0 / 0 makes every entry NaN.
+    return y, keep[y[keep] != 0.0] if norm else np.flatnonzero(y)
 
 
 def _psd_spectrum(m: np.ndarray, name: str) -> np.ndarray:
@@ -134,10 +144,10 @@ class SgepProblem(FractionalProblem):
     definite on every r x r block, read off B's spectrum (L = lambda_max(B))
     or checked on min(50, C(n, r)) supports, as the module docstring says; M
     likewise.  The callbacks work over the support S of x, O(|S| n) per
-    product (B x is x_S @ B[S]), and keep the operands last gathered, keyed
-    by S: the S x S blocks, read at every trial point, and the rows A[S],
-    B[S], read at accepted points.  S rarely changes between iterates, and
-    read-only data keeps a gather fresh.
+    product (B x is x_S @ B[S]).  A memo keyed by the bytes of x finds each
+    point's S once, and prox_f seeds it; keyed by the bytes of S, the rows
+    A[S], B[S] of the last accepted point and the S x S blocks of every trial
+    point, up to A's size, are kept.  Read-only data keeps a gather fresh.
     """
 
     matrix_a: np.ndarray
@@ -145,8 +155,9 @@ class SgepProblem(FractionalProblem):
     sparsity: int
     _lipschitz: float = field(init=False, repr=False)
     _g_bound: float = field(init=False, repr=False)
-    _blocks: tuple = field(init=False, repr=False, default=(None, None, None))
+    _blocks: dict = field(init=False, repr=False, default_factory=dict)
     _rows: tuple = field(init=False, repr=False, default=(None, None, None))
+    _point: tuple = field(init=False, repr=False, default=(None, None, None, None))
 
     def __post_init__(self) -> None:
         stored = {}
@@ -190,19 +201,32 @@ class SgepProblem(FractionalProblem):
     def dim(self) -> int:
         return self.matrix_a.shape[0]
 
+    def _support(self, x: np.ndarray, support: np.ndarray | None = None) -> tuple:
+        """(x's bytes, its ascending support S, S's bytes, x[S]); S is found once per point."""
+        key = x.tobytes()
+        if self._point[0] != key:
+            support = x.nonzero()[0] if support is None else support
+            object.__setattr__(self, "_point", (key, support, support.tobytes(), x[support]))
+        return self._point
+
     def _gathered(self, x: np.ndarray, slot: str) -> tuple:
-        support = x.nonzero()[0]
-        key = support.tobytes()
-        kept = getattr(self, slot)
-        if kept[0] != key:
-            # np.ix_ gathers C-ordered blocks; M[S][:, S] would round differently.
-            index = np.ix_(support, support) if slot == "_blocks" else support
-            kept = (key, self.matrix_a[index], self.matrix_b[index])
-            object.__setattr__(self, slot, kept)
-        return x[support], kept[1], kept[2]
+        """x[S] with A and B restricted to S: the rows M[S], or the S x S blocks."""
+        _, support, key, xs = self._support(x)
+        if slot == "_rows":
+            if self._rows[0] != key:
+                kept = (key, self.matrix_a[support], self.matrix_b[support])
+                object.__setattr__(self, "_rows", kept)
+            return xs, self._rows[1], self._rows[2]
+        if key not in self._blocks:
+            if (len(self._blocks) + 1) * support.size**2 > self.dim**2:  # no more than A holds
+                self._blocks.clear()
+            # Flat indices gather C-ordered blocks; M[S][:, S] would round differently.
+            index = support[:, None] * self.dim + support
+            self._blocks[key] = (self.matrix_a.take(index), self.matrix_b.take(index))
+        return (xs, *self._blocks[key])
 
     def eval_f(self, x: np.ndarray) -> float:
-        if np.count_nonzero(x) > self.sparsity:
+        if self._support(x)[1].size > self.sparsity:
             return math.inf
         if abs(_norm(x) - 1.0) > UNIT_NORM_TOL:
             return math.inf
@@ -226,7 +250,9 @@ class SgepProblem(FractionalProblem):
 
     def prox_f(self, alpha: float, z: np.ndarray) -> np.ndarray:
         # The prox of an indicator is the projection, whatever alpha is.
-        return project_sparse_sphere(z, self.sparsity)
+        y, support = _projection(z, self.sparsity)
+        self._support(y, support)
+        return y
 
     @property
     def lipschitz_grad_h(self) -> float:

@@ -682,7 +682,7 @@ def test_gen_l1l2_round_trips_through_solve(tmp_path, capsys):
     assert truth.shape == (60,)
 
 
-@pytest.mark.parametrize("solver, checks", [("pgsa", 2401), ("pgsa_ml", 3601), ("pgsa_nl", 3601)])
+@pytest.mark.parametrize("solver, checks", [("pgsa", 2404), ("pgsa_ml", 3604), ("pgsa_nl", 3604)])
 def test_gen_l1l2_solve_trace_then_verify_with_the_problem(solver, checks, tmp_path, capsys):
     data = tmp_path / "gen"
     run_cli("gen", "l1l2", "--out-dir", data, "--n", "60", "--m", "20", "--k", "3")
@@ -692,6 +692,52 @@ def test_gen_l1l2_solve_trace_then_verify_with_the_problem(solver, checks, tmp_p
     capsys.readouterr()
     assert run_cli("verify", "--trace", trace_path, "--problem", "l1l2", *files) == 0
     assert capsys.readouterr().out == f"audit ok: {checks} checks, zero violations\n"
+
+
+@pytest.mark.parametrize(
+    "edit, violations",
+    [
+        ({}, []),
+        (
+            {"objective": 123.0, "converged_reason": "max_iter"},
+            [
+                "certificate objective 123.0 is not the last row's 1.2882724721684582",
+                "max_iter stop after 18 steps",
+                "max_iter stop with the last step within step_tol",
+            ],
+        ),
+        (
+            {"converged_reason": "max_iter"},
+            [
+                "max_iter stop after 18 steps",
+                "max_iter stop with the last step within step_tol",
+            ],
+        ),
+    ],
+    ids=["unedited", "objective-and-reason", "reason-only"],
+)
+def test_verify_checks_the_certificate_against_the_rows(edit, violations, tmp_path, capsys):
+    data = tmp_path / "gen"
+    run_cli("gen", "sfda", "--out-dir", data, "--n", "100", "--p1", "50", "--p2", "50", "--r", "5")
+    files = ("--matrix-a", data / "A.csv", "--matrix-b", data / "B.csv", "-r", "5")
+    trace_path = tmp_path / "trace.csv"
+    assert run_cli("solve", "sgep", *files, "--solver", "pgsa_ml", "--trace", trace_path) == 0
+    first, rest = trace_path.read_bytes().split(b"\n", 1)
+    meta = json.loads(first[2:])
+    assert meta["certificate"]["converged_reason"] == "step_tol"
+    assert meta["certificate"]["iterations"] == 18
+    meta["certificate"].update(edit)
+    trace_path.write_bytes(b"# " + json.dumps(meta, sort_keys=True).encode() + b"\n" + rest)
+    capsys.readouterr()
+    code = run_cli("verify", "--trace", trace_path, "--problem", "sgep", *files)
+    out = capsys.readouterr().out.splitlines()
+    if not violations:
+        assert (code, out) == (0, ["audit ok: 112 checks, zero violations"])
+        return
+    assert code == 1
+    assert [line.split(") ", 1)[1] for line in out[:-1]] == violations
+    assert all(line.startswith("violation at iteration 18: certificate") for line in out[:-1])
+    assert out[-1] == f"audit failed: {len(violations)} violations in 113 checks"
 
 
 @pytest.mark.parametrize(

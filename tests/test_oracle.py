@@ -28,6 +28,7 @@ from fracopt import (
     sgep_default_init,
 )
 from fracopt.exceptions import InsufficientDataError
+from fracopt.oracle import AuditReport, _audit_certificate
 from fracopt.rand import philox_generator
 
 
@@ -141,6 +142,49 @@ def test_audit_rejects_unknown_mode():
     trace = run_pgsa(problem, sgep_default_init(12, 3), PgsaConfig())
     with pytest.raises(ValueError):
         audit_trace(trace, problem, mode="bisection")
+
+
+def test_certificate_audit_checks_what_the_rows_settle():
+    problem = small_sgep(331)
+    x0 = sgep_default_init(12, 3)
+    stopped = run_pgsa_ls(problem, x0, LineSearchConfig(N=0))
+    capped = run_pgsa_ls(problem, x0, LineSearchConfig(N=0, max_iter=5))
+    assert stopped.certificate.converged_reason == "step_tol" and stopped.iterations > 5
+    assert capped.certificate.converged_reason == "max_iter" and capped.iterations == 5
+
+    def certificate_audit(trace, params=None, **cert):
+        edited = dataclasses.replace(
+            trace,
+            certificate=dataclasses.replace(trace.certificate, **cert),
+            params={**trace.params, **(params or {})},
+        )
+        report = AuditReport(mode="pgsa_ml")
+        _audit_certificate(report, edited)
+        assert all(v.iteration == edited.certificate.iterations for v in report.violations)
+        return report.checks_run, [v.detail for v in report.violations]
+
+    # A clean run passes its three or four checks; then its stop reason is edited.
+    assert certificate_audit(stopped) == (3, [])
+    assert certificate_audit(capped) == (4, [])
+    k = stopped.iterations
+    assert certificate_audit(stopped, converged_reason="max_iter") == (
+        4,
+        [f"max_iter stop after {k} steps", "max_iter stop with the last step within step_tol"],
+    )
+    assert certificate_audit(capped, converged_reason="step_tol") == (
+        3,
+        ["step_tol stop with the last step above step_tol"],
+    )
+    assert certificate_audit(capped, {"relative_tol": True}, converged_reason="step_tol") == (2, [])
+    assert certificate_audit(stopped, converged_reason="domain_error") == (2, [])
+    # A header without max_iter or step_tol keeps only the objective check.
+    assert certificate_audit(capped, {"max_iter": None, "step_tol": None}) == (1, [])
+    assert certificate_audit(stopped, iterations=10**6) == (3, [f"{10**6} steps exceed max_iter"])
+    last = repr(float(stopped.objective[-1]))
+    assert certificate_audit(stopped, objective=123.0) == (
+        3,
+        [f"certificate objective 123.0 is not the last row's {last}"],
+    )
 
 
 def test_rate_fit_recovers_exact_geometric_decay():
@@ -295,6 +339,36 @@ def _scalar_audit(trace, problem, rel_tol=1e-10):
             if abs(recomputed - step_norm[k]) > slack(step_norm[k]):
                 detail = "recorded step norm disagrees with iterates"
                 add(k, "step_mismatch", abs(recomputed - step_norm[k]), detail)
+    cert, last = trace.certificate, float(objective[-1])
+    count, reason = cert.iterations, cert.converged_reason
+    checks += 1
+    if cert.objective != last:
+        detail = f"certificate objective {cert.objective!r} is not the last row's {last!r}"
+        add(count, "certificate", abs(cert.objective - last), detail)
+    if params.get("max_iter") is not None:
+        max_iter = params["max_iter"]
+        checks += 1
+        if count > max_iter:
+            add(count, "certificate", count - max_iter, f"{count} steps exceed max_iter")
+        if reason == "max_iter":
+            checks += 1
+            if count != max_iter:
+                detail = f"max_iter stop after {count} steps"
+                add(count, "certificate", abs(max_iter - count), detail)
+    if params.get("step_tol") is not None and params.get("relative_tol") is False:
+        step_tol = params["step_tol"]
+        if reason == "step_tol":
+            checks += 1
+            detail = "step_tol stop with the last step above step_tol"
+            if iterations == 0:
+                add(count, "certificate", math.inf, detail)
+            elif step_norm[-1] > step_tol:
+                add(count, "certificate", step_norm[-1] - step_tol, detail)
+        if reason == "max_iter" and iterations > 0:
+            checks += 1
+            if step_norm[-1] <= step_tol:
+                detail = "max_iter stop with the last step within step_tol"
+                add(count, "certificate", step_tol - step_norm[-1], detail)
     return checks, found
 
 
@@ -318,8 +392,17 @@ def _corrupt(trace, rng):
             backtracks[rng.integers(steps)] += rng.integers(1, 80)
     if iterates is not None and rng.random() < 0.5:
         iterates[rng.integers(iterates.shape[0])] *= 1.0 + 1e-6
+    certificate = trace.certificate
+    if rng.random() < 0.25:
+        reason = rng.choice(["step_tol", "max_iter", "domain_error"])
+        certificate = dataclasses.replace(certificate, converged_reason=str(reason))
     return dataclasses.replace(
-        trace, objective=objective, alpha=alpha, iterates=iterates, backtracks=backtracks
+        trace,
+        objective=objective,
+        alpha=alpha,
+        iterates=iterates,
+        backtracks=backtracks,
+        certificate=certificate,
     )
 
 

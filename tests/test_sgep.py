@@ -127,6 +127,13 @@ def test_projection_matches_stable_sort_rule_bitwise():
             continue
         for r in range(1, n + 1):
             assert project_sparse_sphere(x, r).tobytes() == stable_sort_projection(x, r).tobytes()
+        # NaN sorts after every magnitude and is never kept while r numbers remain.
+        x[rng.integers(n, size=int(rng.integers(1, 3)))] = np.nan
+        numbers = int(np.count_nonzero(~np.isnan(x)))
+        if not np.nan_to_num(x).any():
+            continue
+        for r in range(1, numbers + 1):
+            assert project_sparse_sphere(x, r).tobytes() == stable_sort_projection(x, r).tobytes()
     x = rng.standard_normal(1000)
     assert project_sparse_sphere(x, 50).tobytes() == stable_sort_projection(x, 50).tobytes()
 
@@ -547,6 +554,9 @@ def test_sgep_objective_scale_invariance():
 
 def uncached_callback(problem: SgepProblem, name: str, x: np.ndarray):
     """The support formulas as written before the support cache: every call gathers."""
+    if name == "eval_f":
+        unit = abs(np.linalg.norm(x) - 1.0) <= sgep_module.UNIT_NORM_TOL
+        return 0.0 if np.count_nonzero(x) <= problem.sparsity and unit else math.inf
     support = np.flatnonzero(x)
     m = problem.matrix_a if name in ("eval_g", "subgrad_g") else problem.matrix_b
     if name.startswith("eval"):
@@ -565,6 +575,13 @@ def test_support_cache_matches_uncached_formulas_bitwise():
         )
         for _ in range(2)
     ]
+    names = ["eval_f", "eval_h", "eval_g", "grad_h", "subgrad_g"]
+
+    def check(problem, x, step, order=names):
+        for name in order:
+            got = getattr(problem, name)(x)
+            want = uncached_callback(problem, name, x)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (step, name)
 
     def on_support(support):
         x = np.zeros(n)
@@ -577,14 +594,52 @@ def test_support_cache_matches_uncached_formulas_bitwise():
     walk += [on_support(s) for s in (first, second) * 3]  # two supports alternating
     walk += [project_sparse_sphere(rng.standard_normal(n), 3), rng.standard_normal(n)]
     walk += [on_support(first)]
-    names = ["eval_h", "eval_g", "grad_h", "subgrad_g"]
     for step, x in enumerate(walk):
         for problem in problems:  # two problems used in turn
-            order = names[step % 4 :] + names[: step % 4]
-            for name in order:
-                got = getattr(problem, name)(x)
-                want = uncached_callback(problem, name, x)
-                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (step, name)
+            check(problem, x, step, names[step % 5 :] + names[: step % 5])
+
+    # prox_f hands its point's support to the callbacks; fewer than r nonzeros
+    # in z leave zeros in the kept set, which are not in the support.
+    sparse_z = np.zeros(n)
+    sparse_z[first[:3]] = rng.standard_normal(3)
+    tied_z = np.zeros(n)  # the cut falls inside a tie that starts below a larger entry
+    tied_z[[50, 2, 5, 7, 9, 11, 13, 15, 17, 19]] = [3.0, 1, -1, 1, -1, 1, 1, -1, 1, 1]
+    for step, z in enumerate([rng.standard_normal(n), tied_z, sparse_z]):
+        for problem in problems:
+            y = problem.prox_f(0.5, z)
+            assert y.tobytes() == project_sparse_sphere(z, r).tobytes()
+            assert problem._point[1].tobytes() == np.flatnonzero(y).tobytes()
+            check(problem, y, ("prox", step))
+            # The same array edited in place between two callbacks is a new point.
+            y[np.flatnonzero(y == 0.0)[0]] = 0.25
+            check(problem, y, ("edited", step))
+            y[first] = 0.0
+            check(problem, y, ("cleared", step))
+
+    # With no finite nonzero to keep, 0 / 0 fills the projection with NaN.
+    nan_z = np.zeros(n)
+    nan_z[5] = np.nan
+    with np.errstate(invalid="ignore"):
+        y = problems[0].prox_f(1.0, nan_z)
+        check(problems[0], y, "nan")
+
+    # Copies keep a warm memo, and it still answers only for its own point.
+    problem = problems[0]
+    x = problem.prox_f(1.0, rng.standard_normal(n))
+    problem.grad_h(x)
+    for kept in (copy.deepcopy(problem), pickle.loads(pickle.dumps(problem))):
+        check(kept, x, "copy")
+        check(kept, on_support(second), "copy, new point")
+        check(kept, x, "copy, back")
+
+    # The blocks of every support seen are kept up to the size of A, then dropped.
+    a, b = wishart(rng, 12, 6) + 0.1 * np.eye(6), wishart(rng, 12, 6) + 0.5 * np.eye(6)
+    small = SgepProblem(matrix_a=a, matrix_b=b, sparsity=3)
+    for step, support in enumerate(list(itertools.combinations(range(6), 3)) * 2):
+        x = np.zeros(6)
+        x[list(support)] = rng.standard_normal(3)
+        check(small, x, ("small", step))
+        assert len(small._blocks) <= 4  # 4 blocks of 3 x 3 fill one 6 x 6 matrix
 
 
 def test_stored_matrices_are_read_only_private_copies():
