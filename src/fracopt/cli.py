@@ -38,6 +38,7 @@ from .experiments import (
     SOLVERS,
     ExperimentConfig,
     _instance,
+    _pin_blas_to_one_thread,
     _solve_trial,
     _start,
     config_from_dict,
@@ -189,6 +190,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         write_traces=bool(args.trace),
         **cfg_fields,
     )
+    _pin_blas_to_one_thread()
     problem = _build_problem(args)
     x0 = load_vector_csv(args.x0) if args.x0 else _start(problem)
     result = _solve_trial(exp_cfg, 0, args.solver, (problem, x0, None))
@@ -265,6 +267,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     trace, _ = load_trace_csv(args.trace)
+    _pin_blas_to_one_thread()
     problem = _build_problem(args) if args.problem else None
     try:
         report = audit_trace(trace, problem)

@@ -21,7 +21,7 @@ from typing import Any, Callable, Iterable
 import numpy as np
 
 from .exceptions import InvalidConfigError, ParseError
-from .pgsa import LineSearchConfig, PgsaConfig, SolverTrace
+from .pgsa import LineSearchConfig, PgsaConfig, SolverTrace, _resolve
 from .problem import Certificate
 
 RESULT_COLUMNS = [
@@ -38,15 +38,15 @@ RESULT_COLUMNS = [
 TRACE_COLUMNS = ["k", "objective", "alpha", "step_norm", "err_to_final", "g_value", "backtracks"]
 
 
-def _parse_rows(path: str | Path) -> list[list[float]]:
-    rows: list[list[float]] = []
+def _parse_rows(path: str | Path) -> dict[int, list[float]]:
+    rows: dict[int, list[float]] = {}
     with open(path, "r", newline="") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rows.append([float(cell) for cell in line.split(",")])
+                rows[lineno] = [float(cell) for cell in line.split(",")]
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from None
     if not rows:
@@ -57,18 +57,16 @@ def _parse_rows(path: str | Path) -> list[list[float]]:
 def load_matrix_csv(path: str | Path) -> np.ndarray:
     """Load a dense matrix."""
     rows = _parse_rows(path)
-    width = len(rows[0])
-    for i, row in enumerate(rows, start=1):
+    width = len(next(iter(rows.values())))
+    for lineno, row in rows.items():
         if len(row) != width:
-            raise ParseError(
-                f"{path}: line {i}: expected {width} values, found {len(row)}"
-            )
-    return np.asarray(rows, dtype=float)
+            raise ParseError(f"{path}: line {lineno}: expected {width} values, found {len(row)}")
+    return np.asarray(list(rows.values()), dtype=float)
 
 
 def load_vector_csv(path: str | Path) -> np.ndarray:
     """Load a vector stored either one value per line or as a single row."""
-    rows = _parse_rows(path)
+    rows = list(_parse_rows(path).values())
     if all(len(row) == 1 for row in rows):
         return np.asarray([row[0] for row in rows], dtype=float)
     if len(rows) == 1:
@@ -147,9 +145,9 @@ def load_trace_csv(path: str | Path) -> tuple[SolverTrace, np.ndarray | None]:
     empty).  The first line gives back ``params`` and the certificate, so
     ``audit_trace``, ``fit_linear_rate`` and ``write_trace_csv`` need nothing
     else; there are no iterates.  A file without that line is a ParseError naming line 1,
-    as is a line holding NaN, +-Infinity or a number that overflows to one, a step
-    rule parameter that the run's own PgsaConfig or LineSearchConfig rejects, or a
-    line-search mode other than the one run_pgsa_ls writes for N (pgsa_ml iff N = 0).
+    as is a line holding NaN, +-Infinity or a number that overflows to one, or
+    ``params`` other than what ``pgsa._resolve`` makes of the PgsaConfig (mode "pgsa")
+    or LineSearchConfig they hold and their own L, convexity and M; it names the keys.
 
     The rows must line up with the certificate, or the file is a ParseError
     naming the offending line: there are ``iterations + 1`` of them, with k
@@ -166,13 +164,16 @@ def load_trace_csv(path: str | Path) -> tuple[SolverTrace, np.ndarray | None]:
                 raise ValueError("expected a '# {json}' line with params and certificate")
             meta = json.loads(line[2:], parse_constant=_finite_float, parse_float=_finite_float)
             params, cert = dict(meta["params"]), Certificate(**meta["certificate"])
-            line_search = params.get("mode") in ("pgsa_ml", "pgsa_nl")
+            line_search = params["mode"] != "pgsa"
             config = LineSearchConfig if line_search else PgsaConfig
-            fields = {field.name for field in dataclasses.fields(config)}
-            config(**{key: value for key, value in params.items() if key in fields})
-            mode = "pgsa_ml" if params.get("N") == 0 else "pgsa_nl"  # as run_pgsa_ls names it
-            if line_search and params["mode"] != mode:
-                raise ValueError(f"mode {params['mode']!r} contradicts N = {params.get('N')!r}")
+            fields = (f.name for f in dataclasses.fields(config) if f.name != "record_trace")
+            cfg = config(**{name: params[name] for name in fields})
+            constants = params["lipschitz"], params["f_is_convex"], params["g_sup_bound"]
+            resolved = _resolve(cfg, *constants, 0)  # n = 0 only fills an unset max_iter
+            wrong = {key for key in params.keys() & resolved.keys() if params[key] != resolved[key]}
+            wrong = sorted(wrong | (params.keys() ^ resolved.keys()))
+            if wrong:
+                raise ValueError(f"params {', '.join(wrong)}: not what a solver writes for them")
         except (ValueError, KeyError, TypeError, InvalidConfigError) as exc:
             raise ParseError(f"{path}: line 1: {exc}") from None
         reader = csv.reader(handle)

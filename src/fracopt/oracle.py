@@ -215,20 +215,18 @@ def audit_trace(
 def _audit_certificate(report: AuditReport, trace: SolverTrace) -> None:
     """Check the certificate against the rows, as the solver decided it.
 
-    A relative stop needs ||x_K||, which the rows do not hold, and a
-    "domain_error" stop never records the point that left dom(F), so neither
-    is checked; a header without max_iter or step_tol skips their checks.
+    A relative stop needs ||x_K||, which the rows do not hold, and a "domain_error"
+    stop never records the point that left dom(F), so neither is checked.
     """
     cert, params, steps = trace.certificate, trace.params, trace.step_norm
     count, reason, last = cert.iterations, cert.converged_reason, float(trace.objective[-1])
-    cap, tol = params.get("max_iter"), params.get("step_tol")
+    cap, tol = params["max_iter"], params["step_tol"]
     detail = f"certificate objective {cert.objective!r} is not the last row's {last!r}"
     claims = [(cert.objective != last, abs(cert.objective - last), detail)]
-    if cap is not None:
-        claims.append((count > cap, count - cap, f"{count} steps exceed max_iter"))
-        if reason == "max_iter":
-            claims.append((count != cap, abs(cap - count), f"max_iter stop after {count} steps"))
-    if tol is not None and not params.get("relative_tol", True):
+    claims.append((count > cap, count - cap, f"{count} steps exceed max_iter"))
+    if reason == "max_iter":
+        claims.append((count != cap, abs(cap - count), f"max_iter stop after {count} steps"))
+    if not params["relative_tol"]:
         gap = float(steps[-1]) - tol if len(steps) else math.inf
         if reason == "step_tol":
             claims.append((not gap <= 0.0, gap, "step_tol stop with the last step above step_tol"))

@@ -63,11 +63,11 @@ ACCEPT_REL_SLACK = 1e-12
 class PgsaConfig:
     """Configuration for run_pgsa.
 
-    ``alpha`` > 0 is the constant step size; None picks 0.99/L, or 1.99/L
-    when f is convex.  ``max_iter`` >= 0 defaults to 2n, or 10n when
-    ``relative_tol`` is set; ``step_tol`` >= 0 defaults to 1e-6 absolute, or
-    1e-8 relative to the iterate norm.  Construction checks these signs and
-    that each set value is finite.
+    ``alpha`` > 0 is the constant step size, ``max_iter`` >= 0 the iteration
+    cap and ``step_tol`` >= 0 the stop tolerance on the step norm, relative
+    to the iterate norm when ``relative_tol`` is set.  Construction checks
+    these signs and that each set value is finite; ``_resolve`` fills the
+    unset ones and checks alpha against L.
     """
 
     alpha: float | None = None
@@ -97,10 +97,10 @@ class LineSearchConfig:
 
     ``a`` > 0 is the quadratic decrease coefficient, ``eta`` in (0, 1) the
     backtracking factor and ``N`` >= 0 the nonmonotone memory (0 = monotone);
-    ``max_iter`` and ``step_tol`` default and are checked as in PgsaConfig.
-    run_pgsa_ls clamps trial steps into [alpha_lower, alpha_upper], whose lower
-    end and the first seed ``alpha0`` default to 0.99/L (1.99/L for convex f);
-    ``a`` and the step ends must be finite.
+    ``max_iter`` and ``step_tol`` are checked as in PgsaConfig.  run_pgsa_ls
+    clamps trial steps into [alpha_lower, alpha_upper] and seeds the first at
+    ``alpha0``; ``a`` and the step ends must be finite.  ``_resolve`` fills
+    the unset fields.
     """
 
     a: float = 1e-3
@@ -122,7 +122,7 @@ class LineSearchConfig:
             raise InvalidConfigError("backtracking factor eta must lie in (0, 1)")
         if self.N < 0:
             raise InvalidConfigError("window memory N must be nonnegative")
-        # The ends that are set; run_pgsa_ls checks again once 0.99/L fills the rest.
+        # The ends that are set; _resolve checks again once it fills the rest.
         _check_step_interval(self.alpha_lower, self.alpha_upper, self.alpha0)
 
 
@@ -145,11 +145,9 @@ class SolverTrace:
     evaluation).  ``iterates`` is only populated when the run was configured
     with record_trace; ``run_experiment`` returns them as a read-only memory
     map.  ``err_to_final``, ||x_k - x_K|| per iterate, is filled once from them
-    or read from a trace file, so a reloaded trace keeps it.  ``params`` holds the
-    resolved step rule ("mode", the step bounds and, for the line search, "a",
-    "eta" and "N") and stop rule ("max_iter", "step_tol", "relative_tol") with
-    the problem's "lipschitz", "f_is_convex" and "g_sup_bound"; the trace file
-    carries it, so an audit reads every parameter from here and never guesses one.
+    or read from a trace file, so a reloaded trace keeps it.  ``params`` is what
+    ``_resolve`` made of the run's config and problem; the trace file carries it,
+    so an audit reads every parameter from here and never guesses one.
     """
 
     objective: np.ndarray
@@ -210,16 +208,40 @@ def _decrease_excess(value, reference, rel_slack=0.0, coef=0.0, step=0.0):
     return lhs - reference if over else 0.0
 
 
-def _default_step(problem: FractionalProblem) -> float:
-    """0.99/L, or 1.99/L when f is convex: just inside the admissible range."""
-    return ((2.0 if problem.f_is_convex else 1.0) - 0.01) / problem.lipschitz_grad_h
+def _resolve(
+    cfg: Any, lipschitz: float, f_is_convex: bool, g_sup_bound: float | None, n: int
+) -> dict[str, Any]:
+    """The ``params`` a run of ``cfg`` records on an n-dim problem with these L, f and M.
 
-
-def _stop_metric(step: float, x_new: np.ndarray, relative: bool) -> float:
-    if not relative:
-        return step
-    norm = _norm(x_new)
-    return step / norm if norm > 0 else math.inf
+    Unset steps are 0.99/L (1.99/L for convex f), an unset max_iter 2n (10n
+    with relative_tol) and an unset step_tol 1e-6 (1e-8 relative to ||x||).
+    InvalidConfigError refuses L <= 0, M < 0, a fixed step at or above 1/L
+    (2/L for convex f) and a line-search step interval out of order.
+    """
+    if not lipschitz > 0.0:
+        raise InvalidConfigError(f"lipschitz must be positive, got {lipschitz}")
+    if g_sup_bound is not None and not g_sup_bound >= 0.0:
+        raise InvalidConfigError(f"g_sup_bound must be nonnegative, got {g_sup_bound}")
+    default = ((2.0 if f_is_convex else 1.0) - 0.01) / lipschitz
+    if isinstance(cfg, PgsaConfig):
+        lo = hi = default if cfg.alpha is None else float(cfg.alpha)
+        params = {"mode": "pgsa", "alpha": lo}
+    else:
+        lo = default if cfg.alpha_lower is None else cfg.alpha_lower
+        hi, seed = float(cfg.alpha_upper), (lo if cfg.alpha0 is None else cfg.alpha0)
+        _check_step_interval(lo, hi, seed)
+        mode = "pgsa_ml" if cfg.N == 0 else "pgsa_nl"
+        params = {"mode": mode, "a": cfg.a, "eta": cfg.eta, "N": cfg.N, "alpha0": seed}
+    cap = (2.0 if f_is_convex else 1.0) / lipschitz
+    if params["mode"] == "pgsa" and not lo < cap:
+        kind = "2/L (convex f)" if f_is_convex else "1/L"
+        raise InvalidConfigError(f"alpha = {lo:.6e} must stay strictly below {kind} = {cap:.6e}")
+    relative = bool(cfg.relative_tol)
+    params.update(alpha_lower=lo, alpha_upper=hi, relative_tol=relative, lipschitz=lipschitz)
+    params.update(f_is_convex=bool(f_is_convex), g_sup_bound=g_sup_bound)
+    params["max_iter"] = (10 * n if relative else 2 * n) if cfg.max_iter is None else cfg.max_iter
+    params["step_tol"] = (1e-8 if relative else 1e-6) if cfg.step_tol is None else cfg.step_tol
+    return params
 
 
 def _trial_point(
@@ -239,30 +261,26 @@ def _trial_point(
 def _solve(
     problem: FractionalProblem,
     x0: np.ndarray,
-    cfg: Any,
+    record_trace: bool,
     step_rule: Callable[..., tuple],
     params: dict[str, Any],
 ) -> SolverTrace:
-    """The iteration loop of every solver.
+    """The iteration loop of every solver; the trace keeps ``params``, whose stop rule it ran.
 
-    ``cfg`` is a PgsaConfig or LineSearchConfig, of which only the stopping
-    and trace fields are read here.  ``step_rule(x, F(x), grad_h(x),
-    direction)`` returns x_new, F(x_new), ||x_new - x||, the step size and
-    the number of backtracks; ``params`` describes the rule for the trace.
-    The stop reasons are those run_pgsa documents.
+    ``step_rule(x, F(x), grad_h(x), direction)`` returns x_new, F(x_new), ||x_new - x||,
+    the step size and the number of backtracks.  run_pgsa documents the stop reasons.
     """
     x = np.asarray(x0, dtype=float).copy()
     ext = _feasible_objective(problem, x, "x0")
     n = x.shape[0]
-    max_iter = cfg.max_iter if cfg.max_iter is not None else (10 * n if cfg.relative_tol else 2 * n)
-    step_tol = cfg.step_tol if cfg.step_tol is not None else (1e-8 if cfg.relative_tol else 1e-6)
+    max_iter, step_tol, relative = params["max_iter"], params["step_tol"], params["relative_tol"]
 
     objective = [ext.value]
     g_value = [ext.denominator]
     alphas: list[float] = []
     steps: list[float] = []
     backtracks: list[int] = []
-    iterates = np.array([x]) if cfg.record_trace else None
+    iterates = np.array([x]) if record_trace else None
     reason = "max_iter"
 
     for _ in range(max_iter):
@@ -283,7 +301,8 @@ def _solve(
                 iterates.resize((len(alphas) * 5 // 4 + 64, n), refcheck=False)
             iterates[len(alphas)] = x_new
         x, ext = x_new, new_ext
-        if _stop_metric(step, x_new, cfg.relative_tol) <= step_tol:
+        scale = _norm(x_new) if relative else 1.0  # a relative stop divides by ||x_new||
+        if (step / scale if scale > 0 else math.inf) <= step_tol:
             reason = "step_tol"
             break
 
@@ -302,15 +321,7 @@ def _solve(
         step_norm=np.asarray(steps),
         final_x=x,
         certificate=cert,
-        params={
-            **params,
-            "max_iter": max_iter,
-            "step_tol": step_tol,
-            "relative_tol": cfg.relative_tol,
-            "lipschitz": problem.lipschitz_grad_h,
-            "f_is_convex": problem.f_is_convex,
-            "g_sup_bound": problem.g_sup_bound,
-        },
+        params=params,
         backtracks=np.asarray(backtracks, dtype=int) if params["mode"] != "pgsa" else None,
         iterates=iterates,
     )
@@ -330,7 +341,7 @@ def run_pgsa(
     x0 : array
         Starting point.
     config : PgsaConfig, optional
-        Unset fields are filled with the defaults described on PgsaConfig.
+        Unset fields take the defaults that ``_resolve`` describes.
 
     Returns
     -------
@@ -342,19 +353,16 @@ def run_pgsa(
         specified problems but corrupted callbacks can produce.
     """
     cfg = config or PgsaConfig()
-    lipschitz, convex = problem.lipschitz_grad_h, problem.f_is_convex
-    alpha = _default_step(problem) if cfg.alpha is None else float(cfg.alpha)
-    cap = (2.0 if convex else 1.0) / lipschitz
-    if not alpha < cap:
-        kind = "2/L (convex f)" if convex else "1/L"
-        raise InvalidConfigError(f"alpha = {alpha:.6e} must stay strictly below {kind} = {cap:.6e}")
+    params = _resolve(
+        cfg, problem.lipschitz_grad_h, problem.f_is_convex, problem.g_sup_bound, problem.dim
+    )
+    alpha = params["alpha"]
 
     def fixed_step(x, ext, grad, direction):
         # audit_trace's sufficient_decrease check tests the guaranteed decrease.
         return (*_trial_point(problem, x, direction, alpha), alpha, 0)
 
-    params = {"mode": "pgsa", "alpha": alpha, "alpha_lower": alpha, "alpha_upper": alpha}
-    return _solve(problem, x0, cfg, fixed_step, params)
+    return _solve(problem, x0, cfg.record_trace, fixed_step, params)
 
 
 def bb_initial_step(
@@ -422,11 +430,10 @@ def run_pgsa_ls(
     which the acceptance test itself prevents for sound problems.
     """
     cfg = config or LineSearchConfig()
-    lo = cfg.alpha_lower if cfg.alpha_lower is not None else _default_step(problem)
-    hi = float(cfg.alpha_upper)
-    alpha_seed = cfg.alpha0 if cfg.alpha0 is not None else lo
-    _check_step_interval(lo, hi, alpha_seed)
-    seed, last = alpha_seed, None
+    params = _resolve(
+        cfg, problem.lipschitz_grad_h, problem.f_is_convex, problem.g_sup_bound, problem.dim
+    )
+    lo, hi, seed, last = params["alpha_lower"], params["alpha_upper"], params["alpha0"], None
     window: deque[float] = deque(maxlen=cfg.N + 1)
 
     def backtracking_step(x, ext, grad, direction):
@@ -439,13 +446,4 @@ def run_pgsa_ls(
         window.append(ext.value)
         return _backtrack(problem, x, direction, max(window), seed, cfg)
 
-    params = {
-        "mode": "pgsa_ml" if cfg.N == 0 else "pgsa_nl",
-        "a": cfg.a,
-        "eta": cfg.eta,
-        "N": cfg.N,
-        "alpha_lower": lo,
-        "alpha_upper": hi,
-        "alpha0": alpha_seed,
-    }
-    return _solve(problem, x0, cfg, backtracking_step, params)
+    return _solve(problem, x0, cfg.record_trace, backtracking_step, params)

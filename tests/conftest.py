@@ -10,7 +10,9 @@ one pass/fail line per acceptance criterion.
 from __future__ import annotations
 
 import collections
+import ctypes
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +45,40 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in CRITERION_LINES:
             terminalreporter.write_line(line)
+
+
+def _blas_thread_count():
+    """numpy's bundled OpenBLAS thread-count getter and setter, or None when not found."""
+    symbols = [
+        ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+        ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ]
+    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
+        handle = ctypes.CDLL(str(lib))
+        for get, set_ in symbols:
+            if hasattr(handle, get) and hasattr(handle, set_):
+                getter, setter = getattr(handle, get), getattr(handle, set_)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return getter, setter
+    return None
+
+
+_BLAS_THREADS = _blas_thread_count()
+
+
+@pytest.fixture(autouse=True)
+def _restore_blas_threads():
+    """Give back the BLAS thread count each test started with.
+
+    ``fracopt solve`` and ``verify`` pin BLAS to one thread for the rest of
+    their process, and the CLI tests run them in this one, so without this a
+    test's last bits would depend on which CLI tests ran before it.
+    """
+    threads = None if _BLAS_THREADS is None else _BLAS_THREADS[0]()
+    yield
+    if threads is not None:
+        _BLAS_THREADS[1](threads)
 
 
 def _counted(name):

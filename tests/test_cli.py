@@ -6,6 +6,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import _BLAS_THREADS
 
 from fracopt import ExperimentConfig, cli, exceptions, fit_linear_rate
 from fracopt.cli import main
@@ -42,6 +43,21 @@ def test_solve_small_eigenproblem(sgep_files, capsys):
     assert payload["criticality_residual"] <= 1e-10
     assert payload["iterations"] >= 1
     assert "wall_time_s" in payload
+
+
+def test_solve_and_verify_run_on_one_blas_thread(sgep_files, tmp_path):
+    # As in the bench workers: then L = eigvalsh(B)[-1], and with it a trace,
+    # does not depend on the machine's core count.
+    if _BLAS_THREADS is None:
+        pytest.skip("numpy's bundled OpenBLAS was not found")
+    get_threads, set_threads = _BLAS_THREADS
+    a_path, b_path = sgep_files
+    trace_path = tmp_path / "trace.csv"
+    files = ("--matrix-a", a_path, "--matrix-b", b_path, "-r", "1")
+    for argv in (("solve", "sgep", *files, "--trace", trace_path), ("verify", "--trace", trace_path)):
+        set_threads(2)
+        assert run_cli(*argv) == 0
+        assert get_threads() == 1
 
 
 def test_solve_then_verify_round_trip(sgep_files, tmp_path, capsys):
@@ -262,7 +278,57 @@ def test_verify_trace_whose_mode_contradicts_its_window_is_io_error(tmp_path, ca
     lines[0] = lines[0].replace('"N": 0', '"N": 4')
     trace_path.write_text("\n".join(lines) + "\n")
     assert run_cli("verify", "--trace", trace_path) == 3
-    assert "line 1: mode 'pgsa_ml' contradicts N = 4" in capsys.readouterr().err
+    assert "line 1: params mode: not what a solver writes for them" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "solver, reason, edit, key",
+    [
+        ("pgsa_ml", "max_iter", {"max_iter": ..., "step_tol": ...}, "max_iter"),
+        ("pgsa_ml", "max_iter", {"max_iter": None, "step_tol": None}, "max_iter, step_tol"),
+        ("pgsa_ml", None, {"relative_tol": "no"}, "relative_tol"),
+        ("pgsa_ml", None, {"f_is_convex": "yes"}, "f_is_convex"),
+        ("pgsa_ml", None, {"g_sup_bound": -5.0}, "g_sup_bound"),
+        ("pgsa", None, {"alpha_lower": 1e-9}, "alpha_lower"),
+        ("pgsa", None, {"lipschitz": 0}, "lipschitz"),
+        ("pgsa_ml", None, {"lipschitz": -1.0}, "lipschitz"),
+        ("pgsa_ml", None, {"N": 4}, "mode"),
+    ],
+    ids=[
+        "max_iter-stop-without-its-keys",
+        "max_iter-stop-with-null-keys",
+        "relative_tol-string",
+        "f_is_convex-string",
+        "negative-g_sup_bound",
+        "pgsa-alpha_lower-off-alpha",
+        "zero-lipschitz",
+        "negative-lipschitz",
+        "N-contradicts-mode",
+    ],
+)
+def test_verify_refuses_a_header_no_solver_writes(solver, reason, edit, key, tmp_path, capsys):
+    # The audit alone passes every edited trace (the first with 140 checks,
+    # though its rows stop by step_tol), so only the header check refuses them.
+    data = tmp_path / "gen"
+    run_cli("gen", "sfda", "--out-dir", data, "--n", "20", "--p1", "10", "--p2", "10", "--r", "3")
+    files = ("--matrix-a", data / "A.csv", "--matrix-b", data / "B.csv", "-r", "3")
+    trace_path = tmp_path / "trace.csv"
+    assert run_cli("solve", "sgep", *files, "--solver", solver, "--trace", trace_path) == 0
+    assert run_cli("verify", "--trace", trace_path) == 0
+    first, rest = trace_path.read_text().split("\n", 1)
+    meta = json.loads(first[2:])
+    if reason is not None:
+        meta["certificate"]["converged_reason"] = reason
+    for name, value in edit.items():  # ... drops the key
+        if value is ...:
+            del meta["params"][name]
+        else:
+            meta["params"][name] = value
+    trace_path.write_text("# " + json.dumps(meta) + "\n" + rest)
+    capsys.readouterr()
+    assert run_cli("verify", "--trace", trace_path) == 3
+    err = capsys.readouterr().err
+    assert "line 1: " in err and key in err
 
 
 def test_verify_missing_trace_file_is_io_error(sgep_files, tmp_path, capsys):

@@ -70,6 +70,10 @@ def test_ragged_matrix_reports_the_offending_line(tmp_path):
     with pytest.raises(ParseError) as err:
         load_matrix_csv(path)
     assert "line 2" in str(err.value)
+    # Blank lines are skipped but still counted.
+    path.write_text("\n\n1.0,2.0\n3.0\n")
+    with pytest.raises(ParseError, match="line 4: expected 2 values, found 1"):
+        load_matrix_csv(path)
 
 
 def test_non_numeric_cell_reports_the_offending_line(tmp_path):
@@ -210,33 +214,36 @@ def test_trace_records_the_resolved_max_iter(tmp_path, config, max_iter):
     assert load_trace_csv(path)[0].params["max_iter"] == max_iter
 
 
-def test_trace_without_max_iter_still_loads(tmp_path):
-    problem, trace = _tiny_run("l1l2", "pgsa_ml")
+@pytest.mark.parametrize("edit", ["drop", "null"])
+def test_trace_without_max_iter_is_a_parse_error(tmp_path, edit):
+    # Every solver writes max_iter, and the certificate audit needs it.
+    _, trace = _tiny_run("l1l2", "pgsa_ml")
     path = tmp_path / "trace.csv"
     write_trace_csv(path, trace)
     first, rest = path.read_text().split("\n", 1)
     meta = json.loads(first[2:])
-    del meta["params"]["max_iter"]
+    if edit == "drop":
+        del meta["params"]["max_iter"]
+    else:
+        meta["params"]["max_iter"] = None
     path.write_text("# " + json.dumps(meta) + "\n" + rest)
-    loaded, _ = load_trace_csv(path)
-    assert "max_iter" not in loaded.params
-    assert loaded.certificate == trace.certificate
-    live, reloaded = audit_trace(trace, problem), audit_trace(loaded)
-    # Only the certificate's checks against max_iter are skipped.
-    skipped = 1 + (trace.certificate.converged_reason == "max_iter")
-    assert reloaded.ok and reloaded.checks_run == live.checks_run - skipped
+    with pytest.raises(ParseError, match="line 1: .*max_iter"):
+        load_trace_csv(path)
 
 
-# A params and certificate line that load_trace_csv accepts.
-META_LINE = (
-    '# {"certificate": {"converged_reason": "step_tol", "criticality_residual": null, '
-    '"iterations": 0, "objective": 1.0}, "params": {"mode": "pgsa"}}'
-)
+def _meta_line(tmp_path) -> str:
+    """The params and certificate line of a real run's trace, which load_trace_csv accepts."""
+    path = tmp_path / "real.csv"
+    write_trace_csv(path, _tiny_run("sgep", "pgsa")[1])
+    return path.read_text().split("\n", 1)[0]
 
 
 def test_trace_params_line_is_validated(tmp_path):
     header = ",".join(TRACE_COLUMNS)
-    for first in (header, "# {not json", '# {"params": {}}', META_LINE.replace("step_tol", "x")):
+    meta_line = _meta_line(tmp_path)
+    unknown_reason = meta_line.replace('"converged_reason": "step_tol"', '"converged_reason": "x"')
+    assert unknown_reason != meta_line
+    for first in (header, "# {not json", '# {"params": {}}', unknown_reason):
         path = tmp_path / "trace.csv"
         path.write_text(f"{first}\n{header}\n0,1.0,,,,1.0,\n")
         with pytest.raises(ParseError) as err:
@@ -267,21 +274,21 @@ def test_trace_params_the_run_config_rejects_are_a_parse_error(tmp_path, solver,
 
 def test_trace_header_is_validated(tmp_path):
     path = tmp_path / "trace.csv"
-    path.write_text(f"{META_LINE}\nsomething,else\n0,1.0\n")
+    path.write_text(f"{_meta_line(tmp_path)}\nsomething,else\n0,1.0\n")
     with pytest.raises(ParseError) as err:
         load_trace_csv(path)
     assert "line 2" in str(err.value)
 
 
 def test_trace_rows_are_validated(tmp_path):
-    path = tmp_path / "trace.csv"
+    path, meta_line = tmp_path / "trace.csv", _meta_line(tmp_path)
     header = ",".join(TRACE_COLUMNS)
-    path.write_text(f"{META_LINE}\n{header}\n0,1.0,0.5\n")
+    path.write_text(f"{meta_line}\n{header}\n0,1.0,0.5\n")
     with pytest.raises(ParseError) as err:
         load_trace_csv(path)
     assert "line 3" in str(err.value)
     only_header = tmp_path / "empty_trace.csv"
-    only_header.write_text(f"{META_LINE}\n{header}\n")
+    only_header.write_text(f"{meta_line}\n{header}\n")
     with pytest.raises(ParseError):
         load_trace_csv(only_header)
 

@@ -177,8 +177,6 @@ def test_certificate_audit_checks_what_the_rows_settle():
     )
     assert certificate_audit(capped, {"relative_tol": True}, converged_reason="step_tol") == (2, [])
     assert certificate_audit(stopped, converged_reason="domain_error") == (2, [])
-    # A header without max_iter or step_tol keeps only the objective check.
-    assert certificate_audit(capped, {"max_iter": None, "step_tol": None}) == (1, [])
     assert certificate_audit(stopped, iterations=10**6) == (3, [f"{10**6} steps exceed max_iter"])
     last = repr(float(stopped.objective[-1]))
     assert certificate_audit(stopped, objective=123.0) == (
@@ -345,18 +343,16 @@ def _scalar_audit(trace, problem, rel_tol=1e-10):
     if cert.objective != last:
         detail = f"certificate objective {cert.objective!r} is not the last row's {last!r}"
         add(count, "certificate", abs(cert.objective - last), detail)
-    if params.get("max_iter") is not None:
-        max_iter = params["max_iter"]
+    max_iter, step_tol = params["max_iter"], params["step_tol"]
+    checks += 1
+    if count > max_iter:
+        add(count, "certificate", count - max_iter, f"{count} steps exceed max_iter")
+    if reason == "max_iter":
         checks += 1
-        if count > max_iter:
-            add(count, "certificate", count - max_iter, f"{count} steps exceed max_iter")
-        if reason == "max_iter":
-            checks += 1
-            if count != max_iter:
-                detail = f"max_iter stop after {count} steps"
-                add(count, "certificate", abs(max_iter - count), detail)
-    if params.get("step_tol") is not None and params.get("relative_tol") is False:
-        step_tol = params["step_tol"]
+        if count != max_iter:
+            detail = f"max_iter stop after {count} steps"
+            add(count, "certificate", abs(max_iter - count), detail)
+    if not params["relative_tol"]:
         if reason == "step_tol":
             checks += 1
             detail = "step_tol stop with the last step above step_tol"

@@ -33,6 +33,7 @@ from fracopt.exceptions import (
     LineSearchError,
     NumericsError,
 )
+from fracopt.pgsa import _resolve
 from fracopt.rand import philox_generator
 
 
@@ -283,6 +284,32 @@ def test_problem_without_a_criticality_residual_certifies_none(solve, config):
     assert trace.certificate.criticality_residual is None
     assert trace.certificate.converged_reason == "step_tol"
     assert trace.certificate.objective <= 1e-10
+
+
+@pytest.mark.parametrize("relative", [False, True])
+@pytest.mark.parametrize("solver", ["pgsa", "pgsa_ml", "pgsa_nl"])
+@pytest.mark.parametrize("family", ["sgep", "l1l2", "no_bound"])
+def test_resolve_gives_the_params_every_run_records(family, solver, relative):
+    # One resolver writes the params of every trace, so it gives them back
+    # from the config and the problem's L, convexity, M (None here for
+    # no_bound) and dimension alone.
+    if family == "sgep":
+        problem, x0 = diag_pair_problem(), np.array([1.0, 1.0]) / math.sqrt(2.0)
+    elif family == "l1l2":
+        problem, x0 = one_d_penalty(), np.array([0.5])
+    else:
+        problem, x0 = _NoResidual(), np.zeros(2)
+    if solver == "pgsa":
+        solve, cfg = run_pgsa, PgsaConfig(relative_tol=relative)
+    else:
+        window = 0 if solver == "pgsa_ml" else 4
+        solve, cfg = run_pgsa_ls, LineSearchConfig(N=window, relative_tol=relative)
+    trace = solve(problem, x0, cfg)
+    constants = problem.lipschitz_grad_h, problem.f_is_convex, problem.g_sup_bound
+    assert _resolve(cfg, *constants, problem.dim) == trace.params
+    assert trace.params["mode"] == solver
+    assert trace.params["g_sup_bound"] == (None if family == "no_bound" else problem.g_sup_bound)
+    assert trace.params["max_iter"] == (10 if relative else 2) * problem.dim
 
 
 @pytest.mark.parametrize("columns", [37, 1024])
