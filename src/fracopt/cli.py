@@ -246,6 +246,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     cfg = ExperimentConfig(experiment=args.experiment, master_seed=args.seed, **sizes)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    _pin_blas_to_one_thread()
     problem, truth = _instance(cfg, philox_generator(cfg.master_seed))
     meta: dict[str, Any] = {"experiment": args.experiment, "seed": args.seed, "n": cfg.dimension}
     if args.experiment == "sfda":

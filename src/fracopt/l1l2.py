@@ -70,7 +70,8 @@ class L1L2PenaltyProblem(FractionalProblem):
     L = ||A||_2^2 comes from the spectrum of the smaller Gram matrix.  A, b
     and the box are stored as read-only private copies, since L, M and the
     box tolerances are computed once from them.  ``eval_h`` keeps A x - b,
-    keyed by the bytes of x, for ``grad_h`` there.
+    keyed by the bytes of x, for ``grad_h`` there.  ``eval_f`` skips the box
+    test at the bytes ``prox_f`` returned last, which lie in the box.
     """
 
     sensing: np.ndarray
@@ -84,6 +85,7 @@ class L1L2PenaltyProblem(FractionalProblem):
     _upper_tol: np.ndarray = field(init=False, repr=False)
     _g_bound: float = field(init=False, repr=False)
     _residual: tuple = field(init=False, repr=False, default=(None, None))
+    _in_box: bytes | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         a = np.array(self.sensing, dtype=float)  # a copy in the given layout: products round alike
@@ -120,7 +122,8 @@ class L1L2PenaltyProblem(FractionalProblem):
         return self.sensing.shape[1]
 
     def eval_f(self, x: np.ndarray) -> float:
-        if (x < self._lower_tol).any() or (x > self._upper_tol).any():
+        lo, hi = self._lower_tol, self._upper_tol
+        if x.tobytes() != self._in_box and ((x < lo).any() or (x > hi).any()):
             return math.inf
         return self.lam * float(np.abs(x).sum())
 
@@ -151,7 +154,9 @@ class L1L2PenaltyProblem(FractionalProblem):
         return x / norm
 
     def prox_f(self, alpha: float, z: np.ndarray) -> np.ndarray:
-        return _shrink_clip(z, alpha * self.lam, self.lower, self.upper)
+        y = _shrink_clip(z, alpha * self.lam, self.lower, self.upper)
+        object.__setattr__(self, "_in_box", y.tobytes())
+        return y
 
     @property
     def lipschitz_grad_h(self) -> float:

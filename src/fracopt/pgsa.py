@@ -58,6 +58,9 @@ MAX_BACKTRACKS = 60
 # below the 1e-10 audit tolerance so slack-accepted steps still audit clean.
 ACCEPT_REL_SLACK = 1e-12
 
+# A traced run reserves up to this many bytes of iterate rows and touches only those it writes.
+ITERATE_RESERVE_BYTES = 2**30
+
 
 @dataclass(frozen=True)
 class PgsaConfig:
@@ -280,7 +283,10 @@ def _solve(
     alphas: list[float] = []
     steps: list[float] = []
     backtracks: list[int] = []
-    iterates = np.array([x]) if record_trace else None
+    iterates = None
+    if record_trace:
+        iterates = np.empty((min(max_iter + 1, 1 + ITERATE_RESERVE_BYTES // max(x.nbytes, 1)), n))
+        iterates[0] = x
     reason = "max_iter"
 
     for _ in range(max_iter):
@@ -297,7 +303,7 @@ def _solve(
         g_value.append(new_ext.denominator)
         if iterates is not None:
             if len(alphas) == iterates.shape[0]:
-                # A quarter more, not double: resize zero-fills, so every new row is resident.
+                # Past the reservation, grow by a quarter: resize zero-fills every new row.
                 iterates.resize((len(alphas) * 5 // 4 + 64, n), refcheck=False)
             iterates[len(alphas)] = x_new
         x, ext = x_new, new_ext

@@ -25,6 +25,7 @@ from .exceptions import DimensionMismatchError, DomainError, NumericsError
 # Denominator values at or below this (scaled by the numerator magnitude) are
 # treated as a vanishing denominator, i.e. the point is outside dom(F).
 DOMAIN_EPS_BASE = 1e-14
+ALIGN_MIN_BYTES = 4096  # stored arrays this large start on a 64-byte (cache line) boundary
 
 
 def _norm(v: np.ndarray) -> float:
@@ -134,11 +135,18 @@ class FractionalProblem(abc.ABC):
         """Set the attributes in ``state``, every array read-only.
 
         Problems store their data through it, so it stays read-only in copies
-        and unpickled problems too, and a frozen dataclass can be set.
+        and unpickled problems too, and a frozen dataclass can be set.  An array
+        of ALIGN_MIN_BYTES or more starts on 64 bytes, in its C or F layout.
         """
-        for value in state.values():
+        for name, value in state.items():
             if isinstance(value, np.ndarray):
-                value.setflags(write=False)
+                if value.nbytes >= ALIGN_MIN_BYTES and value.ctypes.data % 64:
+                    buffer = np.empty(value.nbytes + 64, dtype=np.uint8)
+                    start = -buffer.ctypes.data % 64
+                    order = "F" if value.flags.f_contiguous else "C"
+                    state[name] = np.ndarray(value.shape, value.dtype, buffer, start, order=order)
+                    state[name][...] = value
+                state[name].setflags(write=False)
         self.__dict__.update(state)
 
 

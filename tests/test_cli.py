@@ -45,16 +45,20 @@ def test_solve_small_eigenproblem(sgep_files, capsys):
     assert "wall_time_s" in payload
 
 
-def test_solve_and_verify_run_on_one_blas_thread(sgep_files, tmp_path):
-    # As in the bench workers: then L = eigvalsh(B)[-1], and with it a trace,
-    # does not depend on the machine's core count.
+def test_gen_solve_and_verify_run_on_one_blas_thread(sgep_files, tmp_path):
+    # As in the bench workers: then a drawn B, L = eigvalsh(B)[-1] and with
+    # them a trace do not depend on the machine's core count.
     if _BLAS_THREADS is None:
         pytest.skip("numpy's bundled OpenBLAS was not found")
     get_threads, set_threads = _BLAS_THREADS
     a_path, b_path = sgep_files
     trace_path = tmp_path / "trace.csv"
     files = ("--matrix-a", a_path, "--matrix-b", b_path, "-r", "1")
-    for argv in (("solve", "sgep", *files, "--trace", trace_path), ("verify", "--trace", trace_path)):
+    for argv in (
+        ("gen", "sfda", "--n", "10", "--p1", "5", "--p2", "5", "--r", "2", "--out-dir", tmp_path),
+        ("solve", "sgep", *files, "--trace", trace_path),
+        ("verify", "--trace", trace_path),
+    ):
         set_threads(2)
         assert run_cli(*argv) == 0
         assert get_threads() == 1
@@ -767,7 +771,7 @@ def test_gen_l1l2_solve_trace_then_verify_with_the_problem(solver, checks, tmp_p
         (
             {"objective": 123.0, "converged_reason": "max_iter"},
             [
-                "certificate objective 123.0 is not the last row's 1.2882724721684582",
+                "certificate objective 123.0 is not the last row's 1.288272472168458",
                 "max_iter stop after 18 steps",
                 "max_iter stop with the last step within step_tol",
             ],

@@ -310,6 +310,11 @@ def test_stored_data_are_read_only_private_copies():
             for stored in (kept.sensing, kept.observation, kept.lower, kept.upper):
                 with pytest.raises(ValueError):
                     stored[0] = 1.0
+            # 64-byte aligned, with the given layout and values
+            assert kept.sensing.ctypes.data % 64 == 0
+            assert kept.sensing.flags.f_contiguous == given.flags.f_contiguous
+            assert kept.sensing.flags.c_contiguous == given.flags.c_contiguous
+            assert kept.sensing.tobytes(order="A") == given.tobytes(order="A")
         given *= 3.0
         obs *= 3.0
         after = [problem.eval_h(x), problem.grad_h(x), problem.lipschitz_grad_h]
@@ -433,6 +438,28 @@ def test_callbacks_match_their_numpy_wrapper_forms_bitwise():
             assert _bits(_shrink_clip(x, threshold, problem.lower, problem.upper)) == expected_p
             assert _bits(problem.prox_f(alpha, x)) == expected_p
     assert min(seen.values()) >= 20, seen
+
+
+def test_box_test_is_skipped_only_at_the_bytes_prox_f_returned():
+    # prox_f's output lies in the box, so eval_f may skip the test there; a
+    # copy of it too, but not the output once edited, nor any other point.
+    rng = philox_generator(271)
+    n = 30
+    problem = L1L2PenaltyProblem(
+        sensing=rng.standard_normal((8, n)), observation=rng.standard_normal(8),
+        lam=0.3, lower=-1.0, upper=1.0,
+    )
+    z = 3.0 * rng.standard_normal(n)
+    y = problem.prox_f(0.5, z)
+    fresh = y.copy()
+    assert _bits(problem.eval_f(fresh)) == _bits(problem.lam * float(np.abs(fresh).sum()))
+    assert math.isfinite(problem.eval_f(y))
+    y[0] = 1.5
+    assert problem.eval_f(y) == math.inf
+    problem.prox_f(0.5, z)
+    assert problem.eval_f(np.full(n, -1.5)) == math.inf
+    z[3] = np.nan  # the box test never caught NaN, with or without the memo
+    assert math.isnan(problem.eval_f(problem.prox_f(0.5, z)))
 
 
 class _UnmemoizedPenalty(L1L2PenaltyProblem):

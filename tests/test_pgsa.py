@@ -33,7 +33,9 @@ from fracopt.exceptions import (
     LineSearchError,
     NumericsError,
 )
+from fracopt import pgsa as pgsa_module
 from fracopt.pgsa import _resolve
+from fracopt.problem import _norm
 from fracopt.rand import philox_generator
 
 
@@ -352,6 +354,28 @@ def test_err_to_final_is_computed_once_and_kept_like_recorded_data():
     assert bare.errors_to_final() is given and not given.flags.writeable
     with pytest.raises(InsufficientDataError, match="no iterates and no err_to_final column"):
         dataclasses.replace(bare, err_to_final=None).errors_to_final()
+
+
+def test_traced_run_reserves_its_rows_up_to_a_byte_cap(monkeypatch):
+    # The rows reserved up front are capped in bytes, not by max_iter, and a
+    # run that outgrows them (a one-byte cap reserves one row) keeps every row.
+    rng = philox_generator(281)
+    sensing = gen_dct_matrix(10, 20, 1.0, rng)
+    problem = L1L2PenaltyProblem(
+        sensing=sensing, observation=sensing @ gen_ground_truth(20, 3, rng),
+        lam=1e-3, lower=-1.0, upper=1.0,
+    )
+    x0 = penalty_start_point(problem)
+    cfg = LineSearchConfig(N=0, max_iter=10**12, record_trace=True)
+    reserved = run_pgsa_ls(problem, x0, cfg)
+    iterates, k = reserved.iterates, reserved.iterations
+    assert reserved.certificate.converged_reason == "step_tol" and k >= 20
+    assert iterates.shape == (k + 1, problem.dim)
+    assert iterates[0].tobytes() == x0.tobytes()
+    assert iterates[-1].tobytes() == reserved.final_x.tobytes()
+    assert [_norm(iterates[j + 1] - iterates[j]) for j in range(k)] == list(reserved.step_norm)
+    monkeypatch.setattr(pgsa_module, "ITERATE_RESERVE_BYTES", 1)
+    assert run_pgsa_ls(problem, x0, cfg).iterates.tobytes() == iterates.tobytes()
 
 
 ANCHOR_NAN = "NaN in step anchor (gradient or subgradient callback)"
