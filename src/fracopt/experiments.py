@@ -5,7 +5,8 @@ draws from its own Philox stream keyed by (master_seed, trial_index), trials
 are aggregated in index order whatever the worker count, and the per-run
 records contain no timing fields, so identical inputs give byte-identical
 records.  Every trial runs in a worker process whose BLAS is pinned to one
-thread, so a trial's arithmetic does not depend on how many workers run.
+thread, so a trial's arithmetic does not depend on how many workers run, and
+whose OpenBLAS server thread is stopped, so no idle thread spins beside it.
 With traces on, a worker fills each run's ``err_to_final`` column and saves
 its iterates to a temporary file; the parent gets them back as a read-only
 memory map of that file, so no iterate crosses the result pipe.
@@ -282,21 +283,29 @@ class ExperimentOutcome:
     failures: list[dict[str, Any]]
 
 
+def _openblas() -> tuple[ctypes.CDLL, Any, Any] | None:
+    """numpy's bundled OpenBLAS and its thread-count getter and setter, or None when not found."""
+    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
+        handle = ctypes.CDLL(str(lib))
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
+            getter = getattr(handle, f"{prefix}get_num_threads{suffix}", None)
+            setter = getattr(handle, f"{prefix}set_num_threads{suffix}", None)
+            if getter is not None and setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None  # the getter returns int
+                return handle, getter, setter
+    return None
+
+
 def _pin_blas_to_one_thread() -> None:
-    """Limit numpy's bundled OpenBLAS to one thread; a no-op when it is not found."""
-    libs = Path(np.__file__).parent.parent / "numpy.libs"
-    for lib in libs.glob("*openblas*"):
-        try:
-            handle = ctypes.CDLL(str(lib))
-        except OSError:
-            continue
-        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
-            setter = getattr(handle, symbol, None)
-            if setter is not None:
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                setter(1)
-                return
+    """Limit numpy's bundled OpenBLAS to one thread and stop the server thread that restarts.
+
+    That thread would spin beside the caller for tens of ms; with one thread OpenBLAS starts
+    none again unless the count is raised.  Run only while no other thread is inside BLAS.
+    """
+    if (blas := _openblas()) is not None:
+        handle, _, setter = blas
+        setter(1)
+        getattr(handle, "blas_thread_shutdown_", lambda: 0)()
 
 
 def _handoff_path(handoff: str, result: TrialResult) -> str:

@@ -256,9 +256,10 @@ def _trial_point(
     if math.isnan(anchor.min()):
         raise NumericsError("NaN in step anchor (gradient or subgradient callback)")
     x_new = np.asarray(problem.prox_f(alpha, anchor), dtype=float)
-    if math.isnan(x_new.min()):
+    square = (diff := x_new - x).dot(diff)  # NaN if x_new holds a NaN, but also from inf - inf
+    if math.isnan(square) and math.isnan(np.minimum.reduce(x_new)):
         raise NumericsError("NaN from prox callback")
-    return x_new, eval_objective(problem, x_new), _norm(x_new - x)
+    return x_new, eval_objective(problem, x_new), math.sqrt(square)  # _norm(diff), bit for bit
 
 
 def _solve(

@@ -10,9 +10,7 @@ one pass/fail line per acceptance criterion.
 from __future__ import annotations
 
 import collections
-import ctypes
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +27,7 @@ from fracopt import (
     sgep_brute_force_optimum,
     sgep_default_init,
 )
+from fracopt.experiments import _openblas
 from fracopt.rand import philox_generator
 
 CRITERION_LINES: list[str] = []
@@ -47,24 +46,9 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
-def _blas_thread_count():
-    """numpy's bundled OpenBLAS thread-count getter and setter, or None when not found."""
-    symbols = [
-        ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-        ("openblas_get_num_threads", "openblas_set_num_threads"),
-    ]
-    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
-        handle = ctypes.CDLL(str(lib))
-        for get, set_ in symbols:
-            if hasattr(handle, get) and hasattr(handle, set_):
-                getter, setter = getattr(handle, get), getattr(handle, set_)
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                return getter, setter
-    return None
-
-
-_BLAS_THREADS = _blas_thread_count()
+_OPENBLAS = _openblas()
+# numpy's bundled OpenBLAS thread-count getter and setter, or None when not found.
+_BLAS_THREADS = None if _OPENBLAS is None else _OPENBLAS[1:]
 
 
 @pytest.fixture(autouse=True)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
+import os
 import tempfile
 
 import numpy as np
@@ -213,6 +215,23 @@ def test_thread_count_does_not_change_records():
     two = run_experiment(ExperimentConfig(threads=2, **paper))
     assert len(one.records) == 6
     assert one.records == two.records
+
+
+def _threads_after_a_product():
+    a = np.ones((64, 1024))
+    (a @ a.T).sum()
+    return len(os.listdir("/proc/self/task"))
+
+
+def test_pinned_worker_runs_one_thread():
+    # Setting OpenBLAS's thread count restarts its server thread; the pin must stop it again.
+    if not os.path.isdir("/proc/self/task") or experiments._openblas() is None:
+        pytest.skip("needs /proc/self/task and numpy's bundled OpenBLAS")
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("needs the fork start method")
+    context = multiprocessing.get_context("fork")
+    with context.Pool(1, initializer=experiments._pin_blas_to_one_thread) as pool:
+        assert pool.apply_async(_threads_after_a_product).get(timeout=60) == 1
 
 
 def test_aggregate_without_samples_is_empty():

@@ -408,19 +408,24 @@ def test_nan_from_a_callback_raises_numerics_error(callback, message, solver):
 
 
 def test_prox_that_leaves_dom_f_stops_pgsa_and_fails_the_line_search():
-    # Every prox point lies outside the box, so F is +inf at each candidate.
-    class OutOfBox(L1L2PenaltyProblem):
-        def prox_f(self, alpha, z):
-            return np.full(z.shape, 2.0)
+    # Every prox point lies outside the box, so F is +inf at each candidate.  The second
+    # point holds infinities but no NaN: its step norm is inf, and no NumericsError is raised.
+    for point in ([2.0, 2.0, 2.0], [0.25, np.inf, -np.inf]):
 
-    problem = OutOfBox(sensing=np.eye(3), observation=np.ones(3), lam=0.1, lower=-1.0, upper=1.0)
-    x0 = np.array([0.5, 0.5, 0.5])
-    trace = run_pgsa(problem, x0, PgsaConfig(max_iter=3))
-    assert trace.certificate.converged_reason == "domain_error"
-    assert trace.certificate.iterations == 0
-    assert np.array_equal(trace.final_x, x0)
-    with pytest.raises(LineSearchError, match="no acceptable step after"):
-        run_pgsa_ls(problem, x0, LineSearchConfig(max_iter=3))
+        class OutOfBox(L1L2PenaltyProblem):
+            def prox_f(self, alpha, z, point=point):
+                return np.array(point)
+
+        problem = OutOfBox(
+            sensing=np.eye(3), observation=np.ones(3), lam=0.1, lower=-1.0, upper=1.0
+        )
+        x0 = np.array([0.5, 0.5, 0.5])
+        trace = run_pgsa(problem, x0, PgsaConfig(max_iter=3))
+        assert trace.certificate.converged_reason == "domain_error"
+        assert trace.certificate.iterations == 0
+        assert np.array_equal(trace.final_x, x0)
+        with pytest.raises(LineSearchError, match="no acceptable step after"):
+            run_pgsa_ls(problem, x0, LineSearchConfig(max_iter=3))
 
 
 @pytest.mark.parametrize("solver", ["pgsa", "pgsa_ml", "pgsa_nl"])
