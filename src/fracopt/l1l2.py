@@ -64,14 +64,11 @@ def _check_penalty(lam: float, lower: float | np.ndarray, upper: float | np.ndar
 class L1L2PenaltyProblem(FractionalProblem):
     """Ratio-structured sparse recovery instance.
 
-    Construction requires finite data, a finite nonempty box containing the origin
-    (otherwise the shrink-then-clip prox would be inexact) and a positive
-    penalty weight.
-    L = ||A||_2^2 comes from the spectrum of the smaller Gram matrix.  A, b
-    and the box are stored as read-only private copies, since L, M and the
-    box tolerances are computed once from them.  ``eval_h`` keeps A x - b,
-    keyed by the bytes of x, for ``grad_h`` there.  ``eval_f`` skips the box
-    test at the bytes ``prox_f`` returned last, which lie in the box.
+    Construction requires finite nonempty data, a finite nonempty box containing
+    the origin (otherwise the shrink-then-clip prox would be inexact) and a
+    positive penalty weight.  L = ||A||_2^2 comes from the spectrum of the
+    smaller Gram matrix.  A, b and the box are stored as read-only private
+    copies, since L, M and the box tolerances are computed once from them.
     """
 
     sensing: np.ndarray
@@ -84,14 +81,12 @@ class L1L2PenaltyProblem(FractionalProblem):
     _lower_tol: np.ndarray = field(init=False, repr=False)
     _upper_tol: np.ndarray = field(init=False, repr=False)
     _g_bound: float = field(init=False, repr=False)
-    _residual: tuple = field(init=False, repr=False, default=(None, None))
-    _in_box: bytes | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         a = np.array(self.sensing, dtype=float)  # a copy in the given layout: products round alike
         b = np.array(self.observation, dtype=float)
-        if a.ndim != 2:
-            raise InvalidProblemError("sensing matrix must be 2-D")
+        if a.ndim != 2 or not a.size:
+            raise InvalidProblemError(f"sensing matrix must be 2-D and nonempty, got {a.shape}")
         if b.ndim != 1:
             raise InvalidProblemError(f"observation must be 1-D, got shape {b.shape}")
         if b.shape[0] != a.shape[0]:
@@ -101,8 +96,12 @@ class L1L2PenaltyProblem(FractionalProblem):
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise InvalidProblemError("sensing matrix and observation must be finite")
         n = a.shape[1]
-        lower = np.broadcast_to(np.asarray(self.lower, dtype=float), (n,)).copy()
-        upper = np.broadcast_to(np.asarray(self.upper, dtype=float), (n,)).copy()
+        box = [np.asarray(bound, dtype=float) for bound in (self.lower, self.upper)]
+        for name, bound in zip(("lower", "upper"), box):
+            if bound.shape not in ((), (1,), (n,)):
+                got = f"length {bound.size}" if bound.ndim == 1 else f"shape {bound.shape}"
+                raise DimensionMismatchError(f"{name} has {got}, sensing matrix has {n} columns")
+        lower, upper = (np.broadcast_to(bound, (n,)).copy() for bound in box)
         _check_penalty(self.lam, lower, upper)
         # L is the top eigenvalue of the smaller Gram matrix, A A.T or A.T A.
         gram = a @ a.T if a.shape[0] <= n else a.T @ a
@@ -122,20 +121,19 @@ class L1L2PenaltyProblem(FractionalProblem):
         return self.sensing.shape[1]
 
     def eval_f(self, x: np.ndarray) -> float:
-        lo, hi = self._lower_tol, self._upper_tol
-        if x.tobytes() != self._in_box and ((x < lo).any() or (x > hi).any()):
+        memo = self._memo("_point_memo", x.tobytes())
+        if "in_box" not in memo and ((x < self._lower_tol).any() or (x > self._upper_tol).any()):
             return math.inf
         return self.lam * float(np.abs(x).sum())
 
     def eval_h(self, x: np.ndarray) -> float:
         residual = self.sensing @ x - self.observation
-        object.__setattr__(self, "_residual", (x.tobytes(), residual))
+        self._memo("_point_memo", x.tobytes())["residual"] = residual
         return 0.5 * float(residual @ residual)
 
     def grad_h(self, x: np.ndarray) -> np.ndarray:
-        key, residual = self._residual
-        if key != x.tobytes():
-            residual = self.sensing @ x - self.observation
+        memo = self._memo("_point_memo", x.tobytes())
+        residual = memo["residual"] if "residual" in memo else self.sensing @ x - self.observation
         return self.sensing.T @ residual
 
     def eval_g(self, x: np.ndarray) -> float:
@@ -155,7 +153,7 @@ class L1L2PenaltyProblem(FractionalProblem):
 
     def prox_f(self, alpha: float, z: np.ndarray) -> np.ndarray:
         y = _shrink_clip(z, alpha * self.lam, self.lower, self.upper)
-        object.__setattr__(self, "_in_box", y.tobytes())
+        self._memo("_point_memo", y.tobytes())["in_box"] = True
         return y
 
     @property

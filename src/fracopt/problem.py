@@ -131,6 +131,17 @@ class FractionalProblem(abc.ABC):
         """Problem-specific distance-to-criticality measure (l2); None when there is none."""
         return None
 
+    def _memo(self, slot: str, key: bytes) -> dict:
+        """The dict in ``slot`` for ``key``, a fresh one if the slot held another key.
+
+        Keyed by a point's bytes (so an array edited in place is a new point), it holds
+        what the callbacks at that point share: SGEP's support S, seeded by prox_f, and in
+        a second slot keyed by S the rows A[S], B[S]; l1l2's A x - b and prox_f's in-box mark.
+        """
+        if self.__dict__.get(slot, (None,))[0] != key:
+            self.__dict__[slot] = (key, {})  # a cache, so set past the frozen dataclass
+        return self.__dict__[slot][1]
+
     def __setstate__(self, state: dict) -> None:
         """Set the attributes in ``state``, every array read-only.
 

@@ -144,10 +144,7 @@ class SgepProblem(FractionalProblem):
     definite on every r x r block, read off B's spectrum (L = lambda_max(B))
     or checked on min(50, C(n, r)) supports, as the module docstring says; M
     likewise.  The callbacks work over the support S of x, O(|S| n) per
-    product (B x is x_S @ B[S]).  A memo keyed by the bytes of x finds each
-    point's S once, and prox_f seeds it; keyed by the bytes of S, the rows
-    A[S], B[S] of the last accepted point and the S x S blocks of every trial
-    point, up to A's size, are kept.  Read-only data keeps a gather fresh.
+    product (B x is x_S @ B[S]); read-only data keeps a gather fresh.
     """
 
     matrix_a: np.ndarray
@@ -156,8 +153,6 @@ class SgepProblem(FractionalProblem):
     _lipschitz: float = field(init=False, repr=False)
     _g_bound: float = field(init=False, repr=False)
     _blocks: dict = field(init=False, repr=False, default_factory=dict)
-    _rows: tuple = field(init=False, repr=False, default=(None, None, None))
-    _point: tuple = field(init=False, repr=False, default=(None, None, None, None))
 
     def __post_init__(self) -> None:
         stored = {}
@@ -202,21 +197,21 @@ class SgepProblem(FractionalProblem):
         return self.matrix_a.shape[0]
 
     def _support(self, x: np.ndarray, support: np.ndarray | None = None) -> tuple:
-        """(x's bytes, its ascending support S, S's bytes, x[S]); S is found once per point."""
-        key = x.tobytes()
-        if self._point[0] != key:
+        """(x's ascending support S, S's bytes, x[S]); S is found once per point."""
+        memo = self._memo("_point_memo", x.tobytes())
+        if "support" not in memo:
             support = x.nonzero()[0] if support is None else support
-            object.__setattr__(self, "_point", (key, support, support.tobytes(), x[support]))
-        return self._point
+            memo["support"] = (support, support.tobytes(), x[support])
+        return memo["support"]
 
-    def _gathered(self, x: np.ndarray, slot: str) -> tuple:
-        """x[S] with A and B restricted to S: the rows M[S], or the S x S blocks."""
-        _, support, key, xs = self._support(x)
-        if slot == "_rows":
-            if self._rows[0] != key:
-                kept = (key, self.matrix_a[support], self.matrix_b[support])
-                object.__setattr__(self, "_rows", kept)
-            return xs, self._rows[1], self._rows[2]
+    def _gathered(self, x: np.ndarray, kind: str) -> tuple:
+        """x[S] with A and B restricted to S: the rows M[S], or the S x S blocks kept per S."""
+        support, key, xs = self._support(x)
+        if kind == "rows":
+            rows = self._memo("_rows_memo", key)
+            if "rows" not in rows:
+                rows["rows"] = (self.matrix_a[support], self.matrix_b[support])
+            return (xs, *rows["rows"])
         if key not in self._blocks:
             if (len(self._blocks) + 1) * support.size**2 > self.dim**2:  # no more than A holds
                 self._blocks.clear()
@@ -226,26 +221,26 @@ class SgepProblem(FractionalProblem):
         return (xs, *self._blocks[key])
 
     def eval_f(self, x: np.ndarray) -> float:
-        if self._support(x)[1].size > self.sparsity:
+        if self._support(x)[0].size > self.sparsity:
             return math.inf
         if abs(_norm(x) - 1.0) > UNIT_NORM_TOL:
             return math.inf
         return 0.0
 
     def eval_h(self, x: np.ndarray) -> float:
-        xs, _, block = self._gathered(x, "_blocks")
+        xs, _, block = self._gathered(x, "blocks")
         return 0.5 * float(xs @ block @ xs)
 
     def grad_h(self, x: np.ndarray) -> np.ndarray:
-        xs, _, rows = self._gathered(x, "_rows")
+        xs, _, rows = self._gathered(x, "rows")
         return xs @ rows
 
     def eval_g(self, x: np.ndarray) -> float:
-        xs, block, _ = self._gathered(x, "_blocks")
+        xs, block, _ = self._gathered(x, "blocks")
         return 0.5 * float(xs @ block @ xs)
 
     def subgrad_g(self, x: np.ndarray) -> np.ndarray:
-        xs, rows, _ = self._gathered(x, "_rows")
+        xs, rows, _ = self._gathered(x, "rows")
         return xs @ rows
 
     def prox_f(self, alpha: float, z: np.ndarray) -> np.ndarray:

@@ -291,6 +291,13 @@ def test_problem_validation():
             sensing=np.array([[0.0]]), observation=np.array([1.0]),
             lam=0.1, lower=box[0], upper=box[1],
         )
+    for shape in ((3, 0), (0, 4)):  # an empty sensing matrix has no spectrum to take L from
+        with pytest.raises(InvalidProblemError, match="nonempty") as err:
+            L1L2PenaltyProblem(
+                sensing=np.ones(shape), observation=np.ones(shape[0]),
+                lam=0.1, lower=box[0], upper=box[1],
+            )
+        assert type(err.value) is InvalidProblemError
 
 
 def test_stored_data_are_read_only_private_copies():
@@ -333,6 +340,18 @@ def test_observation_length_mismatch_is_a_dimension_mismatch():
     with pytest.raises(InvalidProblemError) as err:
         L1L2PenaltyProblem(sensing=np.ones((3, 4)), observation=np.ones((3, 1)), **box)
     assert type(err.value) is InvalidProblemError
+    # Box bounds are scalars or have length 1 or n.
+    for bound, value, got in (
+        ("lower", -np.ones(3), "length 3"),
+        ("upper", np.ones((4, 1)), "shape (4, 1)"),
+        ("lower", np.zeros(0), "length 0"),
+    ):
+        data = dict(sensing=np.ones((3, 4)), observation=np.ones(3), **{**box, bound: value})
+        with pytest.raises(DimensionMismatchError) as err:
+            L1L2PenaltyProblem(**data)
+        assert str(err.value) == f"{bound} has {got}, sensing matrix has 4 columns"
+    data = dict(sensing=np.ones((3, 4)), observation=np.ones(3), **{**box, "lower": -np.ones(1)})
+    assert L1L2PenaltyProblem(**data).lower.tobytes() == np.full(4, -1.0).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -463,7 +482,11 @@ def test_box_test_is_skipped_only_at_the_bytes_prox_f_returned():
 
 
 class _UnmemoizedPenalty(L1L2PenaltyProblem):
-    """grad_h by the plain formula, never reading the residual eval_h kept."""
+    """eval_f and grad_h by the plain formulas, never reading the memo."""
+
+    def eval_f(self, x):
+        outside = (x < self._lower_tol).any() or (x > self._upper_tol).any()
+        return math.inf if outside else self.lam * float(np.abs(x).sum())
 
     def grad_h(self, x):
         return self.sensing.T @ (self.sensing @ x - self.observation)
@@ -493,6 +516,20 @@ def test_residual_memo_matches_the_plain_formula_bitwise():
     problem.eval_h(x)
     x[1] = -0.0
     assert _bits(problem.grad_h(x)) == _bits(plain.grad_h(x))
+    # A callback at another point between prox_f and the callbacks at its output.
+    y = problem.prox_f(0.5, 3.0 * rng.standard_normal(n))
+    outside = np.full(n, 2.5)
+    problem.eval_h(outside)
+    for name, point in (("eval_f", y), ("grad_h", y), ("eval_f", outside)):
+        assert _bits(getattr(problem, name)(point)) == _bits(getattr(plain, name)(point)), name
+    # Copies keep a warm memo, and it still answers only for its own point.
+    y, other = problem.prox_f(0.5, 3.0 * rng.standard_normal(n)), rng.uniform(-1.0, 1.0, size=n)
+    problem.eval_h(y)
+    for kept in (copy.deepcopy(problem), pickle.loads(pickle.dumps(problem))):
+        for step, point in enumerate((y, other, y)):
+            for name in ("eval_f", "eval_h", "grad_h"):
+                got, want = getattr(kept, name)(point), getattr(plain, name)(point)
+                assert _bits(got) == _bits(want), (step, name)
     # The memo moves no iterate of a solve.
     x0 = penalty_start_point(problem)
     cfg = LineSearchConfig(N=4, max_iter=300)

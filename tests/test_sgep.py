@@ -610,13 +610,19 @@ def test_support_cache_matches_uncached_formulas_bitwise():
         for problem in problems:
             y = problem.prox_f(0.5, z)
             assert y.tobytes() == project_sparse_sphere(z, r).tobytes()
-            assert problem._point[1].tobytes() == np.flatnonzero(y).tobytes()
+            assert problem._support(y)[0].tobytes() == np.flatnonzero(y).tobytes()
             check(problem, y, ("prox", step))
             # The same array edited in place between two callbacks is a new point.
             y[np.flatnonzero(y == 0.0)[0]] = 0.25
             check(problem, y, ("edited", step))
             y[first] = 0.0
             check(problem, y, ("cleared", step))
+
+    # A callback at another point between prox_f and the callbacks at its output.
+    for problem in problems:
+        y = problem.prox_f(0.5, rng.standard_normal(n))
+        check(problem, on_support(second), "between", ["eval_h"])
+        check(problem, y, "after another point", ["eval_f", "grad_h"])
 
     # With no finite nonzero to keep, 0 / 0 fills the projection with NaN.
     nan_z = np.zeros(n)
