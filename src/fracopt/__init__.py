@@ -21,7 +21,6 @@ from .exceptions import (
     LineSearchError,
     NumericsError,
     ParseError,
-    SizeGuardError,
 )
 from .experiments import (
     ExperimentConfig,
@@ -63,7 +62,6 @@ from .sgep import (
     gen_sfda_dataset,
     project_sparse_sphere,
     scatter_matrices,
-    sgep_brute_force_optimum,
     sgep_default_init,
 )
 
@@ -95,7 +93,6 @@ __all__ = [
     "RecoveryReport",
     "SfdaRecipe",
     "SgepProblem",
-    "SizeGuardError",
     "SolverTrace",
     "TrialResult",
     "as_generator",
@@ -117,7 +114,6 @@ __all__ = [
     "run_pgsa_ls",
     "run_trial",
     "scatter_matrices",
-    "sgep_brute_force_optimum",
     "sgep_default_init",
     "solver_run_config",
 ]

@@ -30,7 +30,6 @@ from .exceptions import (
     LineSearchError,
     NumericsError,
     ParseError,
-    SizeGuardError,
 )
 from .experiments import (
     _SOLVER_KNOBS,
@@ -77,7 +76,6 @@ _EXIT_CODES = {
     LineSearchError: EXIT_SOLVER,
     NumericsError: EXIT_SOLVER,
     DegenerateInputError: EXIT_SOLVER,
-    SizeGuardError: EXIT_SOLVER,
 }
 GEN_SIZES = ("n", "p1", "p2", "r", "m", "k", "dct_f")
 

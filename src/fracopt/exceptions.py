@@ -27,10 +27,6 @@ class DegenerateInputError(FracoptError):
     """An input is degenerate for the requested operation (zero vector, empty data)."""
 
 
-class SizeGuardError(FracoptError):
-    """A combinatorial routine was asked to run above its hard size limit."""
-
-
 class ConvergenceError(FracoptError):
     """An iterative estimator failed to converge within its iteration cap."""
 

@@ -134,8 +134,10 @@ class ExperimentConfig:
             SfdaRecipe(n=self.dimension, p1=self.p1, p2=self.p2, r=self.r)
         if self.experiment == "l1l2" and not 1 <= self.k <= self.dimension:
             raise InvalidConfigError(f"need 1 <= k <= {self.dimension}, got k = {self.k}")
-        if self.experiment == "l1l2" and (self.m < 1 or not self.dct_f > 0):
-            raise InvalidConfigError(f"need m >= 1 and dct_f > 0, got {self.m} and {self.dct_f}")
+        if self.experiment == "l1l2" and (self.m < 1 or not 0 < self.dct_f < np.inf):
+            raise InvalidConfigError(
+                f"need m >= 1 and 0 < dct_f < inf, got {self.m} and {self.dct_f}"
+            )
         if self.experiment == "l1l2":
             _check_penalty(self.lam, self.box_lower, self.box_upper)
 

@@ -49,9 +49,9 @@ def _shrink_clip(
 
 
 def _check_penalty(lam: float, lower: float | np.ndarray, upper: float | np.ndarray) -> None:
-    """Require lam > 0 and a finite, nonempty box around the origin; bounds may be scalars."""
-    if not lam > 0:
-        raise InvalidProblemError("penalty weight lam must be positive")
+    """Require 0 < lam < inf and a finite, nonempty box around the origin; bounds may be scalars."""
+    if not 0 < lam < math.inf:
+        raise InvalidProblemError("penalty weight lam must be positive and finite")
     if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
         raise InvalidProblemError("box bounds must be finite")
     if np.any(lower > upper):

@@ -25,12 +25,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .exceptions import (
-    DegenerateInputError,
-    DimensionMismatchError,
-    InvalidProblemError,
-    SizeGuardError,
-)
+from .exceptions import DegenerateInputError, DimensionMismatchError, InvalidProblemError
 from .problem import DOMAIN_EPS_BASE, FractionalProblem, _feasible_objective, _norm
 from .rand import as_generator, philox_generator
 
@@ -38,9 +33,6 @@ from .rand import as_generator, philox_generator
 PSD_EIG_FLOOR = -1e-10
 # Entries larger than this fraction of ||x||_inf count as support members.
 SUPPORT_REL_THRESHOLD = 1e-12
-# Hard limits for the exhaustive-optimum routine.
-BRUTE_FORCE_MAX_N = 16
-BRUTE_FORCE_MAX_R = 4
 # Number of random supports sampled for the submatrix PD check.
 SUBMATRIX_CHECK_SAMPLES = 50
 # Most rows of A's factor: SFDA's A has rank 2; a full-rank A pays O(n) per row.
@@ -414,55 +406,3 @@ def gen_sfda(recipe: SfdaRecipe) -> SgepProblem:
     between, within = scatter_matrices(class1, class2)
     within = within + recipe.within_ridge * np.eye(recipe.n)
     return SgepProblem(matrix_a=between, matrix_b=within, sparsity=recipe.r)
-
-
-def sgep_brute_force_optimum(
-    a: np.ndarray, b: np.ndarray, r: int
-) -> tuple[float, np.ndarray]:
-    """Global optimum by support enumeration; only for tiny instances.
-
-    For every support S with |S| <= r the restricted problem is a generalized
-    eigenvalue computation: with B_S positive definite,
-
-        min over span(S) of x.T B x / x.T A x  =  1 / lambda_max(W),
-        W = B_S^{-1/2} A_S B_S^{-1/2},
-
-    and supports on which the A-energy vanishes (lambda_max(W) = 0) admit no
-    feasible point, so they are skipped.  Guarded to n <= 16 and r <= 4; the
-    enumeration is exponential and this routine exists as ground truth for
-    tests, not as a solver.  A, B and r are checked and stored by SgepProblem.
-    """
-    if len(a) > BRUTE_FORCE_MAX_N or r > BRUTE_FORCE_MAX_R:  # before any decomposition
-        raise SizeGuardError(
-            f"refusing exhaustive enumeration for n = {len(a)}, r = {r} "
-            f"(limits: n <= {BRUTE_FORCE_MAX_N}, r <= {BRUTE_FORCE_MAX_R})"
-        )
-    problem = SgepProblem(matrix_a=a, matrix_b=b, sparsity=r)
-    a, b, n = problem.matrix_a, problem.matrix_b, problem.dim
-    best_value = math.inf
-    best_point: np.ndarray | None = None
-    for size in range(1, r + 1):
-        for support in itertools.combinations(range(n), size):
-            idx = np.asarray(support)
-            sub_b = b[np.ix_(idx, idx)]
-            eigvals_b, eigvecs_b = np.linalg.eigh(sub_b)
-            if float(eigvals_b[0]) <= 0.0:  # every support, not SgepProblem's sample
-                raise InvalidProblemError(
-                    f"B restricted to support {support} is not positive definite"
-                )
-            inv_half = (eigvecs_b / np.sqrt(eigvals_b)) @ eigvecs_b.T
-            reduced = inv_half @ a[np.ix_(idx, idx)] @ inv_half
-            eigvals_w, eigvecs_w = np.linalg.eigh(reduced)
-            top = float(eigvals_w[-1])
-            if top <= 0.0:
-                continue  # A-energy is zero on this support
-            value = 1.0 / top
-            if value < best_value:
-                direction = inv_half @ eigvecs_w[:, -1]
-                point = np.zeros(n)
-                point[idx] = direction / np.linalg.norm(direction)
-                best_value = value
-                best_point = point
-    if best_point is None:
-        raise DegenerateInputError("the A-energy vanishes on every support")
-    return best_value, best_point

@@ -10,6 +10,7 @@ one pass/fail line per acceptance criterion.
 from __future__ import annotations
 
 import collections
+import itertools
 import math
 
 import numpy as np
@@ -24,13 +25,16 @@ from fracopt import (
     run_experiment,
     run_pgsa,
     run_pgsa_ls,
-    sgep_brute_force_optimum,
     sgep_default_init,
 )
+from fracopt.exceptions import DegenerateInputError, InvalidProblemError
 from fracopt.experiments import _openblas
 from fracopt.rand import philox_generator
 
 CRITERION_LINES: list[str] = []
+# Hard limits for the exhaustive SGEP optimum.
+BRUTE_FORCE_MAX_N = 16
+BRUTE_FORCE_MAX_R = 4
 
 
 def record_criterion(number: int, passed: bool, detail: str) -> None:
@@ -111,6 +115,58 @@ def central_gradient(fn, x: np.ndarray, step: float) -> np.ndarray:
         bump[i] = step
         grad[i] = (fn(x + bump) - fn(x - bump)) / (2.0 * step)
     return grad
+
+
+def sgep_brute_force_optimum(
+    a: np.ndarray, b: np.ndarray, r: int
+) -> tuple[float, np.ndarray]:
+    """Global SGEP optimum by support enumeration; only for tiny instances.
+
+    For every support S with |S| <= r the restricted problem is a generalized
+    eigenvalue computation: with B_S positive definite,
+
+        min over span(S) of x.T B x / x.T A x  =  1 / lambda_max(W),
+        W = B_S^{-1/2} A_S B_S^{-1/2},
+
+    and supports on which the A-energy vanishes (lambda_max(W) = 0) admit no
+    feasible point, so they are skipped.  The enumeration is exponential, so
+    n and r above BRUTE_FORCE_MAX_N and BRUTE_FORCE_MAX_R raise ValueError.
+    A, B and r are checked and stored by SgepProblem.
+    """
+    if len(a) > BRUTE_FORCE_MAX_N or r > BRUTE_FORCE_MAX_R:  # before any decomposition
+        raise ValueError(
+            f"refusing exhaustive enumeration for n = {len(a)}, r = {r} "
+            f"(limits: n <= {BRUTE_FORCE_MAX_N}, r <= {BRUTE_FORCE_MAX_R})"
+        )
+    problem = SgepProblem(matrix_a=a, matrix_b=b, sparsity=r)
+    a, b, n = problem.matrix_a, problem.matrix_b, problem.dim
+    best_value = math.inf
+    best_point: np.ndarray | None = None
+    for size in range(1, r + 1):
+        for support in itertools.combinations(range(n), size):
+            idx = np.asarray(support)
+            sub_b = b[np.ix_(idx, idx)]
+            eigvals_b, eigvecs_b = np.linalg.eigh(sub_b)
+            if float(eigvals_b[0]) <= 0.0:  # every support, not SgepProblem's sample
+                raise InvalidProblemError(
+                    f"B restricted to support {support} is not positive definite"
+                )
+            inv_half = (eigvecs_b / np.sqrt(eigvals_b)) @ eigvecs_b.T
+            reduced = inv_half @ a[np.ix_(idx, idx)] @ inv_half
+            eigvals_w, eigvecs_w = np.linalg.eigh(reduced)
+            top = float(eigvals_w[-1])
+            if top <= 0.0:
+                continue  # A-energy is zero on this support
+            value = 1.0 / top
+            if value < best_value:
+                direction = inv_half @ eigvecs_w[:, -1]
+                point = np.zeros(n)
+                point[idx] = direction / np.linalg.norm(direction)
+                best_value = value
+                best_point = point
+    if best_point is None:
+        raise DegenerateInputError("the A-energy vanishes on every support")
+    return best_value, best_point
 
 
 def spiked_ratio_pair(rng: np.random.Generator, dim: int = 10):

@@ -364,12 +364,13 @@ def test_observation_length_mismatch_is_a_dimension_mismatch():
         dict(lower=np.nan),
         dict(upper=np.array([1.0, np.nan])),
         dict(lam=np.nan),
+        dict(lam=np.inf),
         dict(lower=-np.inf),
         dict(upper=np.array([1.0, np.inf])),
         dict(lower=-np.inf, upper=np.inf),
     ],
     ids=["nan-sensing", "inf-sensing", "nan-observation", "inf-observation", "nan-lower",
-         "nan-upper", "nan-lam", "inf-lower", "inf-upper", "inf-box"],
+         "nan-upper", "nan-lam", "inf-lam", "inf-lower", "inf-upper", "inf-box"],
 )
 def test_problem_rejects_non_finite_data(bad):
     data = dict(

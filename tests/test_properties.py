@@ -8,13 +8,12 @@ import math
 
 import numpy as np
 
-from conftest import central_gradient
+from conftest import central_gradient, sgep_brute_force_optimum
 from fracopt import (
     L1L2PenaltyProblem,
     SgepProblem,
     eval_objective,
     project_sparse_sphere,
-    sgep_brute_force_optimum,
 )
 from fracopt.l1l2 import _shrink_clip
 from fracopt.rand import philox_generator

@@ -9,7 +9,7 @@ import pickle
 
 import numpy as np
 import pytest
-from conftest import CallCounter
+from conftest import CallCounter, sgep_brute_force_optimum
 
 from fracopt import (
     LineSearchConfig,
@@ -23,7 +23,6 @@ from fracopt import (
     run_pgsa,
     run_pgsa_ls,
     scatter_matrices,
-    sgep_brute_force_optimum,
     sgep_default_init,
 )
 from fracopt.exceptions import (
@@ -31,7 +30,6 @@ from fracopt.exceptions import (
     DimensionMismatchError,
     DomainError,
     InvalidProblemError,
-    SizeGuardError,
 )
 from fracopt import sgep as sgep_module
 from fracopt.rand import as_generator, philox_generator
@@ -493,10 +491,10 @@ def test_brute_force_bounds_every_solver_run():
 
 def test_brute_force_size_guard_and_validation():
     big = np.eye(17)
-    with pytest.raises(SizeGuardError):
+    with pytest.raises(ValueError, match="refusing exhaustive enumeration for n = 17, r = 2"):
         sgep_brute_force_optimum(big, big, 2)
     small = np.eye(8)
-    with pytest.raises(SizeGuardError):
+    with pytest.raises(ValueError, match="refusing exhaustive enumeration for n = 8, r = 5"):
         sgep_brute_force_optimum(small, small, 5)
     # The data checks are SgepProblem's, with its error classes and messages.
     with pytest.raises(DimensionMismatchError):
