@@ -45,7 +45,7 @@ from .l1l2 import (
     recovery_report,
 )
 from .pgsa import LineSearchConfig, PgsaConfig, SolverTrace, run_pgsa, run_pgsa_ls
-from .problem import FractionalProblem
+from .problem import FractionalProblem, _check_count
 from .rand import philox_generator
 from .sgep import SfdaRecipe, SgepProblem, gen_sfda, sgep_default_init
 
@@ -124,21 +124,16 @@ class ExperimentConfig:
         unread = sorted(name for name in _SOLVER_KNOBS - read if getattr(self, name) is not None)
         if unread:
             raise InvalidConfigError(f"solver {self.solver} does not read: {', '.join(unread)}")
-        if self.trials < 0:
-            raise InvalidConfigError("trials must be nonnegative")
-        if self.master_seed < 0:
-            raise InvalidConfigError(f"master_seed must be nonnegative, got {self.master_seed}")
-        if self.threads is not None and self.threads < 1:
-            raise InvalidConfigError("threads must be at least 1")
+        for name, low in (("trials", 0), ("master_seed", 0), ("threads", 1)):
+            if getattr(self, name) is not None:
+                _check_count(name, getattr(self, name), low, error=InvalidConfigError)
         if self.experiment == "sfda":  # the recipe's own checks reject impossible sizes
             SfdaRecipe(n=self.dimension, p1=self.p1, p2=self.p2, r=self.r)
-        if self.experiment == "l1l2" and not 1 <= self.k <= self.dimension:
-            raise InvalidConfigError(f"need 1 <= k <= {self.dimension}, got k = {self.k}")
-        if self.experiment == "l1l2" and (self.m < 1 or not 0 < self.dct_f < np.inf):
-            raise InvalidConfigError(
-                f"need m >= 1 and 0 < dct_f < inf, got {self.m} and {self.dct_f}"
-            )
         if self.experiment == "l1l2":
+            _check_count("k", self.k, 1, self.dimension, InvalidConfigError)
+            _check_count("m", self.m, 1, error=InvalidConfigError)
+            if not 0 < self.dct_f < np.inf:
+                raise InvalidConfigError(f"need 0 < dct_f < inf, got {self.dct_f}")
             _check_penalty(self.lam, self.box_lower, self.box_upper)
 
     @property

@@ -155,7 +155,7 @@ def load_trace_csv(path: str | Path) -> tuple[SolverTrace, np.ndarray | None]:
     row but the last fills alpha, step_norm and, in a line-search trace,
     backtracks, and a fixed-step trace leaves backtracks empty; the last row
     leaves those three empty; err_to_final is filled in every row or in none.
-    The rows are checked and parsed column by column.
+    Float cells are finite, as in the header; rows are checked and parsed column by column.
     """
     with open(path, "r", newline="") as handle:
         line = handle.readline()
@@ -228,14 +228,16 @@ def load_trace_csv(path: str | Path) -> tuple[SolverTrace, np.ndarray | None]:
     def parse(name: str, count: int = len(rows), kind: type = float) -> np.ndarray:
         cells = columns[name][:count]
         try:
-            return np.array(list(map(kind, cells)), dtype=kind)
+            values = np.array(list(map(kind, cells)), dtype=kind)
+            if np.isfinite(values).all():
+                return values
         except ValueError:
-            for index, cell in enumerate(cells):
-                try:
-                    kind(cell)
-                except ValueError as exc:
-                    raise parse_error(index, str(exc)) from None
-            raise
+            pass
+        for index, cell in enumerate(cells):  # name the first cell that is no finite kind
+            try:
+                (_finite_float if kind is float else kind)(cell)
+            except ValueError as exc:
+                raise parse_error(index, str(exc)) from None
 
     trace = SolverTrace(
         objective=parse("objective"),

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DegenerateInputError, DimensionMismatchError, InvalidProblemError
-from .problem import FractionalProblem, _feasible_objective, _norm
+from .problem import FractionalProblem, _check_count, _feasible_objective, _norm
 from .rand import as_generator
 
 # ||x||_2 at or below this counts as the origin for the l2 subgradient.
@@ -213,8 +213,8 @@ def gen_dct_matrix(
     once, uniformly from [0, 1]^m.  Larger ``coherence`` makes neighbouring
     columns nearly parallel, which is what stresses sparse recovery.
     """
-    if m <= 0 or n <= 0:
-        raise ValueError("matrix dimensions must be positive")
+    _check_count("m", m, 1)
+    _check_count("n", n, 1)
     if coherence <= 0:
         raise ValueError("coherence parameter must be positive")
     rng = as_generator(seed)
@@ -225,8 +225,8 @@ def gen_dct_matrix(
 
 def gen_ground_truth(n: int, k: int, seed: int | np.random.Generator) -> np.ndarray:
     """Unit-norm vector with k Gaussian entries on a uniformly random support."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= {n}, got k = {k}")
+    _check_count("n", n, 1)
+    _check_count("k", k, 1, n)
     rng = as_generator(seed)
     support = rng.choice(n, size=k, replace=False)
     x = np.zeros(n)
@@ -283,9 +283,11 @@ SUCCESS_REL_ERROR = 1e-3
 
 
 def recovery_report(solution: np.ndarray, ground_truth: np.ndarray) -> RecoveryReport:
-    """Score a recovered vector: relative error, success flag, l1/l2 value."""
+    """Score a recovered vector of the truth's shape: relative error, success flag, l1/l2 value."""
     solution = np.asarray(solution, dtype=float)
     truth = np.asarray(ground_truth, dtype=float)
+    if solution.shape != truth.shape:
+        raise DimensionMismatchError(f"solution has shape {solution.shape}, truth {truth.shape}")
     truth_norm = float(np.linalg.norm(truth))
     if truth_norm == 0.0:
         raise DegenerateInputError("ground truth is the zero vector")

@@ -41,6 +41,7 @@ from .problem import (
     Certificate,
     ExtendedObjective,
     FractionalProblem,
+    _check_count,
     _feasible_objective,
     _norm,
     eval_objective,
@@ -66,11 +67,11 @@ ITERATE_RESERVE_BYTES = 2**30
 class PgsaConfig:
     """Configuration for run_pgsa.
 
-    ``alpha`` > 0 is the constant step size, ``max_iter`` >= 0 the iteration
-    cap and ``step_tol`` >= 0 the stop tolerance on the step norm, relative
-    to the iterate norm when ``relative_tol`` is set.  Construction checks
-    these signs and that each set value is finite; ``_resolve`` fills the
-    unset ones and checks alpha against L.
+    ``alpha`` > 0 is the constant step size, the integer ``max_iter`` >= 0
+    the iteration cap and ``step_tol`` >= 0 the stop tolerance on the step
+    norm, relative to the iterate norm when ``relative_tol`` is set.
+    Construction checks these signs and that each set value is finite;
+    ``_resolve`` fills the unset ones and checks alpha against L.
     """
 
     alpha: float | None = None
@@ -88,10 +89,11 @@ class PgsaConfig:
 
 
 def _check_stop(cfg: Any) -> None:
-    """Reject a negative or non-finite max_iter or step_tol; both solver configs call this."""
-    for name, value in (("max_iter", cfg.max_iter), ("step_tol", cfg.step_tol)):
-        if value is not None and not 0 <= value < math.inf:
-            raise InvalidConfigError(f"{name} must be nonnegative and finite, got {value}")
+    """Reject a max_iter that is no count and a negative or non-finite step_tol (both configs)."""
+    if cfg.max_iter is not None:
+        _check_count("max_iter", cfg.max_iter, 0, error=InvalidConfigError)
+    if cfg.step_tol is not None and not 0 <= cfg.step_tol < math.inf:
+        raise InvalidConfigError(f"step_tol must be nonnegative and finite, got {cfg.step_tol}")
 
 
 @dataclass(frozen=True)
@@ -99,8 +101,8 @@ class LineSearchConfig:
     """Configuration for run_pgsa_ls.
 
     ``a`` > 0 is the quadratic decrease coefficient, ``eta`` in (0, 1) the
-    backtracking factor and ``N`` >= 0 the nonmonotone memory (0 = monotone);
-    ``max_iter`` and ``step_tol`` are checked as in PgsaConfig.  run_pgsa_ls
+    backtracking factor and the integer ``N`` >= 0 the nonmonotone memory
+    (0 = monotone); ``max_iter`` and ``step_tol`` are checked as in PgsaConfig.  run_pgsa_ls
     clamps trial steps into [alpha_lower, alpha_upper] and seeds the first at
     ``alpha0``; ``a`` and the step ends must be finite.  ``_resolve`` fills
     the unset fields.
@@ -123,8 +125,7 @@ class LineSearchConfig:
             raise InvalidConfigError("decrease coefficient a must be positive and finite")
         if not (0.0 < self.eta < 1.0):
             raise InvalidConfigError("backtracking factor eta must lie in (0, 1)")
-        if self.N < 0:
-            raise InvalidConfigError("window memory N must be nonnegative")
+        _check_count("N", self.N, 0, error=InvalidConfigError)
         # The ends that are set; _resolve checks again once it fills the rest.
         _check_step_interval(self.alpha_lower, self.alpha_upper, self.alpha0)
 
@@ -234,7 +235,7 @@ def _resolve(
         hi, seed = float(cfg.alpha_upper), (lo if cfg.alpha0 is None else cfg.alpha0)
         _check_step_interval(lo, hi, seed)
         mode = "pgsa_ml" if cfg.N == 0 else "pgsa_nl"
-        params = {"mode": mode, "a": cfg.a, "eta": cfg.eta, "N": cfg.N, "alpha0": seed}
+        params = {"mode": mode, "a": cfg.a, "eta": cfg.eta, "N": int(cfg.N), "alpha0": seed}
     cap = (2.0 if f_is_convex else 1.0) / lipschitz
     if params["mode"] == "pgsa" and not lo < cap:
         kind = "2/L (convex f)" if f_is_convex else "1/L"
@@ -242,7 +243,8 @@ def _resolve(
     relative = bool(cfg.relative_tol)
     params.update(alpha_lower=lo, alpha_upper=hi, relative_tol=relative, lipschitz=lipschitz)
     params.update(f_is_convex=bool(f_is_convex), g_sup_bound=g_sup_bound)
-    params["max_iter"] = (10 * n if relative else 2 * n) if cfg.max_iter is None else cfg.max_iter
+    iterations = 10 * n if relative else 2 * n
+    params["max_iter"] = iterations if cfg.max_iter is None else int(cfg.max_iter)  # no np.int64
     params["step_tol"] = (1e-8 if relative else 1e-6) if cfg.step_tol is None else cfg.step_tol
     return params
 
@@ -441,7 +443,7 @@ def run_pgsa_ls(
         cfg, problem.lipschitz_grad_h, problem.f_is_convex, problem.g_sup_bound, problem.dim
     )
     lo, hi, seed, last = params["alpha_lower"], params["alpha_upper"], params["alpha0"], None
-    window: deque[float] = deque(maxlen=cfg.N + 1)
+    window: deque[float] = deque(maxlen=params["N"] + 1)
 
     def backtracking_step(x, ext, grad, direction):
         # From the second step on, the trial step is the BB quotient of the

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import abc
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,15 @@ def _norm(v: np.ndarray) -> float:
     for bit its value, without the cost of its Python wrapper.
     """
     return math.sqrt(v.dot(v))
+
+
+def _check_count(name: str, value, low: int, high: int | None = None, error=ValueError) -> None:
+    """The rule for every count: raise ``error`` unless an int, no bool, in [low, high or inf]."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (integral and low <= value and (high is None or value <= high)):
+        bound = f"{name} >= {low}" if high is None else f"{low} <= {name} <= {high}"
+        kind = "" if integral else " (not an integer)"
+        raise error(f"need {bound}, got {name} = {value}{kind}")
 
 
 def domain_eps(numerator: float) -> float:
@@ -67,8 +77,7 @@ class Certificate:
     def __post_init__(self) -> None:
         if self.criticality_residual is not None and self.criticality_residual < 0:
             raise ValueError("criticality residual must be nonnegative")
-        if self.iterations < 0:
-            raise ValueError("iteration count must be nonnegative")
+        _check_count("iterations", self.iterations, 0)
         if self.converged_reason not in ("step_tol", "max_iter", "domain_error"):
             raise ValueError(f"unknown converged_reason {self.converged_reason!r}")
 
@@ -161,16 +170,19 @@ class FractionalProblem(abc.ABC):
         self.__dict__.update(state)
 
 
-def eval_objective(problem: FractionalProblem, x: np.ndarray) -> ExtendedObjective:
+def eval_objective(problem: FractionalProblem, x: np.ndarray, name: str = "x") -> ExtendedObjective:
     """Evaluate the extended ratio objective F at x.
 
     Returns an ExtendedObjective whose ``value`` is +inf when x falls outside
-    dom(f) or the denominator is within domain_eps of zero.  NaN from any
-    callback is a hard error: it signals corrupted problem data, and letting
-    it propagate as an objective value would poison every downstream
-    comparison.
+    dom(f) or the denominator is within domain_eps of zero.  An x of another
+    shape than (dim,) is a DimensionMismatchError calling it ``name``.  NaN
+    from any callback is a hard error: it signals corrupted problem data, and
+    letting it propagate as an objective value poisons every later comparison.
     """
     x = np.asarray(x, dtype=float)
+    if x.shape != (problem.dim,):
+        got = f"length {x.shape[0]}" if x.ndim == 1 else f"shape {x.shape}"
+        raise DimensionMismatchError(f"{name} has {got}, problem dimension is {problem.dim}")
     num = problem.eval_f(x)
     den = problem.eval_g(x)
     if math.isnan(num) or math.isnan(den):
@@ -187,11 +199,8 @@ def eval_objective(problem: FractionalProblem, x: np.ndarray) -> ExtendedObjecti
 def _feasible_objective(
     problem: FractionalProblem, x: np.ndarray, name: str = "x"
 ) -> ExtendedObjective:
-    """F at x: DimensionMismatchError on a wrong shape, DomainError outside dom(F)."""
-    if x.shape != (problem.dim,):
-        got = f"length {x.shape[0]}" if x.ndim == 1 else f"shape {x.shape}"
-        raise DimensionMismatchError(f"{name} has {got}, problem dimension is {problem.dim}")
-    ext = eval_objective(problem, x)
+    """F at x, as eval_objective gives it; DomainError outside dom(F)."""
+    ext = eval_objective(problem, x, name)
     if not ext.in_domain:
         raise DomainError(f"{name} lies outside dom(F)")
     return ext

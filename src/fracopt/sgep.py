@@ -26,7 +26,7 @@ from typing import ClassVar
 import numpy as np
 
 from .exceptions import DegenerateInputError, DimensionMismatchError, InvalidProblemError
-from .problem import DOMAIN_EPS_BASE, FractionalProblem, _feasible_objective, _norm
+from .problem import DOMAIN_EPS_BASE, FractionalProblem, _check_count, _feasible_objective, _norm
 from .rand import as_generator, philox_generator
 
 # Relative floor on the smallest eigenvalue for the PSD construction check.
@@ -65,17 +65,16 @@ def project_sparse_sphere(x: np.ndarray, r: int) -> np.ndarray:
     The projection is undefined at the origin, so a vector with norm at or
     below 1e-14 raises DegenerateInputError.
     """
+    _check_count("r", r, 1, np.size(x))  # a 1-D x has n entries; _projection rejects others
     return _projection(x, r)[0]
 
 
 def _projection(x: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """project_sparse_sphere(x, r) and its ascending support, np.flatnonzero of it."""
+    """project_sparse_sphere(x, r) and its ascending support, np.flatnonzero of it; r unchecked."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("expected a 1-D vector")
     n = x.shape[0]
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= {n}, got r = {r}")
     if _norm(x) <= DOMAIN_EPS_BASE:
         raise DegenerateInputError("projection onto the sparse sphere is undefined at 0")
     neg = -np.abs(x)  # NaN sorts last and never compares true, so it is never kept
@@ -156,8 +155,7 @@ class SgepProblem(FractionalProblem):
         if a.shape != b.shape:
             raise DimensionMismatchError(f"A has shape {a.shape}, B has shape {b.shape}")
         n = a.shape[0]
-        if not 1 <= self.sparsity <= n:
-            raise InvalidProblemError(f"need 1 <= r <= {n}, got r = {self.sparsity}")
+        _check_count("r", self.sparsity, 1, n, InvalidProblemError)
         g_bound = _factor_g_bound(a)
         if g_bound is None:
             g_bound = 0.5 * float(_psd_spectrum(a, "A")[-1])
@@ -294,8 +292,8 @@ class SgepProblem(FractionalProblem):
 
 def sgep_default_init(n: int, r: int) -> np.ndarray:
     """Canonical feasible start: first r coordinates equal to 1/sqrt(r)."""
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= {n}, got r = {r}")
+    _check_count("n", n, 1)
+    _check_count("r", r, 1, n)
     x = np.zeros(n)
     x[:r] = 1.0 / math.sqrt(r)
     return x
@@ -332,12 +330,11 @@ class SfdaRecipe:
     seed: int | np.random.Generator = 0
 
     def __post_init__(self) -> None:
-        if self.n < 5 or self.n % 5 != 0:
+        for name in ("n", "p1", "p2"):
+            _check_count(name, getattr(self, name), 1, error=InvalidProblemError)
+        if self.n % 5 != 0:
             raise InvalidProblemError(f"n must be a positive multiple of 5, got {self.n}")
-        if self.p1 <= 0 or self.p2 <= 0:
-            raise InvalidProblemError("both class sizes must be positive")
-        if not 1 <= self.r <= self.n:
-            raise InvalidProblemError(f"need 1 <= r <= {self.n}, got r = {self.r}")
+        _check_count("r", self.r, 1, self.n, InvalidProblemError)
 
     def class2_mean(self) -> np.ndarray:
         mean = np.zeros(self.n)

@@ -297,6 +297,11 @@ def test_verify_trace_whose_mode_contradicts_its_window_is_io_error(tmp_path, ca
         ("pgsa", None, {"lipschitz": 0}, "lipschitz"),
         ("pgsa_ml", None, {"lipschitz": -1.0}, "lipschitz"),
         ("pgsa_ml", None, {"N": 4}, "mode"),
+        ("pgsa_ml", None, {"max_iter": 2.5}, "need max_iter >= 0, got max_iter = 2.5"),
+        ("pgsa", None, {"max_iter": True}, "got max_iter = True (not an integer)"),
+        ("pgsa_ml", None, {"max_iter": 1e300}, "got max_iter = 1e+300 (not an integer)"),
+        ("pgsa_nl", None, {"N": 1.5}, "need N >= 0, got N = 1.5 (not an integer)"),
+        ("pgsa_nl", None, {"N": True}, "got N = True (not an integer)"),
     ],
     ids=[
         "max_iter-stop-without-its-keys",
@@ -308,11 +313,17 @@ def test_verify_trace_whose_mode_contradicts_its_window_is_io_error(tmp_path, ca
         "zero-lipschitz",
         "negative-lipschitz",
         "N-contradicts-mode",
+        "max_iter-float",
+        "max_iter-true",
+        "max_iter-1e300",
+        "N-float",
+        "N-true",
     ],
 )
 def test_verify_refuses_a_header_no_solver_writes(solver, reason, edit, key, tmp_path, capsys):
     # The audit alone passes every edited trace (the first with 140 checks,
     # though its rows stop by step_tol), so only the header check refuses them.
+    # A max_iter or N that is no integer is refused the same way.
     data = tmp_path / "gen"
     run_cli("gen", "sfda", "--out-dir", data, "--n", "20", "--p1", "10", "--p2", "10", "--r", "3")
     files = ("--matrix-a", data / "A.csv", "--matrix-b", data / "B.csv", "-r", "3")
@@ -333,6 +344,25 @@ def test_verify_refuses_a_header_no_solver_writes(solver, reason, edit, key, tmp
     assert run_cli("verify", "--trace", trace_path) == 3
     err = capsys.readouterr().err
     assert "line 1: " in err and key in err
+
+
+@pytest.mark.parametrize(
+    "column, cell", [(2, "nan"), (1, "inf")], ids=["alpha-nan", "objective-inf"]
+)
+def test_verify_non_finite_row_cell_is_io_error(column, cell, tmp_path, capsys):
+    # Refused on load, before the audit, which would pass a nan alpha.
+    cfg = _bench_config(tmp_path, trials=1)
+    out_dir = tmp_path / "out"
+    assert run_cli("bench", "--config", cfg, "--out-dir", out_dir, "--trace") == 0
+    capsys.readouterr()
+    trace_path = out_dir / "traces" / "trace_pgsa_ml_0.csv"
+    lines = trace_path.read_text().splitlines()
+    cells = lines[7].split(",")
+    cells[column] = cell
+    lines[7] = ",".join(cells)
+    trace_path.write_text("\n".join(lines) + "\n")
+    assert run_cli("verify", "--trace", trace_path) == 3
+    assert f"line 8: {cell} is not a finite number" in capsys.readouterr().err
 
 
 def test_verify_missing_trace_file_is_io_error(sgep_files, tmp_path, capsys):
@@ -709,7 +739,7 @@ def test_negative_seed_is_validation_error_before_any_output(where, tmp_path, ca
     else:
         argv = ["bench", "--config", _bench_config(tmp_path, master_seed=-1)]
     assert run_cli(*argv, "--out-dir", out_dir) == 2
-    assert "master_seed must be nonnegative, got -1" in capsys.readouterr().err
+    assert "need master_seed >= 0, got master_seed = -1" in capsys.readouterr().err
     assert not out_dir.exists()
 
 
@@ -832,7 +862,7 @@ def test_bench_bad_l1l2_sizes_is_validation_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "sizes, message",
-    [({"n": 7}, "multiple of 5"), ({"r": 0}, "r = 0"), ({"p1": 0}, "class sizes")],
+    [({"n": 7}, "multiple of 5"), ({"r": 0}, "r = 0"), ({"p1": 0}, "p1 = 0")],
     ids=["n-not-multiple-of-5", "r-zero", "p1-zero"],
 )
 def test_bench_bad_sfda_sizes_is_validation_error(sizes, message, tmp_path, capsys):

@@ -51,7 +51,7 @@ def test_config_validation():
         ExperimentConfig(trials=-1)
     with pytest.raises(InvalidConfigError):
         ExperimentConfig(threads=0)
-    with pytest.raises(InvalidConfigError, match="master_seed must be nonnegative, got -3"):
+    with pytest.raises(InvalidConfigError, match="need master_seed >= 0, got master_seed = -3"):
         ExperimentConfig(master_seed=-3)
     with pytest.raises(InvalidConfigError, match="unknown experiment"):
         ExperimentConfig(experiment="custom_sgep")

@@ -261,6 +261,9 @@ def test_trace_params_line_is_validated(tmp_path):
         ("pgsa_ml", "eta", 2.0),
         ("pgsa_nl", "N", -1),
         ("pgsa_nl", "alpha_lower", 1e9),
+        ("pgsa_ml", "max_iter", 2.5),
+        ("pgsa", "max_iter", True),
+        ("pgsa_nl", "N", True),
     ],
 )
 def test_trace_params_the_run_config_rejects_are_a_parse_error(tmp_path, solver, key, value):
@@ -269,6 +272,23 @@ def test_trace_params_the_run_config_rejects_are_a_parse_error(tmp_path, solver,
     path = tmp_path / "trace.csv"
     write_trace_csv(path, dataclasses.replace(trace, params={**trace.params, key: value}))
     with pytest.raises(ParseError, match="line 1"):
+        load_trace_csv(path)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", ["objective", "alpha", "step_norm", "err_to_final", "g_value"])
+def test_a_non_finite_row_cell_is_a_parse_error(tmp_path, column, cell):
+    # No solver writes one: accepted points lie in dom(F), a NaN step raises
+    # NumericsError.  The header already refused such values.
+    _, trace = _tiny_run("l1l2", "pgsa_nl", record_trace=True)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(path, trace)
+    lines = path.read_text().splitlines()
+    cells = lines[10].split(",")
+    cells[TRACE_COLUMNS.index(column)] = cell
+    lines[10] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=f"line 11: {cell} is not a finite number"):
         load_trace_csv(path)
 
 

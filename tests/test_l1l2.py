@@ -602,3 +602,9 @@ def test_recovery_report_examples():
     assert near.success
     with pytest.raises(DegenerateInputError):
         recovery_report(truth, np.zeros(3))
+
+
+def test_recovery_report_refuses_a_solution_of_another_length():
+    # Broadcasting would score np.ones(4) against np.ones(1) as an exact recovery.
+    with pytest.raises(DimensionMismatchError, match=r"solution has shape \(4,\)"):
+        recovery_report(np.ones(4), np.ones(1))

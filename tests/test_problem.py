@@ -2,13 +2,35 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from fracopt import Certificate, L1L2PenaltyProblem, SgepProblem, eval_objective, run_pgsa
-from fracopt.exceptions import DimensionMismatchError, DomainError, NumericsError
+from fracopt import (
+    Certificate,
+    L1L2PenaltyProblem,
+    LineSearchConfig,
+    PgsaConfig,
+    SfdaRecipe,
+    SgepProblem,
+    eval_objective,
+    gen_dct_matrix,
+    gen_ground_truth,
+    gen_sfda,
+    project_sparse_sphere,
+    run_pgsa,
+    run_pgsa_ls,
+    sgep_default_init,
+)
+from fracopt.exceptions import (
+    DimensionMismatchError,
+    DomainError,
+    InvalidConfigError,
+    InvalidProblemError,
+    NumericsError,
+)
 from fracopt.problem import FractionalProblem, domain_eps
 from fracopt.rand import philox_generator
 
@@ -139,6 +161,88 @@ def test_a_point_of_the_wrong_rank_is_a_dimension_mismatch(case):
             run_pgsa(problem, point)
         else:
             problem.critical_residual(point)
+
+
+@pytest.mark.parametrize("family", ["sgep", "l1l2"])
+def test_eval_objective_checks_the_shape_of_the_point(family):
+    # Unchecked, a 12-entry point on a 10-dim SGEP would evaluate as in dom(F),
+    # and on l1l2 numpy would raise a plain ValueError.  audit_trace evaluates here.
+    if family == "sgep":
+        problem = SgepProblem(matrix_a=np.eye(10), matrix_b=np.eye(10), sparsity=2)
+    else:
+        problem = L1L2PenaltyProblem(
+            sensing=np.ones((3, 10)), observation=np.ones(3), lam=0.1, lower=-1.0, upper=1.0
+        )
+    point = np.zeros(12)
+    point[0] = 1.0
+    with pytest.raises(DimensionMismatchError, match="x has length 12, problem dimension is 10"):
+        eval_objective(problem, point)
+
+
+def _certificate(iterations):
+    return Certificate(
+        objective=1.0, criticality_residual=None, iterations=iterations, converged_reason="max_iter"
+    )
+
+
+# Each count that is no integer, and the typed error (and message) its site
+# raises at construction or call entry, before numpy sees it.
+NOT_A_COUNT = {
+    "pgsa_max_iter_float": (
+        lambda: run_pgsa(diag_pair_problem(), np.array([1.0, 0.0]), PgsaConfig(max_iter=2.5)),
+        InvalidConfigError,
+        "need max_iter >= 0, got max_iter = 2.5 (not an integer)",
+    ),
+    "ls_max_iter_1e300": (
+        lambda: LineSearchConfig(max_iter=1e300), InvalidConfigError, "max_iter = 1e+300"
+    ),
+    "ls_window_float": (
+        lambda: run_pgsa_ls(diag_pair_problem(), np.array([1.0, 0.0]), LineSearchConfig(N=1.5)),
+        InvalidConfigError,
+        "need N >= 0, got N = 1.5 (not an integer)",
+    ),
+    "ls_window_bool": (lambda: LineSearchConfig(N=True), InvalidConfigError, "N = True"),
+    "sgep_sparsity_float": (
+        lambda: diag_pair_problem(r=2.5),
+        InvalidProblemError,
+        "need 1 <= r <= 2, got r = 2.5 (not an integer)",
+    ),
+    "sfda_n_float": (
+        lambda: gen_sfda(SfdaRecipe(n=10.0, p1=5, p2=5, r=2)), InvalidProblemError, "n = 10.0"
+    ),
+    "sfda_p2_bool": (lambda: SfdaRecipe(n=10, p1=5, p2=True, r=2), InvalidProblemError, "p2"),
+    "default_init_bool": (lambda: sgep_default_init(5, True), ValueError, "r = True"),
+    "projection_float": (
+        lambda: project_sparse_sphere(np.ones(3), 2.0), ValueError, "r = 2.0 (not an integer)"
+    ),
+    "dct_columns_float": (lambda: gen_dct_matrix(20, 10.5, 1.0, 0), ValueError, "n = 10.5"),
+    "truth_support_float": (lambda: gen_ground_truth(10, 2.0, 0), ValueError, "k = 2.0"),
+    "certificate_float": (lambda: _certificate(2.5), ValueError, "iterations = 2.5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_A_COUNT))
+def test_a_count_that_is_no_integer_is_a_typed_error(case):
+    call, error, message = NOT_A_COUNT[case]
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error
+    assert message in str(err.value)
+
+
+def test_numpy_integer_counts_are_accepted():
+    i64 = np.int64
+    problem = diag_pair_problem(r=i64(1))
+    x0 = sgep_default_init(i64(2), i64(1))
+    assert x0.tolist() == [1.0, 0.0]
+    trace = run_pgsa_ls(problem, x0, LineSearchConfig(N=i64(2), max_iter=i64(5)))
+    assert json.dumps(trace.params)  # the params a trace file carries hold plain ints
+    assert run_pgsa(problem, x0, PgsaConfig(max_iter=i64(3))).iterations <= 3
+    assert project_sparse_sphere(np.array([3.0, 4.0]), i64(1)).tolist() == [0.0, 1.0]
+    assert gen_dct_matrix(i64(4), i64(6), 1.0, 0).shape == (4, 6)
+    assert np.count_nonzero(gen_ground_truth(i64(6), i64(2), 0)) == 2
+    assert gen_sfda(SfdaRecipe(n=i64(10), p1=i64(5), p2=i64(5), r=i64(2))).dim == 10
+    assert _certificate(i64(3)).iterations == 3
 
 
 # Points just outside dom(F) as eval_objective defines it: off the unit sphere
