@@ -28,7 +28,7 @@ class DegenerateInputError(FracoptError):
 
 
 class ConvergenceError(FracoptError):
-    """An iterative estimator failed to converge within its iteration cap."""
+    """Raised by nothing in this package; kept because the benchmark harness imports it."""
 
 
 class InsufficientDataError(FracoptError):

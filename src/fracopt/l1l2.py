@@ -152,7 +152,7 @@ class L1L2PenaltyProblem(FractionalProblem):
         return x / norm
 
     def prox_f(self, alpha: float, z: np.ndarray) -> np.ndarray:
-        y = _shrink_clip(z, alpha * self.lam, self.lower, self.upper)
+        y = _shrink_clip(self._checked_point(z, "z"), alpha * self.lam, self.lower, self.upper)
         self._memo("_point_memo", y.tobytes())["in_box"] = True
         return y
 
@@ -215,8 +215,8 @@ def gen_dct_matrix(
     """
     _check_count("m", m, 1)
     _check_count("n", n, 1)
-    if coherence <= 0:
-        raise ValueError("coherence parameter must be positive")
+    if not 0 < coherence < math.inf:
+        raise ValueError(f"need 0 < coherence < inf, got {coherence}")
     rng = as_generator(seed)
     w = rng.uniform(0.0, 1.0, size=m)
     cols = np.arange(1, n + 1, dtype=float)

@@ -140,12 +140,20 @@ class FractionalProblem(abc.ABC):
         """Problem-specific distance-to-criticality measure (l2); None when there is none."""
         return None
 
+    def _checked_point(self, x: np.ndarray, name: str) -> np.ndarray:
+        """x as a float array; DimensionMismatchError calling it ``name`` unless of shape (dim,)."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.dim,):
+            got = f"length {x.shape[0]}" if x.ndim == 1 else f"shape {x.shape}"
+            raise DimensionMismatchError(f"{name} has {got}, problem dimension is {self.dim}")
+        return x
+
     def _memo(self, slot: str, key: bytes) -> dict:
         """The dict in ``slot`` for ``key``, a fresh one if the slot held another key.
 
-        Keyed by a point's bytes (so an array edited in place is a new point), it holds
-        what the callbacks at that point share: SGEP's support S, seeded by prox_f, and in
-        a second slot keyed by S the rows A[S], B[S]; l1l2's A x - b and prox_f's in-box mark.
+        Keyed by a point's bytes (an array edited in place is a new point), ``_point_memo`` holds
+        what the callbacks share: SGEP's S (seeded by prox_f), l1l2's A x - b and in-box mark.
+        SGEP keeps A[S], B[S] in ``_rows_memo`` and A[S, S], B[S, S] in ``_blocks_memo``, both by S.
         """
         if self.__dict__.get(slot, (None,))[0] != key:
             self.__dict__[slot] = (key, {})  # a cache, so set past the frozen dataclass
@@ -179,10 +187,7 @@ def eval_objective(problem: FractionalProblem, x: np.ndarray, name: str = "x") -
     from any callback is a hard error: it signals corrupted problem data, and
     letting it propagate as an objective value poisons every later comparison.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (problem.dim,):
-        got = f"length {x.shape[0]}" if x.ndim == 1 else f"shape {x.shape}"
-        raise DimensionMismatchError(f"{name} has {got}, problem dimension is {problem.dim}")
+    x = problem._checked_point(x, name)
     num = problem.eval_f(x)
     den = problem.eval_g(x)
     if math.isnan(num) or math.isnan(den):

@@ -143,7 +143,6 @@ class SgepProblem(FractionalProblem):
     sparsity: int
     _lipschitz: float = field(init=False, repr=False)
     _g_bound: float = field(init=False, repr=False)
-    _blocks: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         stored = {}
@@ -195,20 +194,16 @@ class SgepProblem(FractionalProblem):
         return memo["support"]
 
     def _gathered(self, x: np.ndarray, kind: str) -> tuple:
-        """x[S] with A and B restricted to S: the rows M[S], or the S x S blocks kept per S."""
+        """x[S] and A, B restricted to S: rows M[S] or S x S blocks, one memo slot per kind."""
         support, key, xs = self._support(x)
-        if kind == "rows":
-            rows = self._memo("_rows_memo", key)
-            if "rows" not in rows:
-                rows["rows"] = (self.matrix_a[support], self.matrix_b[support])
-            return (xs, *rows["rows"])
-        if key not in self._blocks:
-            if (len(self._blocks) + 1) * support.size**2 > self.dim**2:  # no more than A holds
-                self._blocks.clear()
-            # Flat indices gather C-ordered blocks; M[S][:, S] would round differently.
-            index = support[:, None] * self.dim + support
-            self._blocks[key] = (self.matrix_a.take(index), self.matrix_b.take(index))
-        return (xs, *self._blocks[key])
+        memo = self._memo(f"_{kind}_memo", key)
+        if kind not in memo:
+            if kind == "rows":
+                memo[kind] = (self.matrix_a[support], self.matrix_b[support])
+            else:  # Flat indices gather C-ordered blocks; M[S][:, S] would round differently.
+                index = support[:, None] * self.dim + support
+                memo[kind] = (self.matrix_a.take(index), self.matrix_b.take(index))
+        return (xs, *memo[kind])
 
     def eval_f(self, x: np.ndarray) -> float:
         if self._support(x)[0].size > self.sparsity:
@@ -235,7 +230,7 @@ class SgepProblem(FractionalProblem):
 
     def prox_f(self, alpha: float, z: np.ndarray) -> np.ndarray:
         # The prox of an indicator is the projection, whatever alpha is.
-        y, support = _projection(z, self.sparsity)
+        y, support = _projection(self._checked_point(z, "z"), self.sparsity)
         self._support(y, support)
         return y
 

@@ -131,8 +131,9 @@ def test_dct_matrix_deterministic_per_seed():
     assert not np.array_equal(first, third)
     with pytest.raises(ValueError):
         gen_dct_matrix(0, 12, 1.0, 5)
-    with pytest.raises(ValueError):
-        gen_dct_matrix(8, 12, 0.0, 5)
+    for coherence in (0.0, np.inf, np.nan):  # inf gives equal columns, nan a NaN matrix
+        with pytest.raises(ValueError, match="need 0 < coherence < inf"):
+            gen_dct_matrix(8, 12, coherence, 5)
 
 
 def test_ground_truth_examples():

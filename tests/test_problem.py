@@ -167,6 +167,8 @@ def test_a_point_of_the_wrong_rank_is_a_dimension_mismatch(case):
 def test_eval_objective_checks_the_shape_of_the_point(family):
     # Unchecked, a 12-entry point on a 10-dim SGEP would evaluate as in dom(F),
     # and on l1l2 numpy would raise a plain ValueError.  audit_trace evaluates here.
+    # prox_f checks its z alike: unchecked, the SGEP prox raised numpy's "kth out of
+    # bounds" on a 1-entry z and projected a longer one, and l1l2's broadcast a 1-entry z.
     if family == "sgep":
         problem = SgepProblem(matrix_a=np.eye(10), matrix_b=np.eye(10), sparsity=2)
     else:
@@ -177,6 +179,10 @@ def test_eval_objective_checks_the_shape_of_the_point(family):
     point[0] = 1.0
     with pytest.raises(DimensionMismatchError, match="x has length 12, problem dimension is 10"):
         eval_objective(problem, point)
+    wrong = ((np.ones(1), "length 1"), (point, "length 12"), (np.ones((2, 5)), r"shape \(2, 5\)"))
+    for z, got in wrong:
+        with pytest.raises(DimensionMismatchError, match=f"z has {got}, problem dimension is 10"):
+            problem.prox_f(1.0, z)
 
 
 def _certificate(iterations):
