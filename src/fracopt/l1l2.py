@@ -18,12 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DegenerateInputError, DimensionMismatchError, InvalidProblemError
-from .problem import FractionalProblem, _check_count, _feasible_objective, _norm
+from .problem import FractionalProblem, _check_count, _norm
 from .rand import as_generator
 
 # ||x||_2 at or below this counts as the origin for the l2 subgradient.
 ZERO_NORM_EPS = 1e-14
-# Tolerance for box membership and active-bound classification.
+# Tolerance for box membership.
 BOX_TOL = 1e-12
 INITIALIZER_ITERATIONS = 2000
 INITIALIZER_PENALTY_SCALE = 1e-6
@@ -167,41 +167,6 @@ class L1L2PenaltyProblem(FractionalProblem):
     @property
     def g_sup_bound(self) -> float:
         return self._g_bound
-
-    def critical_residual(self, x: np.ndarray) -> float:
-        """Componentwise distance to the criticality condition, as an l2 norm.
-
-        At a critical point the vector u = F(x) * x / ||x|| - grad_h(x) belongs to
-        the subdifferential of f, which splits per coordinate into
-
-            lam * sign(x_j)        plus  {0}         strictly inside the box,
-            lam * sign(x_j)        plus  [0, +inf)   at the upper bound,
-            lam * sign(x_j)        plus  (-inf, 0]   at the lower bound,
-            [-lam, lam]            (at x_j = 0, interior)
-
-        with the obvious combinations when 0 sits on a bound.  Each coordinate
-        contributes its distance from u_j to the allowed interval; the residual is
-        the l2 norm of those distances.  x must lie in dom(F) as ``eval_objective``
-        defines it, else DomainError (DimensionMismatchError on a wrong shape).
-        """
-        x = np.asarray(x, dtype=float)
-        ext = _feasible_objective(self, x)
-        u = ext.value * (x / ext.denominator) - self.grad_h(x)
-
-        lam = self.lam
-        tol = self._box_tol
-        at_lower = x <= self.lower + tol
-        at_upper = x >= self.upper - tol
-        positive = x > tol
-        negative = x < -tol
-
-        # Allowed interval [lo_j, hi_j] for u_j, coordinate by coordinate.
-        lo = np.where(positive, lam, -lam)
-        hi = np.where(negative, -lam, lam)
-        lo = np.where(at_lower, -np.inf, lo)
-        hi = np.where(at_upper, np.inf, hi)
-        gaps = np.maximum(lo - u, 0.0) + np.maximum(u - hi, 0.0)
-        return float(np.linalg.norm(gaps))
 
 
 def gen_dct_matrix(

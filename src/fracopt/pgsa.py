@@ -317,9 +317,11 @@ def _solve(
 
     if iterates is not None:
         iterates.resize((len(alphas) + 1, n), refcheck=False)
+    # For a nonconvex f the residual depends on the step: take the run's own last (or first).
+    alpha = alphas[-1] if alphas else params["alpha" if params["mode"] == "pgsa" else "alpha0"]
     cert = Certificate(
         objective=ext.value,
-        criticality_residual=problem.critical_residual(x),
+        criticality_residual=problem.critical_residual(x, alpha),
         iterations=len(alphas),
         converged_reason=reason,
     )

@@ -70,7 +70,7 @@ class Certificate:
     """What a solver run claims about its final iterate."""
 
     objective: float
-    criticality_residual: float | None
+    criticality_residual: float | None  # the solvers always fill it; None loads older traces
     iterations: int
     converged_reason: str  # "step_tol" | "max_iter" | "domain_error"
 
@@ -136,9 +136,20 @@ class FractionalProblem(abc.ABC):
         """
         return None
 
-    def critical_residual(self, x: np.ndarray) -> float | None:
-        """Problem-specific distance-to-criticality measure (l2); None when there is none."""
-        return None
+    def critical_residual(self, x: np.ndarray, alpha: float) -> float:
+        """Fixed-point residual of the PGSA step with step size ``alpha`` > 0 at x:
+
+            R(x) = ||x - prox_{alpha f}(x + alpha (F(x) v - grad_h(x)))|| / alpha
+
+        with v = subgrad_g(x).  R(x) = 0 exactly at a fixed point of that step, and a fixed point
+        meets the paper's first-order condition 0 in df(x) + grad_h(x) - F(x) dg(x).  For a
+        nonconvex f the prox, and so R, depends on alpha: the solvers pass the run's last accepted
+        step.  x must lie in dom(F) as ``eval_objective`` defines it, else DomainError
+        (DimensionMismatchError on a wrong shape).
+        """
+        x = self._checked_point(x, "x")
+        direction = _feasible_objective(self, x).value * self.subgrad_g(x) - self.grad_h(x)
+        return _norm(x - self.prox_f(alpha, x + alpha * direction)) / alpha
 
     def _checked_point(self, x: np.ndarray, name: str) -> np.ndarray:
         """x as a float array; DimensionMismatchError calling it ``name`` unless of shape (dim,)."""

@@ -26,13 +26,11 @@ from typing import ClassVar
 import numpy as np
 
 from .exceptions import DegenerateInputError, DimensionMismatchError, InvalidProblemError
-from .problem import DOMAIN_EPS_BASE, FractionalProblem, _check_count, _feasible_objective, _norm
+from .problem import DOMAIN_EPS_BASE, FractionalProblem, _check_count, _norm
 from .rand import as_generator, philox_generator
 
 # Relative floor on the smallest eigenvalue for the PSD construction check.
 PSD_EIG_FLOOR = -1e-10
-# Entries larger than this fraction of ||x||_inf count as support members.
-SUPPORT_REL_THRESHOLD = 1e-12
 # Number of random supports sampled for the submatrix PD check.
 SUBMATRIX_CHECK_SAMPLES = 50
 # Most rows of A's factor: SFDA's A has rank 2; a full-rank A pays O(n) per row.
@@ -241,48 +239,6 @@ class SgepProblem(FractionalProblem):
     @property
     def g_sup_bound(self) -> float:
         return self._g_bound
-
-    def critical_residual(self, x: np.ndarray) -> float:
-        """Distance-to-criticality measure for the sparse eigenvalue problem.
-
-        x must lie in dom(F) as ``eval_objective`` defines it, else DomainError
-        (DimensionMismatchError on a wrong shape).  With G(x) = x.T B x / x.T A x
-        and support taken as the entries above 1e-12 * ||x||_inf, a critical
-        point satisfies
-
-            ||B x - G(x) A x||_2 = 0                 when the support is smaller
-                                                     than r (the full-space test),
-            ||B_S x_S - G(x) A_S x_S||_2 = 0         when it has exactly r entries
-                                                     (restricted to the support S).
-
-        Entries within a factor 10 of the support threshold make the
-        classification ambiguous; in that case both applicable residuals are
-        computed and the larger one is returned, so a small result never hinges
-        on the thresholding.
-        """
-        a = self.matrix_a
-        b = self.matrix_b
-        r = self.sparsity
-        x = np.asarray(x, dtype=float)
-        ratio = _feasible_objective(self, x).value
-        magnitude = np.abs(x)
-        threshold = SUPPORT_REL_THRESHOLD * float(magnitude.max())
-        support = magnitude > threshold
-
-        def residual_for(mask: np.ndarray) -> float:
-            if int(mask.sum()) == r:
-                idx = np.flatnonzero(mask)
-                xs = x[idx]
-                vec = b[np.ix_(idx, idx)] @ xs - ratio * (a[np.ix_(idx, idx)] @ xs)
-            else:
-                vec = b @ x - ratio * (a @ x)
-            return float(np.linalg.norm(vec))
-
-        result = residual_for(support)
-        borderline = (magnitude > threshold) & (magnitude <= 10.0 * threshold)
-        if borderline.any():  # then the strict support is smaller
-            result = max(result, residual_for(magnitude > 10.0 * threshold))
-        return result
 
 
 def sgep_default_init(n: int, r: int) -> np.ndarray:

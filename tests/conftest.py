@@ -19,9 +19,13 @@ import pytest
 from fracopt import (
     ExperimentConfig,
     FractionalProblem,
+    L1L2PenaltyProblem,
     LineSearchConfig,
     PgsaConfig,
     SgepProblem,
+    gen_dct_matrix,
+    gen_ground_truth,
+    penalty_start_point,
     run_experiment,
     run_pgsa,
     run_pgsa_ls,
@@ -29,12 +33,15 @@ from fracopt import (
 )
 from fracopt.exceptions import DegenerateInputError, InvalidProblemError
 from fracopt.experiments import _openblas
+from fracopt.problem import _feasible_objective
 from fracopt.rand import philox_generator
 
 CRITERION_LINES: list[str] = []
 # Hard limits for the exhaustive SGEP optimum.
 BRUTE_FORCE_MAX_N = 16
 BRUTE_FORCE_MAX_R = 4
+# Entries larger than this fraction of ||x||_inf count as support members.
+SUPPORT_REL_THRESHOLD = 1e-12
 
 
 def record_criterion(number: int, passed: bool, detail: str) -> None:
@@ -169,6 +176,85 @@ def sgep_brute_force_optimum(
     return best_value, best_point
 
 
+def sgep_residual_oracle(problem: SgepProblem, x: np.ndarray) -> float:
+    """Distance-to-criticality measure for the sparse eigenvalue problem.
+
+    x must lie in dom(F) as ``eval_objective`` defines it, else DomainError
+    (DimensionMismatchError on a wrong shape).  With G(x) = x.T B x / x.T A x
+    and support taken as the entries above 1e-12 * ||x||_inf, a critical
+    point satisfies
+
+        ||B x - G(x) A x||_2 = 0                 when the support is smaller
+                                                 than r (the full-space test),
+        ||B_S x_S - G(x) A_S x_S||_2 = 0         when it has exactly r entries
+                                                 (restricted to the support S).
+
+    Entries within a factor 10 of the support threshold make the
+    classification ambiguous; in that case both applicable residuals are
+    computed and the larger one is returned, so a small result never hinges
+    on the thresholding.
+    """
+    a = problem.matrix_a
+    b = problem.matrix_b
+    r = problem.sparsity
+    x = np.asarray(x, dtype=float)
+    ratio = _feasible_objective(problem, x).value
+    magnitude = np.abs(x)
+    threshold = SUPPORT_REL_THRESHOLD * float(magnitude.max())
+    support = magnitude > threshold
+
+    def residual_for(mask: np.ndarray) -> float:
+        if int(mask.sum()) == r:
+            idx = np.flatnonzero(mask)
+            xs = x[idx]
+            vec = b[np.ix_(idx, idx)] @ xs - ratio * (a[np.ix_(idx, idx)] @ xs)
+        else:
+            vec = b @ x - ratio * (a @ x)
+        return float(np.linalg.norm(vec))
+
+    result = residual_for(support)
+    borderline = (magnitude > threshold) & (magnitude <= 10.0 * threshold)
+    if borderline.any():  # then the strict support is smaller
+        result = max(result, residual_for(magnitude > 10.0 * threshold))
+    return result
+
+
+def l1l2_residual_oracle(problem: L1L2PenaltyProblem, x: np.ndarray) -> float:
+    """Componentwise distance to the criticality condition, as an l2 norm.
+
+    At a critical point the vector u = F(x) * x / ||x|| - grad_h(x) belongs to
+    the subdifferential of f, which splits per coordinate into
+
+        lam * sign(x_j)        plus  {0}         strictly inside the box,
+        lam * sign(x_j)        plus  [0, +inf)   at the upper bound,
+        lam * sign(x_j)        plus  (-inf, 0]   at the lower bound,
+        [-lam, lam]            (at x_j = 0, interior)
+
+    with the obvious combinations when 0 sits on a bound.  Each coordinate
+    contributes its distance from u_j to the allowed interval; the residual is
+    the l2 norm of those distances.  x must lie in dom(F) as ``eval_objective``
+    defines it, else DomainError (DimensionMismatchError on a wrong shape).
+    """
+    x = np.asarray(x, dtype=float)
+    ext = _feasible_objective(problem, x)
+    u = ext.value * (x / ext.denominator) - problem.grad_h(x)
+
+    lam = problem.lam
+    tol = problem._box_tol
+    at_lower = x <= problem.lower + tol
+    at_upper = x >= problem.upper - tol
+    positive = x > tol
+    negative = x < -tol
+
+    # Allowed interval [lo_j, hi_j] for u_j, coordinate by coordinate.
+    lo = np.where(positive, lam, -lam)
+    hi = np.where(negative, -lam, lam)
+    lo = np.where(at_lower, -np.inf, lo)
+    hi = np.where(at_upper, np.inf, hi)
+    gaps = np.maximum(lo - u, 0.0) + np.maximum(u - hi, 0.0)
+    return float(np.linalg.norm(gaps))
+
+
 def spiked_ratio_pair(rng: np.random.Generator, dim: int = 10):
     """A PSD pair whose global sparse solution has a wide basin.
 
@@ -206,6 +292,28 @@ def l1l2_outcome():
         master_seed=0,
     )
     return cfg, run_experiment(cfg)
+
+
+@pytest.fixture(scope="session")
+def l1l2_consistency_run():
+    """A 60-dim l1l2 problem and its pgsa_ml run to a relative step_tol of 1e-12."""
+    rng = philox_generator(239)
+    sensing = gen_dct_matrix(20, 60, 1.0, rng)
+    truth = gen_ground_truth(60, 4, rng)
+    problem = L1L2PenaltyProblem(
+        sensing=sensing,
+        observation=sensing @ truth,
+        lam=8e-5,
+        lower=np.full(60, -1.0),
+        upper=np.full(60, 1.0),
+    )
+    start = penalty_start_point(problem)
+    trace = run_pgsa_ls(
+        problem,
+        start,
+        LineSearchConfig(N=0, step_tol=1e-12, relative_tol=True, max_iter=5000),
+    )
+    return problem, trace
 
 
 @pytest.fixture(scope="session")

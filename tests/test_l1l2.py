@@ -8,6 +8,7 @@ import pickle
 
 import numpy as np
 import pytest
+from conftest import l1l2_residual_oracle
 
 from fracopt import (
     L1L2PenaltyProblem,
@@ -200,7 +201,7 @@ def test_initializer_nearly_interpolates_the_data():
 
 def test_residual_interior_coordinate_exact_membership():
     problem = one_d_penalty(observation=0.5)
-    assert problem.critical_residual(np.array([0.5])) <= 1e-15
+    assert problem.critical_residual(np.array([0.5]), 1.0) <= 1e-15
 
 
 def test_residual_active_upper_bound_absorbs_excess():
@@ -211,38 +212,24 @@ def test_residual_active_upper_bound_absorbs_excess():
     norm = 1.0
     u = (problem.eval_f(x) + problem.eval_h(x)) / norm - float(problem.grad_h(x)[0])
     assert abs(u - (0.1 + 5.0)) <= 1e-12
-    assert problem.critical_residual(x) <= 1e-12
+    assert l1l2_residual_oracle(problem, x) <= 1e-12
     # The same u strictly inside the box is a genuine violation.
     interior = np.array([0.9])
-    assert problem.critical_residual(interior) > 0.1
+    assert l1l2_residual_oracle(problem, interior) > 0.1
 
 
-def test_residual_solver_consistency():
-    rng = philox_generator(239)
-    sensing = gen_dct_matrix(20, 60, 1.0, rng)
-    truth = gen_ground_truth(60, 4, rng)
-    problem = L1L2PenaltyProblem(
-        sensing=sensing,
-        observation=sensing @ truth,
-        lam=8e-5,
-        lower=np.full(60, -1.0),
-        upper=np.full(60, 1.0),
-    )
-    start = penalty_start_point(problem)
-    trace = run_pgsa_ls(
-        problem,
-        start,
-        LineSearchConfig(N=0, step_tol=1e-12, relative_tol=True, max_iter=5000),
-    )
-    assert problem.critical_residual(trace.final_x) <= 1e-8
+def test_residual_solver_consistency(l1l2_consistency_run):
+    problem, trace = l1l2_consistency_run
+    assert l1l2_residual_oracle(problem, trace.final_x) <= 1e-8
+    assert trace.certificate.criticality_residual <= 1e-8
 
 
 def test_residual_rejects_points_outside_domain():
     problem = one_d_penalty(observation=0.5)
     with pytest.raises(DomainError):
-        problem.critical_residual(np.zeros(1))
+        problem.critical_residual(np.zeros(1), 1.0)
     with pytest.raises(DimensionMismatchError, match="x has length 2, problem dimension is 1"):
-        problem.critical_residual(np.zeros(2))
+        problem.critical_residual(np.zeros(2), 1.0)
 
 
 def test_objective_equivalence_at_interpolating_sparse_point():

@@ -247,8 +247,8 @@ def test_trace_objective_equals_certificate_objective():
     assert trace.certificate.iterations == len(trace.alpha)
 
 
-class _NoResidual(FractionalProblem):
-    """0.5 * ||x - 1||^2 over the constant 1; it keeps the base critical_residual."""
+class _IdentityProx(FractionalProblem):
+    """0.5 * ||x - 1||^2 over the constant 1: f = 0, so its prox is the identity."""
 
     dim = 2
     lipschitz_grad_h = 1.0
@@ -281,9 +281,12 @@ class _NoResidual(FractionalProblem):
     ],
     ids=["pgsa", "pgsa_ml", "pgsa_nl"],
 )
-def test_problem_without_a_criticality_residual_certifies_none(solve, config):
-    trace = solve(_NoResidual(), np.zeros(2), config)
-    assert trace.certificate.criticality_residual is None
+def test_identity_prox_certifies_the_gradient_norm(solve, config):
+    # With the identity prox and a zero subgradient, R(x) = ||x - (x - alpha (x - 1))|| / alpha,
+    # which is ||x - 1|| up to an ulp or so of |x_j| = 1 per entry, from rounding the step.
+    trace = solve(_IdentityProx(), np.zeros(2), config)
+    expected = float(np.linalg.norm(trace.final_x - 1.0))
+    assert abs(trace.certificate.criticality_residual - expected) <= 1e-15
     assert trace.certificate.converged_reason == "step_tol"
     assert trace.certificate.objective <= 1e-10
 
@@ -300,7 +303,7 @@ def test_resolve_gives_the_params_every_run_records(family, solver, relative):
     elif family == "l1l2":
         problem, x0 = one_d_penalty(), np.array([0.5])
     else:
-        problem, x0 = _NoResidual(), np.zeros(2)
+        problem, x0 = _IdentityProx(), np.zeros(2)
     if solver == "pgsa":
         solve, cfg = run_pgsa, PgsaConfig(relative_tol=relative)
     else:
