@@ -104,10 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--x0", help="CSV start vector; defaults to the problem's canonical start")
     solve.add_argument("--config", help="JSON file with solver parameters")
     solve.add_argument("--trace", help="write the per-iteration trace CSV here")
-    solve.add_argument("--step-tol", type=float)
-    solve.add_argument("--max-iter", type=int)
-    solve.add_argument("--relative-tol", action="store_true", default=None)
-    solve.add_argument("--alpha", type=float, help="fixed step size (pgsa)")
 
     bench = sub.add_parser("bench", help="run a seeded multi-trial benchmark")
     bench.add_argument("--config", help="JSON experiment configuration")
@@ -173,9 +169,6 @@ def _build_problem(args: argparse.Namespace) -> SgepProblem | L1L2PenaltyProblem
 
 def cmd_solve(args: argparse.Namespace) -> int:
     cfg_fields = _load_json_object(args.config)
-    for key in ("alpha", "step_tol", "max_iter", "relative_tol"):
-        if getattr(args, key) is not None:
-            cfg_fields[key] = getattr(args, key)
     # Keys that are no solver knob at all; ExperimentConfig rejects the knobs this solver skips.
     unknown = sorted(set(cfg_fields) - _SOLVER_KNOBS)
     if unknown:
@@ -188,7 +181,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         write_traces=bool(args.trace),
         **cfg_fields,
     )
-    _pin_blas_to_one_thread()
     problem = _build_problem(args)
     x0 = load_vector_csv(args.x0) if args.x0 else _start(problem)
     result = _solve_trial(exp_cfg, 0, args.solver, (problem, x0, None))
@@ -244,7 +236,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
     cfg = ExperimentConfig(experiment=args.experiment, master_seed=args.seed, **sizes)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _pin_blas_to_one_thread()
     problem, truth = _instance(cfg, philox_generator(cfg.master_seed))
     meta: dict[str, Any] = {"experiment": args.experiment, "seed": args.seed, "n": cfg.dimension}
     if args.experiment == "sfda":
@@ -266,7 +257,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     trace, _ = load_trace_csv(args.trace)
-    _pin_blas_to_one_thread()
     problem = _build_problem(args) if args.problem else None
     try:
         report = audit_trace(trace, problem)
@@ -297,6 +287,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _pin_blas_to_one_thread()  # before any BLAS call, so no result depends on the core count
     handlers = {"solve": cmd_solve, "bench": cmd_bench, "gen": cmd_gen, "verify": cmd_verify}
     try:
         return handlers[args.command](args)

@@ -87,11 +87,11 @@ def audit_trace(
     M is known, the guaranteed backtracking floor eta/(a*M + L) - 1e-12 and
     the matching cap on backtrack counts.
 
-    The mode (unless ``mode`` overrides it), a, eta, N and the step bounds
-    come from ``trace.params``.  L, the convexity of f and M are recomputed
-    from ``problem`` when one is given, else read from ``trace.params`` too;
-    only a problem lets recorded iterates be re-evaluated, one problem call
-    per point.
+    The mode, a, eta, N and the step bounds come from ``trace.params``
+    (``mode`` may only restate the trace's mode, else ValueError).  L, the
+    convexity of f and M are recomputed from ``problem`` when one is given,
+    else read from ``trace.params`` too; only a problem lets recorded iterates
+    be re-evaluated, one problem call per point.
 
     Each check is one array expression over all iterations (the window
     maxima are a sliding maximum over the objectives padded with -inf), so
@@ -100,7 +100,9 @@ def audit_trace(
     collected, never raised, so a caller can report all of them at once.
     """
     params = trace.params
-    mode = params["mode"] if mode is None else mode
+    if mode not in (None, params["mode"]):
+        raise ValueError(f"audit mode {mode!r} is not the trace's mode {params['mode']!r}")
+    mode = params["mode"]
     if mode not in ("pgsa", "pgsa_ml", "pgsa_nl"):
         raise ValueError(f"unknown audit mode {mode!r}")
     report = AuditReport(mode=mode)

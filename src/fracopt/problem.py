@@ -164,7 +164,7 @@ class FractionalProblem(abc.ABC):
 
         Keyed by a point's bytes (an array edited in place is a new point), ``_point_memo`` holds
         what the callbacks share: SGEP's S (seeded by prox_f), l1l2's A x - b and in-box mark.
-        SGEP keeps A[S], B[S] in ``_rows_memo`` and A[S, S], B[S, S] in ``_blocks_memo``, both by S.
+        SGEP keeps A[S], B[S] in ``_rows_memo``, A[S, S], B[S, S] there or in ``_blocks_memo``.
         """
         if self.__dict__.get(slot, (None,))[0] != key:
             self.__dict__[slot] = (key, {})  # a cache, so set past the frozen dataclass

@@ -194,9 +194,12 @@ class SgepProblem(FractionalProblem):
     def _gathered(self, x: np.ndarray, kind: str) -> tuple:
         """x[S] and A, B restricted to S: rows M[S] or S x S blocks, one memo slot per kind."""
         support, key, xs = self._support(x)
-        memo = self._memo(f"_{kind}_memo", key)
+        # The accepted point's rows slot keeps its blocks too, for trial points that come back to S.
+        held = self.__dict__.get("_rows_memo", (None,))
+        memo = held[1] if held[0] == key else self._memo(f"_{kind}_memo", key)
         if kind not in memo:
             if kind == "rows":
+                memo.update(self._memo("_blocks_memo", key))
                 memo[kind] = (self.matrix_a[support], self.matrix_b[support])
             else:  # Flat indices gather C-ordered blocks; M[S][:, S] would round differently.
                 index = support[:, None] * self.dim + support
@@ -206,7 +209,7 @@ class SgepProblem(FractionalProblem):
     def eval_f(self, x: np.ndarray) -> float:
         if self._support(x)[0].size > self.sparsity:
             return math.inf
-        if abs(_norm(x) - 1.0) > UNIT_NORM_TOL:
+        if not abs(_norm(x) - 1.0) <= UNIT_NORM_TOL:  # a NaN norm is no unit norm
             return math.inf
         return 0.0
 

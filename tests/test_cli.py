@@ -453,25 +453,24 @@ def test_solve_config_with_unknown_key_is_validation_error(sgep_files, tmp_path,
 
 
 @pytest.mark.parametrize(
-    "solver, config, flags, rejected",
+    "solver, config, rejected",
     [
-        ("pgsa_ml", {"window": 7, "alpha": 0.5}, [], "alpha, window"),
-        ("pgsa_nl", {"alpha": 0.5}, [], "alpha"),
-        ("pgsa", {"eta": 0.4}, [], "eta"),
-        ("pgsa", {"window": 3}, [], "window"),
-        ("pgsa_ml", {}, ["--alpha", "0.5"], "alpha"),
+        ("pgsa_ml", {"window": 7, "alpha": 0.5}, "alpha, window"),
+        ("pgsa_nl", {"alpha": 0.5}, "alpha"),
+        ("pgsa", {"eta": 0.4}, "eta"),
+        ("pgsa", {"window": 3}, "window"),
     ],
-    ids=["ml-window-alpha", "nl-alpha", "pgsa-eta", "pgsa-window", "ml-alpha-flag"],
+    ids=["ml-window-alpha", "nl-alpha", "pgsa-eta", "pgsa-window"],
 )
 def test_solve_rejects_keys_the_solver_does_not_read(
-    solver, config, flags, rejected, sgep_files, tmp_path, capsys
+    solver, config, rejected, sgep_files, tmp_path, capsys
 ):
     a_path, b_path = sgep_files
     cfg = tmp_path / "solver.json"
     cfg.write_text(json.dumps(config))
     code = run_cli(
         "solve", "sgep", "--matrix-a", a_path, "--matrix-b", b_path, "-r", "1",
-        "--solver", solver, "--config", cfg, *flags,
+        "--solver", solver, "--config", cfg,
     )
     assert code == 2
     err = capsys.readouterr().err
@@ -773,7 +772,6 @@ def test_gen_l1l2_round_trips_through_solve(tmp_path, capsys):
     code = run_cli(
         "solve", "l1l2",
         "--matrix-a", out_dir / "A.csv", "--vector-b", out_dir / "b.csv",
-        "--relative-tol",
     )
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
@@ -923,19 +921,30 @@ def test_solve_and_bench_reject_a_bad_run_parameter_alike(
     assert not (tmp_path / "out").exists()
 
 
-def test_solve_infinite_step_tol_flag_is_validation_error_before_any_output(
+def test_solve_infinite_step_tol_config_is_validation_error_before_any_output(
     sgep_files, tmp_path, capsys
 ):
     # Its trace would hold "step_tol": Infinity, which verify refuses.
     a_path, b_path = sgep_files
+    cfg = tmp_path / "solver.json"
+    cfg.write_text('{"step_tol": Infinity}')
     trace_path = tmp_path / "trace.csv"
     code = run_cli(
         "solve", "sgep", "--matrix-a", a_path, "--matrix-b", b_path, "-r", "1",
-        "--step-tol", "inf", "--trace", trace_path,
+        "--config", cfg, "--trace", trace_path,
     )
     assert code == 2
     assert capsys.readouterr().err == "error: step_tol must be nonnegative and finite, got inf\n"
     assert not trace_path.exists()
+
+
+@pytest.mark.parametrize("flag", ["--alpha=0.5", "--step-tol=0", "--max-iter=5", "--relative-tol"])
+def test_solve_takes_its_solver_settings_from_the_config_alone(flag, sgep_files, capsys):
+    a_path, b_path = sgep_files
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("solve", "sgep", "--matrix-a", a_path, "--matrix-b", b_path, "-r", "1", flag)
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_parser_problem_defaults_are_the_experiment_config_defaults():

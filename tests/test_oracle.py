@@ -144,6 +144,19 @@ def test_audit_rejects_unknown_mode():
         audit_trace(trace, problem, mode="bisection")
 
 
+@pytest.mark.parametrize("recorded, asked", [("pgsa", "pgsa_nl"), ("pgsa_ml", "pgsa")])
+def test_audit_mode_may_only_restate_the_traces_mode(recorded, asked):
+    # pgsa_nl rules would look up a pgsa trace's missing "a"; pgsa rules misread a line search.
+    problem = small_sgep(307)
+    x0 = sgep_default_init(12, 3)
+    trace = run_pgsa(problem, x0, PgsaConfig()) if recorded == "pgsa" else run_pgsa_ls(
+        problem, x0, LineSearchConfig(N=0)
+    )
+    assert audit_trace(trace, problem, mode=recorded).ok
+    with pytest.raises(ValueError, match=f"'{asked}' is not the trace's mode '{recorded}'"):
+        audit_trace(trace, problem, mode=asked)
+
+
 def test_certificate_audit_checks_what_the_rows_settle():
     problem = small_sgep(331)
     x0 = sgep_default_init(12, 3)

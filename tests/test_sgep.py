@@ -30,6 +30,7 @@ from fracopt.exceptions import (
     DimensionMismatchError,
     DomainError,
     InvalidProblemError,
+    NumericsError,
 )
 from fracopt import sgep as sgep_module
 from fracopt.rand import as_generator, philox_generator
@@ -645,6 +646,35 @@ def test_support_cache_matches_uncached_formulas_bitwise():
         x = np.zeros(6)
         x[list(support)] = rng.standard_normal(3)
         check(small, x, ("small", step))
+
+
+def test_the_accepted_support_keeps_its_blocks_through_a_trial_elsewhere():
+    # A line search evaluates F and the gradients at x, rejects a trial on another
+    # support, then backtracks onto x's support: its S x S blocks are not gathered again.
+    rng = philox_generator(157)
+    problem = SgepProblem(
+        matrix_a=wishart(rng, 20, 6) + 0.1 * np.eye(6),
+        matrix_b=wishart(rng, 20, 6) + 0.5 * np.eye(6),
+        sparsity=3,
+    )
+    x, trial = np.zeros(6), np.zeros(6)
+    x[:3], trial[3:] = 1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0)
+    eval_objective(problem, x)
+    problem.grad_h(x)
+    problem.subgrad_g(x)
+    blocks = problem._gathered(x, "blocks")[1:]
+    eval_objective(problem, trial)
+    again = problem._gathered(x, "blocks")[1:]
+    assert all(kept is block for kept, block in zip(again, blocks))
+
+
+def test_a_nan_point_is_outside_the_constraint_set():
+    # abs(NaN - 1) > tol is False, so the norm test must read "not within tol".
+    problem = diag_pair_problem(r=1)
+    x = np.array([np.nan, 0.0])
+    assert problem.eval_f(x) == math.inf
+    with pytest.raises(NumericsError):
+        eval_objective(problem, x)
 
 
 def test_stored_matrices_are_read_only_private_copies():
